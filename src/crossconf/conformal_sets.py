@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 INF = float("inf")
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # Methods built from fold p-values; the -cross forms use the inflated
 # threshold alpha' and shrink the plain cross-validation conformal set.
@@ -255,21 +256,36 @@ def split_pvalue(state: SplitState, test_x, y: float) -> float:
 # Endpoint scan
 # ---------------------------------------------------------------------------
 
+def _ray_probe(endpoint: float, side: float) -> float:
+    """A point on the ray beyond ``endpoint`` in direction ``side`` (-1 or +1).
+
+    The step max(1, |endpoint|) survives rounding at every magnitude, where a
+    unit step is absorbed once |endpoint| >= 2**53. Past the float range the
+    probe clamps to the largest finite value; only an endpoint at that value,
+    whose ray holds no finite point, is probed at infinity.
+    """
+    probe = endpoint + side * max(1.0, abs(endpoint))
+    if math.isinf(probe):
+        probe = side * _FLOAT_MAX
+    return probe if probe != endpoint else side * INF
+
+
 def _pieces(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluation points and interval bounds of the 2M+1 constant pieces.
 
     The pieces are, in order: the ray left of the first breakpoint, then each
     breakpoint alternating with the open gap after it, then the right ray.
+    Gap midpoints halve before adding, so they cannot overflow.
     """
     m = endpoints.size
     ys = np.empty(2 * m + 1)
     los = np.empty(2 * m + 1)
     his = np.empty(2 * m + 1)
-    ys[0] = endpoints[0] - 1.0
+    ys[0] = _ray_probe(float(endpoints[0]), -1.0)
     ys[1::2] = endpoints
     if m > 1:
-        ys[2:-1:2] = 0.5 * (endpoints[:-1] + endpoints[1:])
-    ys[-1] = endpoints[-1] + 1.0
+        ys[2:-1:2] = 0.5 * endpoints[:-1] + 0.5 * endpoints[1:]
+    ys[-1] = _ray_probe(float(endpoints[-1]), 1.0)
     los[0] = -INF
     los[1::2] = endpoints
     los[2::2] = endpoints
@@ -280,19 +296,11 @@ def _pieces(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _runs(los: np.ndarray, his: np.ndarray, mask: np.ndarray) -> list[tuple[float, float]]:
-    out = []
-    i = 0
-    total = mask.size
-    while i < total:
-        if mask[i]:
-            j = i
-            while j + 1 < total and mask[j + 1]:
-                j += 1
-            out.append((los[i], his[j]))
-            i = j + 1
-        else:
-            i += 1
-    return out
+    """(first lo, last hi) of every maximal run of true pieces, in order."""
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    return list(zip(los[starts].tolist(), his[ends].tolist()))
 
 
 def _eval_membership(membership, ys: np.ndarray) -> np.ndarray:

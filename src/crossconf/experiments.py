@@ -104,7 +104,10 @@ class SimulationConfig:
             raise InvalidConfigurationError("threads must be at least 1")
 
     def to_jsonable(self) -> dict:
+        """The report configuration. ``threads`` is left out: it cannot change
+        the results, and reports must be byte-identical across thread counts."""
         out = asdict(self)
+        del out["threads"]
         out["p_list"] = list(self.p_list)
         out["methods"] = list(self.methods)
         return out

@@ -34,6 +34,9 @@ REGRESSOR_KINDS = ("ols", "ridge", "knn")
 # pseudoinverse stable in the underdetermined regime (p >= training size).
 RCOND = 1e-10
 
+# Size of one query block's (rows, n, p) distance temporary in KnnModel.predict.
+_KNN_BLOCK_BYTES = 512 * 1024
+
 
 @dataclass(frozen=True)
 class RegressorSpec:
@@ -126,9 +129,14 @@ class LinearModel:
 class KnnModel:
     """Mean response of the k nearest training rows by Euclidean distance.
 
-    Distance ties break on smaller response value, then on lexicographic
-    feature comparison. Row indices are never consulted, so predictions are
-    invariant to permutations of the training set.
+    Neighbours are ranked by distance, and distance ties break on the smaller
+    response. Rows that tie on both add the same value at the same position of
+    the summed sequence, so no further key (feature values, row order) can
+    change the mean or its bits. Row indices are never consulted, so
+    predictions are invariant to permutations of the training set.
+
+    Queries are processed in blocks whose distance temporary stays near
+    ``_KNN_BLOCK_BYTES``, so memory does not grow with the number of queries.
     """
 
     train_features: np.ndarray
@@ -141,17 +149,33 @@ class KnnModel:
         if self.standardizer is not None:
             mat = self.standardizer.transform(mat)
         feats = self.train_features
-        resp = self.train_responses
-        p = feats.shape[1]
         out = np.empty(mat.shape[0])
-        for i, row in enumerate(mat):
-            dist = np.sqrt(((feats - row) ** 2).sum(axis=1))
-            # np.lexsort sorts by the last key first: distance, then response,
-            # then features from column 0 outward.
-            keys = [feats[:, j] for j in range(p - 1, -1, -1)] + [resp, dist]
-            order = np.lexsort(keys)
-            out[i] = resp[order[: self.k]].mean()
+        step = max(1, _KNN_BLOCK_BYTES // feats.nbytes)
+        for start in range(0, mat.shape[0], step):
+            rows = mat[start : start + step]
+            dist = np.sqrt(((feats[None] - rows[:, None]) ** 2).sum(axis=2))
+            out[start : start + rows.shape[0]] = self._neighbour_means(dist)
         return out
+
+    def _neighbour_means(self, dist: np.ndarray) -> np.ndarray:
+        """Mean response of each row's k nearest, ordered by (distance, response)."""
+        resp = self.train_responses
+        k = self.k
+        chosen = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        near = np.take_along_axis(dist, chosen, axis=1)
+        kth = near[:, -1]
+        near_resp = resp[chosen]
+        order = np.lexsort((near_resp, near), axis=1)
+        means = np.take_along_axis(near_resp, order, axis=1).mean(axis=1)
+        # Where more than k rows lie at or below the k-th distance, argpartition
+        # chose among the ties arbitrarily; rank those candidates by response.
+        # A row with NaN distances has fewer than k such rows and ranks them all.
+        n_le = np.count_nonzero(dist <= kth[:, None], axis=1)
+        for i in np.flatnonzero(n_le != k):
+            cand = np.flatnonzero(dist[i] <= kth[i]) if n_le[i] > k else np.arange(resp.size)
+            ranked = np.lexsort((resp[cand], dist[i, cand]))[:k]
+            means[i] = resp[cand[ranked]].mean()
+        return means
 
 
 FittedModel = Union[LinearModel, KnnModel]

@@ -202,6 +202,67 @@ class TestRunCommand:
         assert "price" in capsys.readouterr().err
 
 
+def write_grid_csv(path, n=90, p=3, seed=11):
+    """Integer-grid features and one-decimal responses: many kNN ties."""
+    gen = np.random.default_rng(seed)
+    x = gen.integers(-2, 3, size=(n, p))
+    y = np.round(x.sum(axis=1) + gen.standard_normal(n), 1)
+    lines = [",".join([f"x{j}" for j in range(p)] + ["y"])]
+    lines += [",".join([str(int(v)) for v in x[i]] + [repr(float(y[i]))]) for i in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+# Report rows of the golden run below, captured from the lexsort kNN and the
+# piece-by-piece run extraction; the vectorized kernels must reproduce them.
+GOLDEN_KNN_ROWS = """\
+method,p,reps,coverage,mean_width,sd_width,median_width,min_width,max_width,n_infinite
+mod,3,2,0.86,4.1728,0.365432784517208,4.1728,3.914399999999999,4.4312,0
+e-mod,3,2,0.66,3.178,0.4451944294350506,3.178,2.8632,3.4928000000000003,0
+u-mod,3,2,0.68,3.2192,0.3133897254218779,3.2192,2.9976,3.4408,0
+eu-mod,3,2,0.46,2.2060000000000004,0.6861764204634263,2.2060000000000004,1.7207999999999999,2.6912000000000007,0
+cross,3,2,0.8,3.6832,0.24211336187827484,3.6832,3.511999999999999,3.8544000000000005,0
+e-cross,3,2,0.56,2.8091999999999997,0.14424978336205582,2.8091999999999997,2.7072,2.9112,0
+u-cross,3,2,0.54,2.6727999999999996,0.19798989873223316,2.6727999999999996,2.5328,2.8127999999999997,0
+eu-cross,3,2,0.30000000000000004,1.8144000000000002,0.5690795374989339,1.8144000000000002,1.412,2.2168000000000005,0
+split,3,2,0.6000000000000001,3.4399999999999995,0.1131370849898477,3.4399999999999995,3.3599999999999994,3.5199999999999996,0
+cv+,3,2,0.8,3.6832,0.24211336187827484,3.6832,3.511999999999999,3.8544000000000005,0
+"""
+
+
+class TestReportBytes:
+    def test_knn_run_matches_golden_rows(self, tmp_path):
+        write_grid_csv(tmp_path / "d.csv")
+        out = tmp_path / "r.csv"
+        code = main(
+            ["run", "--data", str(tmp_path / "d.csv"), "--target", "y",
+             "--regressor", "knn:5", "--train-size", "60", "--test-size", "25",
+             "--trials", "2", "--k", "5", "--alpha", "0.2",
+             "--methods", "mod,e-mod,u-mod,eu-mod,cross,e-cross,u-cross,eu-cross,split,cv+",
+             "--seed", "13", "--out", str(out), "--threads", "1"]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("# config: ")
+        assert "".join(lines[1:]) == GOLDEN_KNN_ROWS
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_files_identical_across_thread_counts(self, tmp_path, command):
+        if command == "simulate":
+            argv = ["simulate", "--n", "30", "--p", "2,4", "--alpha", "0.2", "--k", "3",
+                    "--reps", "4", "--methods", "mod,cross,split,cv+", "--seed", "7"]
+        else:
+            write_dataset_csv(tmp_path / "d.csv", n=60, p=3, seed=8)
+            argv = ["run", "--data", str(tmp_path / "d.csv"), "--target", "y",
+                    "--regressor", "knn:3", "--train-size", "40", "--test-size", "10",
+                    "--trials", "3", "--methods", "mod,e-mod,cross,split", "--k", "4",
+                    "--seed", "3"]
+        for threads in ("1", "2"):
+            assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        for suffix in (".csv", ".json"):
+            one = (tmp_path / ("1" + suffix)).read_bytes()
+            assert one == (tmp_path / ("2" + suffix)).read_bytes()
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_exit_4(self, tmp_path, monkeypatch):
         import crossconf.cli as cli

@@ -43,8 +43,26 @@ from crossconf import (
     stat_umod,
     variant_set_from_scores,
 )
+from crossconf.conformal_sets import _runs
 
 INF = float("inf")
+
+
+def scan_runs_oracle(los, his, mask):
+    """Reference run extraction: walk the mask one piece at a time."""
+    out = []
+    i = 0
+    total = mask.size
+    while i < total:
+        if mask[i]:
+            j = i
+            while j + 1 < total and mask[j + 1]:
+                j += 1
+            out.append((los[i], his[j]))
+            i = j + 1
+        else:
+            i += 1
+    return out
 
 
 class TestEmpiricalQuantile:
@@ -147,6 +165,52 @@ class TestEndpointScan:
         s = endpoint_scan(np.array([2.0]), lambda ys: ys == 2.0)
         assert s.intervals == ((2.0, 2.0),)
         assert s.width == 0.0
+
+    def test_rays_beyond_unit_resolution(self):
+        # at 1e17 a unit step rounds back onto the endpoint itself
+        assert endpoint_scan([1e17], lambda ys: ys > 1e17).intervals == ((1e17, INF),)
+        assert endpoint_scan([1e17], lambda ys: ys >= 1e17).intervals == ((1e17, INF),)
+        assert endpoint_scan([-1e17], lambda ys: ys < -1e17).intervals == ((-INF, -1e17),)
+
+    def test_endpoints_near_float_max(self):
+        big = 1.7e308
+        assert endpoint_scan([big], lambda ys: ys > big).intervals == ((big, INF),)
+        assert endpoint_scan([-big], lambda ys: ys < -big).intervals == ((-INF, -big),)
+        # gap midpoints between huge endpoints must not overflow to infinity
+        inside = lambda ys: (ys > big) & (ys < 1.75e308)
+        assert endpoint_scan([big, 1.75e308], inside).intervals == ((big, 1.75e308),)
+        outside = lambda ys: (ys <= -big) | (ys >= big)
+        assert endpoint_scan([-big, big], outside).intervals == ((-INF, -big), (big, INF))
+
+    def test_endpoint_at_float_max_probes_infinity(self):
+        top = float(np.finfo(float).max)
+        assert endpoint_scan([top], lambda ys: ys <= top).intervals == ((-INF, top),)
+        assert endpoint_scan([-top], lambda ys: ys >= -top).intervals == ((-top, INF),)
+
+
+class TestRunsAgainstScanOracle:
+    """Run extraction must match the piece-by-piece walk exactly."""
+
+    @staticmethod
+    def check(mask):
+        mask = np.asarray(mask, dtype=bool)
+        los = np.arange(mask.size) * 2.0 - 0.5
+        his = los + 1.0
+        assert _runs(los, his, mask) == scan_runs_oracle(los, his, mask)
+
+    def test_random_masks(self):
+        gen = np.random.default_rng(21)
+        for _ in range(300):
+            size = int(gen.integers(1, 80))
+            self.check(gen.random(size) < gen.random())
+
+    @pytest.mark.parametrize(
+        "mask",
+        [[True] * 9, [False] * 9, [True], [False], [True, False] * 5, [False, True] * 5],
+        ids=["all-true", "all-false", "one-true", "one-false", "alt-true", "alt-false"],
+    )
+    def test_edge_masks(self, mask):
+        self.check(mask)
 
 
 def single_fold_state(scores, coef=0.0):

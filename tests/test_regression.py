@@ -13,6 +13,25 @@ from crossconf import (
     fit_ridge,
     parse_regressor,
 )
+from crossconf.regression import _KNN_BLOCK_BYTES
+
+
+def lexsort_knn_oracle(model, queries):
+    """Reference kNN: one full lexsort per query on distance, then response,
+    then the features from column 0 outward."""
+    mat = np.atleast_2d(np.asarray(queries, dtype=float))
+    if model.standardizer is not None:
+        mat = model.standardizer.transform(mat)
+    feats = model.train_features
+    resp = model.train_responses
+    p = feats.shape[1]
+    out = np.empty(mat.shape[0])
+    for i, row in enumerate(mat):
+        dist = np.sqrt(((feats - row) ** 2).sum(axis=1))
+        keys = [feats[:, j] for j in range(p - 1, -1, -1)] + [resp, dist]
+        order = np.lexsort(keys)
+        out[i] = resp[order[: model.k]].mean()
+    return out
 
 
 class TestMinNormOls:
@@ -111,6 +130,43 @@ class TestKnn:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             fit_knn(Dataset(np.eye(2), np.ones(2)), 3)
+
+
+class TestKnnAgainstLexsortOracle:
+    """The blocked kernel must reproduce the lexsort loop bit for bit."""
+
+    @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "z"])
+    @pytest.mark.parametrize("k", [1, 3, "n"])
+    @pytest.mark.parametrize("p", [1, 3, 12])
+    def test_integer_grid_with_ties(self, p, k, standardize):
+        # few grid values per column and responses rounded to one decimal, so
+        # distance ties straddle the k-th neighbour and responses repeat
+        gen = np.random.default_rng(100 + p)
+        n = 150
+        x = gen.integers(-2, 3, size=(n, p)).astype(float)
+        y = np.round(gen.standard_normal(n), 1)
+        kk = n if k == "n" else k
+        model = fit_knn(Dataset(x, y), kk, standardize=standardize)
+        step = max(1, _KNN_BLOCK_BYTES // x.nbytes)
+        queries = gen.integers(-3, 4, size=(2 * step + 7, p)).astype(float)
+        queries[::5] += 0.5
+        assert np.array_equal(model.predict(queries), lexsort_knn_oracle(model, queries))
+
+    def test_continuous_features(self):
+        gen = np.random.default_rng(11)
+        x = gen.standard_normal((300, 8))
+        y = gen.standard_normal(300) * 1e3
+        for k in (1, 7, 300):
+            model = fit_knn(Dataset(x, y), k)
+            queries = gen.standard_normal((40, 8))
+            assert np.array_equal(model.predict(queries), lexsort_knn_oracle(model, queries))
+
+    def test_nan_query_ranks_by_response(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        y = np.array([3.0, 1.0, 2.0])
+        model = fit_knn(Dataset(x, y), 2)
+        queries = np.array([[np.nan], [0.4]])
+        assert np.array_equal(model.predict(queries), lexsort_knn_oracle(model, queries))
 
 
 class TestPermutationSymmetry:
