@@ -101,6 +101,18 @@ def _out_paths(out: str) -> tuple[str, str]:
     return out + ".csv", out + ".json"
 
 
+def _write_report(report, out: str) -> int:
+    """Write the CSV and JSON reports; the cause of each skipped trial goes to stderr."""
+    for failure in report.failures:
+        message = " ".join(failure.message.split())
+        print(f"skipped trial {failure.trial}: {failure.kind}: {message}", file=sys.stderr)
+    csv_path, json_path = _out_paths(out)
+    report.write_csv(csv_path)
+    report.write_json(json_path)
+    print(f"wrote {csv_path} and {json_path}")
+    return 0
+
+
 def cmd_simulate(args) -> int:
     cfg = SimulationConfig(
         n=args.n,
@@ -114,12 +126,7 @@ def cmd_simulate(args) -> int:
         fold_mode=args.fold_mode,
         threads=args.threads,
     )
-    report = run_simulation(cfg)
-    csv_path, json_path = _out_paths(args.out)
-    report.write_csv(csv_path)
-    report.write_json(json_path)
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return _write_report(run_simulation(cfg), args.out)
 
 
 def cmd_run(args) -> int:
@@ -138,11 +145,7 @@ def cmd_run(args) -> int:
         threads=args.threads,
     )
     report = run_real_data(data, args.train_size, args.test_size, args.trials, cfg)
-    csv_path, json_path = _out_paths(args.out)
-    report.write_csv(csv_path)
-    report.write_json(json_path)
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return _write_report(report, args.out)
 
 
 def _jsonable_set(pset) -> dict:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import RandomDraws
-from .errors import InvalidConfigurationError
+from .errors import InvalidConfigurationError, NumericalError
 
 __all__ = [
     "COMBINER_KINDS",
@@ -156,7 +156,7 @@ def coverage_bounds(alpha: float, k: int, n: int) -> CoverageBounds:
     combined = max(small, large)
     floor = 1.0 - 2.0 * alpha - 2.0 / math.sqrt(n)
     if combined < floor - 1e-12:
-        raise AssertionError(
+        raise NumericalError(
             f"combined bound {combined} fell below the 1 - 2a - 2/sqrt(n) floor {floor}"
         )
     return CoverageBounds(small, large, combined)

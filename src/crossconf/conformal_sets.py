@@ -14,7 +14,9 @@ they are evaluated directly and intervals are closed.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -341,12 +343,42 @@ class _FoldContext:
     n_used: int
 
 
+_shared = threading.local()
+
+
+@contextlib.contextmanager
+def _shared_fold_predictions():
+    """Inside the block, the set builders called on this thread compute the
+    fold predictions at a given (cv, test row) pair once and share them.
+
+    A scope rather than a parameter keeps the public builders' signatures,
+    and the builders stay the calls that a caller makes. The memo holds its
+    cv and row, so their ids cannot be reused while it lives.
+    """
+    outer = getattr(_shared, "memo", None)
+    _shared.memo = {}
+    try:
+        yield
+    finally:
+        _shared.memo = outer
+
+
+def _fold_mu(cv: CvScores, test_x) -> np.ndarray:
+    memo = getattr(_shared, "memo", None)
+    if memo is None:
+        return fold_predictions(cv, test_x)
+    key = (id(cv), id(test_x))
+    if key not in memo:
+        memo[key] = (cv, test_x, fold_predictions(cv, test_x))
+    return memo[key][2]
+
+
 def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
     if cv.n_folds != folds.n_folds:
         raise InvalidConfigurationError(
             f"cv scores carry {cv.n_folds} fold models but the assignment has {folds.n_folds}"
         )
-    mu = fold_predictions(cv, test_x)
+    mu = _fold_mu(cv, test_x)
     sorted_scores = tuple(np.sort(cv.scores[m]) for m in folds.fold_members)
     return _FoldContext(mu, sorted_scores, folds.fold_sizes, folds.n_used)
 
@@ -587,7 +619,7 @@ def cv_plus_from_scores(
     """
     if cv.spec.kind != "residual":
         raise InvalidConfigurationError("CV+ is defined for residual scores only")
-    mu = fold_predictions(cv, test_x)
+    mu = _fold_mu(cv, test_x)
     fold_of = folds.fold_of
     used = fold_of >= 0
     mu_i = mu[fold_of[used]]

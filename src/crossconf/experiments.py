@@ -18,10 +18,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .conformal_sets import (
     ALL_METHODS,
     FOLD_METHODS,
     PredictionSet,
+    _shared_fold_predictions,
     cv_plus_from_scores,
     fold_method_sets,
     split_conformal,
@@ -44,6 +46,7 @@ __all__ = [
     "TRIAL_COLUMNS",
     "SimulationConfig",
     "TrialResult",
+    "TrialFailure",
     "AggregateRow",
     "AggregateReport",
     "mc_standard_error",
@@ -140,17 +143,30 @@ class AggregateRow:
 
 
 @dataclass(frozen=True)
+class TrialFailure:
+    """Why one trial was skipped: its index in the job list (the trial's
+    random stream), the exception type and its message."""
+
+    trial: int
+    kind: str
+    message: str
+
+
+@dataclass(frozen=True)
 class AggregateReport:
     """Per (method, p) aggregates plus the fully resolved run configuration.
 
     Width statistics cover the finite-width trials only; the number of
     infinite-width trials is disclosed in ``n_infinite``. ``n_failed`` counts
-    trials skipped after a numerical failure (never silently dropped).
+    trials skipped after a numerical failure (never silently dropped), and
+    ``failures`` keeps their causes. The causes stay out of the CSV and JSON
+    text, whose bytes depend only on the configuration and the seed.
     """
 
     rows: tuple[AggregateRow, ...]
     config: dict
     n_failed: int = 0
+    failures: tuple[TrialFailure, ...] = ()
 
     def to_csv_text(self) -> str:
         lines = ["# config: " + json.dumps(self.config, sort_keys=True)]
@@ -272,14 +288,15 @@ def _point_sets(
 ) -> dict[str, PredictionSet]:
     sets: dict[str, PredictionSet] = {}
     fold_ms = [m for m in cfg.methods if m in FOLD_METHODS]
-    if fold_ms:
-        sets.update(
-            fold_method_sets(
-                cv, folds, test_x, cfg.alpha, fold_ms, draws=draws, smoothed=cfg.smoothed
+    with _shared_fold_predictions():  # the fold scan and cv+ share mu_k(test_x)
+        if fold_ms:
+            sets.update(
+                fold_method_sets(
+                    cv, folds, test_x, cfg.alpha, fold_ms, draws=draws, smoothed=cfg.smoothed
+                )
             )
-        )
-    if "cv+" in cfg.methods:
-        sets["cv+"] = cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
+        if "cv+" in cfg.methods:
+            sets["cv+"] = cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
     if "split" in cfg.methods:
         sets["split"] = split_set_from_state(split_state, test_x)
     return sets
@@ -297,19 +314,28 @@ def _simulation_trial(cfg: SimulationConfig, p: int, stream_id: int) -> list[Tri
     ]
 
 
-def _run_jobs(jobs, worker, threads: int):
-    """Run jobs preserving order; failures are recorded as None."""
+def _run_jobs(jobs, worker, threads: int) -> tuple[list, tuple[TrialFailure, ...]]:
+    """Run jobs preserving order. A job that fails numerically yields None,
+    and its cause is returned alongside the outcomes, in job order.
 
-    def guarded(job):
+    With several workers BLAS is held to one thread for the run: the workers
+    supply the parallelism, and BLAS threads on top of them only contend for
+    the same cores. One worker keeps BLAS's own threads.
+    """
+
+    def guarded(indexed):
+        index, job = indexed
         try:
-            return worker(job)
-        except (np.linalg.LinAlgError, NumericalError, FloatingPointError):
-            return None
+            return worker(job), None
+        except (np.linalg.LinAlgError, NumericalError, FloatingPointError) as exc:
+            return None, TrialFailure(index, type(exc).__name__, str(exc))
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(guarded, jobs))
-    return [guarded(job) for job in jobs]
+        with single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
+            pairs = list(pool.map(guarded, enumerate(jobs)))
+    else:
+        pairs = [guarded(indexed) for indexed in enumerate(jobs)]
+    return [o for o, _ in pairs], tuple(f for _, f in pairs if f is not None)
 
 
 def _width_stats(widths: np.ndarray) -> tuple[float, float, float, float, float, int]:
@@ -361,12 +387,13 @@ def run_simulation(cfg: SimulationConfig) -> AggregateReport:
         for p_idx, p in enumerate(cfg.p_list)
         for rep in range(cfg.reps)
     ]
-    outcomes = _run_jobs(jobs, lambda job: _simulation_trial(cfg, *job), cfg.threads)
+    outcomes, failures = _run_jobs(
+        jobs, lambda job: _simulation_trial(cfg, *job), cfg.threads
+    )
     results = [r for chunk in outcomes if chunk is not None for r in chunk]
-    n_failed = sum(1 for chunk in outcomes if chunk is None)
     config = {"command": "simulate", **cfg.to_jsonable()}
     return AggregateReport(
-        _aggregate_trials(results, cfg.methods, cfg.p_list), config, n_failed
+        _aggregate_trials(results, cfg.methods, cfg.p_list), config, len(failures), failures
     )
 
 
@@ -419,12 +446,11 @@ def run_real_data(
         raise InvalidConfigurationError(
             f"train_size + test_size = {train_size + test_size} exceeds n = {data.n}"
         )
-    outcomes = _run_jobs(
+    outcomes, failures = _run_jobs(
         range(trials),
         lambda t: _real_data_trial(cfg, data, train_size, test_size, t),
         cfg.threads,
     )
-    n_failed = sum(1 for o in outcomes if o is None)
     rows = []
     for method in cfg.methods:
         per_trial = [o[method] for o in outcomes if o is not None]
@@ -447,4 +473,4 @@ def run_real_data(
         "trials": trials,
         **cfg.to_jsonable(),
     }
-    return AggregateReport(tuple(rows), config, n_failed)
+    return AggregateReport(tuple(rows), config, len(failures), failures)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import types
 
 import numpy as np
 import pytest
@@ -274,6 +275,13 @@ class TestExitCodes:
         code = main(["simulate", "--n", "20", "--p", "2", "--reps", "1",
                      "--seed", "1", "--out", str(tmp_path / "r.csv")])
         assert code == 4
+
+    def test_bound_below_floor_maps_to_exit_4(self, monkeypatch, capsys):
+        import crossconf.combiners as combiners
+
+        monkeypatch.setattr(combiners, "math", types.SimpleNamespace(sqrt=lambda x: 1e9))
+        assert main(["bounds", "--alpha", "0.1", "--k-list", "5", "--n", "100"]) == 4
+        assert "floor" in capsys.readouterr().err
 
 
 class TestBoundsCommand:

@@ -1,5 +1,7 @@
 """Tests for the combination statistics, thresholds and coverage bounds."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from crossconf import (
     CombinerSpec,
     InvalidConfigurationError,
+    NumericalError,
     PValueVector,
     RandomDraws,
     alpha_prime,
@@ -19,6 +22,7 @@ from crossconf import (
     stat_umod,
     stat_weighted_mean,
 )
+from crossconf import combiners
 
 
 def draws_with(u):
@@ -140,6 +144,12 @@ class TestCoverageBounds:
                     b = coverage_bounds(alpha, k, n)
                     floor = 1 - 2 * alpha - 2 / np.sqrt(n)
                     assert b.combined >= floor - 1e-12
+
+    def test_floor_violation_is_a_numerical_error(self, monkeypatch):
+        # a floor of 1 - 2*alpha - 2e-9 lies above both bounds at K=5, n=100
+        monkeypatch.setattr(combiners, "math", types.SimpleNamespace(sqrt=lambda x: 1e9))
+        with pytest.raises(NumericalError, match="floor"):
+            coverage_bounds(0.1, 5, 100)
 
     def test_preconditions(self):
         with pytest.raises(InvalidConfigurationError):

@@ -16,7 +16,13 @@ from crossconf import (
     run_simulation,
     simulate_instance,
 )
+from crossconf import _blas
+from crossconf import conformal_sets as cs
+from crossconf import experiments as ex
+from crossconf.data_model import draw_randomization
 from crossconf.experiments import _simulation_trial, trial_results_csv
+
+needs_openblas = pytest.mark.skipif(not _blas._openblas(), reason="no OpenBLAS loaded")
 
 
 def base_config(**overrides):
@@ -117,6 +123,111 @@ class TestRunSimulation:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             base_config(methods=("mod", "bogus"))
+
+
+class TestFailedTrials:
+    def failing_on(self, monkeypatch, stream_id):
+        real = ex._simulation_trial
+
+        def trial(cfg, p, stream):
+            if stream == stream_id:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(cfg, p, stream)
+
+        monkeypatch.setattr(ex, "_simulation_trial", trial)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cause_is_kept_out_of_the_report_text(self, monkeypatch, threads):
+        clean = run_simulation(base_config(reps=4))
+        self.failing_on(monkeypatch, 2)
+        report = run_simulation(base_config(reps=4, threads=threads))
+        assert report.n_failed == 1
+        assert report.failures == (ex.TrialFailure(2, "LinAlgError", "SVD did not converge"),)
+        assert all(row.reps == 3 for row in report.rows)
+        text = report.to_csv_text() + report.to_json_text()
+        assert "SVD" not in text and "LinAlgError" not in text
+        assert clean.failures == () and clean.n_failed == 0
+
+    def test_cli_prints_one_line_per_cause(self, monkeypatch, tmp_path, capsys):
+        from crossconf.cli import main
+
+        self.failing_on(monkeypatch, 1)
+        assert main(["simulate", "--n", "30", "--p", "3", "--k", "3", "--reps", "3",
+                     "--methods", "mod", "--seed", "5", "--out", str(tmp_path / "r")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["skipped trial 1: LinAlgError: SVD did not converge"]
+
+
+class TestBlasPin:
+    @needs_openblas
+    def test_workers_run_single_threaded_blas_and_count_is_restored(self, monkeypatch):
+        get, put = _blas._openblas()
+        before = get()
+        put(2)
+        try:
+            seen = []
+            real = ex._simulation_trial
+
+            def trial(cfg, p, stream):
+                seen.append(get())
+                return real(cfg, p, stream)
+
+            monkeypatch.setattr(ex, "_simulation_trial", trial)
+            run_simulation(base_config(threads=2))
+            assert seen and set(seen) == {1}
+            assert get() == 2
+            run_simulation(base_config(reps=1, threads=1))
+            assert seen[-1] == 2
+        finally:
+            put(before)
+
+    @needs_openblas
+    def test_count_is_restored_after_an_unguarded_error(self):
+        get, put = _blas._openblas()
+        before = get()
+        put(2)
+        try:
+            def worker(job):
+                raise KeyError(job)
+
+            with pytest.raises(KeyError):
+                ex._run_jobs(range(4), worker, 2)
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_results_do_not_depend_on_finding_blas(self, monkeypatch):
+        jobs = [(4, stream) for stream in range(6)]
+        cfg = base_config()
+
+        def run():
+            return ex._run_jobs(jobs, lambda job: _simulation_trial(cfg, *job), 2)
+
+        pinned = run()
+        monkeypatch.setattr(_blas, "_api", ())
+        assert run() == pinned
+
+
+class TestSharedFoldPredictions:
+    def test_fold_scan_and_cv_plus_predict_once_per_query(self, monkeypatch):
+        cfg = base_config(methods=("mod", "cross", "cv+"))
+        src = RandomSource(3)
+        data, (test_x, _) = simulate_instance(cfg.n, 4, src)
+        folds, cv, split_state = ex._trial_states(cfg, data, src)
+        draws = draw_randomization(src)
+        expected = ex._point_sets(cfg, folds, cv, split_state, test_x, draws)
+        calls = []
+        real = cs.fold_predictions
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cs, "fold_predictions", counted)
+        assert ex._point_sets(cfg, folds, cv, split_state, test_x, draws) == expected
+        assert len(calls) == 1
+        cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
+        assert len(calls) == 2  # outside _point_sets nothing is shared
 
 
 class TestRunRealData:
