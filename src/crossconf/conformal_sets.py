@@ -349,14 +349,13 @@ _shared = threading.local()
 @contextlib.contextmanager
 def _shared_fold_predictions():
     """Inside the block, the set builders called on this thread compute the
-    fold predictions at a given (cv, test row) pair once and share them.
+    fold predictions at a (cv, test row) pair once and share them.
 
     A scope rather than a parameter keeps the public builders' signatures,
-    and the builders stay the calls that a caller makes. The memo holds its
-    cv and row, so their ids cannot be reused while it lives.
+    and the builders stay the calls that a caller makes.
     """
     outer = getattr(_shared, "memo", None)
-    _shared.memo = {}
+    _shared.memo = []
     try:
         yield
     finally:
@@ -367,10 +366,9 @@ def _fold_mu(cv: CvScores, test_x) -> np.ndarray:
     memo = getattr(_shared, "memo", None)
     if memo is None:
         return fold_predictions(cv, test_x)
-    key = (id(cv), id(test_x))
-    if key not in memo:
-        memo[key] = (cv, test_x, fold_predictions(cv, test_x))
-    return memo[key][2]
+    if not (memo and memo[0] is cv and memo[1] is test_x):
+        memo[:] = (cv, test_x, fold_predictions(cv, test_x))
+    return memo[2]
 
 
 def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:

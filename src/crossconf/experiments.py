@@ -157,16 +157,19 @@ class AggregateReport:
     """Per (method, p) aggregates plus the fully resolved run configuration.
 
     Width statistics cover the finite-width trials only; the number of
-    infinite-width trials is disclosed in ``n_infinite``. ``n_failed`` counts
-    trials skipped after a numerical failure (never silently dropped), and
-    ``failures`` keeps their causes. The causes stay out of the CSV and JSON
-    text, whose bytes depend only on the configuration and the seed.
+    infinite-width trials is disclosed in ``n_infinite``. ``failures`` holds
+    the cause of each trial skipped after a numerical failure (never silently
+    dropped). The reports give only their number, ``n_failed``, so that the
+    CSV and JSON bytes depend only on the configuration and the seed.
     """
 
     rows: tuple[AggregateRow, ...]
     config: dict
-    n_failed: int = 0
     failures: tuple[TrialFailure, ...] = ()
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
     def to_csv_text(self) -> str:
         lines = ["# config: " + json.dumps(self.config, sort_keys=True)]
@@ -393,7 +396,7 @@ def run_simulation(cfg: SimulationConfig) -> AggregateReport:
     results = [r for chunk in outcomes if chunk is not None for r in chunk]
     config = {"command": "simulate", **cfg.to_jsonable()}
     return AggregateReport(
-        _aggregate_trials(results, cfg.methods, cfg.p_list), config, len(failures), failures
+        _aggregate_trials(results, cfg.methods, cfg.p_list), config, failures
     )
 
 
@@ -473,4 +476,4 @@ def run_real_data(
         "trials": trials,
         **cfg.to_jsonable(),
     }
-    return AggregateReport(tuple(rows), config, len(failures), failures)
+    return AggregateReport(tuple(rows), config, failures)
