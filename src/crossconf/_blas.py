@@ -9,18 +9,12 @@ BLIS) the context manager does nothing.
 from __future__ import annotations
 
 import contextlib
-
-_SYMBOL_FORMS = (
-    ("scipy_openblas_", "64_"),
-    ("scipy_openblas_", ""),
-    ("openblas_", "64_"),
-    ("openblas_", ""),
-)
-
-_api = None  # (get, set) once looked up, () when no OpenBLAS is loaded
+import functools
 
 
-def _find_openblas() -> tuple:
+@functools.cache
+def _openblas() -> tuple:
+    """The loaded OpenBLAS's (get, set) thread-count functions, or ()."""
     import ctypes
 
     try:
@@ -34,22 +28,15 @@ def _find_openblas() -> tuple:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix, suffix in _SYMBOL_FORMS:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
     return ()
-
-
-def _openblas() -> tuple:
-    """The loaded OpenBLAS's (get, set) thread-count functions, or ()."""
-    global _api
-    if _api is None:
-        _api = _find_openblas()
-    return _api
 
 
 @contextlib.contextmanager

@@ -204,7 +204,7 @@ class TestBlasPin:
             return ex._run_jobs(jobs, lambda job: _simulation_trial(cfg, *job), 2)
 
         pinned = run()
-        monkeypatch.setattr(_blas, "_api", ())
+        monkeypatch.setattr(_blas, "_openblas", lambda: ())
         assert run() == pinned
 
 
