@@ -2,6 +2,7 @@
 
 import json
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,3 +308,44 @@ class TestBoundsCommand:
     def test_stdout_output(self, capsys):
         assert main(["bounds", "--alpha", "0.1", "--k-list", "2", "--n", "50"]) == 0
         assert "bound_small_k" in capsys.readouterr().out
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+ALL_METHODS_ARG = "mod,e-mod,u-mod,eu-mod,cross,e-cross,u-cross,eu-cross,split,cv+"
+
+
+def golden_predict_argv(tmp_path, hull):
+    """Six out-of-sample query rows, all ten methods, kNN fits at a level
+    where some sets have two components and some are empty."""
+    write_dataset_csv(tmp_path / "train.csv", n=40, p=3, seed=31)
+    queries, _ = simulate_instance(6, 3, RandomSource(32))
+    lines = ["x0,x1,x2"] + [",".join(repr(float(v)) for v in row) for row in queries.features]
+    (tmp_path / "q.csv").write_text("\n".join(lines) + "\n")
+    argv = ["predict", "--data", str(tmp_path / "train.csv"), "--target", "y",
+            "--query", str(tmp_path / "q.csv"), "--alpha", "0.45", "--k", "4",
+            "--regressor", "knn:3", "--methods", ALL_METHODS_ARG, "--seed", "17",
+            "--out", str(tmp_path / "predict.json")]
+    return argv + ["--hull"] if hull else argv
+
+
+def golden_simulate_argv(tmp_path):
+    return ["simulate", "--n", "30", "--p", "2,4", "--alpha", "0.2", "--k", "3",
+            "--reps", "3", "--methods", ALL_METHODS_ARG, "--seed", "19",
+            "--threads", "1", "--out", str(tmp_path / "sim.csv")]
+
+
+class TestGoldenOutputs:
+    """Output bytes captured before the per-query draw loops were merged: the
+    (tau, U) pair of every query row, and so every set, must stay the same."""
+
+    @pytest.mark.parametrize("hull", [False, True], ids=["sets", "hull"])
+    def test_predict_rows_match_golden(self, tmp_path, hull):
+        assert main(golden_predict_argv(tmp_path, hull)) == 0
+        name = "predict_hull.json" if hull else "predict.json"
+        assert (tmp_path / "predict.json").read_text() == (GOLDEN_DIR / name).read_text()
+
+    def test_simulate_reports_match_golden(self, tmp_path):
+        assert main(golden_simulate_argv(tmp_path)) == 0
+        for suffix in (".csv", ".json"):
+            got = (tmp_path / ("sim" + suffix)).read_text()
+            assert got == (GOLDEN_DIR / ("simulate" + suffix)).read_text()
