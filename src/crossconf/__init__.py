@@ -29,7 +29,6 @@ from .conformal_sets import (
     candidate_endpoints,
     cross_membership,
     cross_membership_pvalue_form,
-    cross_set_direct,
     cross_set_from_scores,
     cv_plus_from_scores,
     cv_plus_set,
@@ -39,9 +38,7 @@ from .conformal_sets import (
     is_subset,
     split_conformal,
     split_pvalue,
-    split_set,
     split_set_from_state,
-    variant_set,
     variant_set_from_scores,
 )
 from .data_model import (
@@ -53,6 +50,7 @@ from .data_model import (
     draw_randomization,
     load_csv,
     load_query_csv,
+    randomization_stream,
 )
 from .errors import InvalidConfigurationError, InvalidDataError, NumericalError
 from .experiments import (
@@ -61,6 +59,7 @@ from .experiments import (
     SimulationConfig,
     TrialResult,
     mc_standard_error,
+    query_sets,
     run_real_data,
     run_simulation,
     simulate_instance,

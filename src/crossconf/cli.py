@@ -19,19 +19,12 @@ import numpy as np
 
 from .combiners import coverage_bounds
 from .conformal_sets import ALL_METHODS, FOLD_METHODS, split_conformal
-from .data_model import (
-    RandomDraws,
-    RandomSource,
-    _open_unit,
-    assign_folds,
-    load_csv,
-    load_query_csv,
-)
+from .data_model import RandomSource, assign_folds, load_csv, load_query_csv
 from .errors import InvalidConfigurationError, InvalidDataError, NumericalError
 from .experiments import (
     SimulationConfig,
-    _point_sets,
     atomic_write_text,
+    query_sets,
     run_real_data,
     run_simulation,
 )
@@ -113,37 +106,31 @@ def _write_report(report, out: str) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = SimulationConfig(
-        n=args.n,
-        p_list=_parse_int_list(args.p),
+def _config(args, n: int, p_list, reps: int, seed: int) -> SimulationConfig:
+    """The run configuration from the model flags every command shares."""
+    return SimulationConfig(
+        n=n,
+        p_list=p_list,
         alpha=args.alpha,
         k=args.k,
-        reps=args.reps,
-        regressor=parse_regressor(args.regressor),
-        methods=_parse_methods(args.methods),
-        seed=_resolve_seed(args),
-        fold_mode=args.fold_mode,
-        threads=args.threads,
-    )
-    return _write_report(run_simulation(cfg), args.out)
-
-
-def cmd_run(args) -> int:
-    seed = _resolve_seed(args)
-    data, _ = load_csv(args.data, args.target)
-    cfg = SimulationConfig(
-        n=args.train_size,
-        p_list=(data.p,),
-        alpha=args.alpha,
-        k=args.k,
-        reps=args.trials,
+        reps=reps,
         regressor=parse_regressor(args.regressor),
         methods=_parse_methods(args.methods),
         seed=seed,
         fold_mode=args.fold_mode,
         threads=args.threads,
     )
+
+
+def cmd_simulate(args) -> int:
+    cfg = _config(args, args.n, _parse_int_list(args.p), args.reps, _resolve_seed(args))
+    return _write_report(run_simulation(cfg), args.out)
+
+
+def cmd_run(args) -> int:
+    seed = _resolve_seed(args)
+    data, _ = load_csv(args.data, args.target)
+    cfg = _config(args, args.train_size, (data.p,), args.trials, seed)
     report = run_real_data(data, args.train_size, args.test_size, args.trials, cfg)
     return _write_report(report, args.out)
 
@@ -162,34 +149,19 @@ def cmd_predict(args) -> int:
     seed = _resolve_seed(args)
     data, feature_names = load_csv(args.data, args.target)
     query = load_query_csv(args.query, feature_names)
-    methods = _parse_methods(args.methods)
-    spec = ScoreFunctionSpec(args.score, parse_regressor(args.regressor))
-    cfg = SimulationConfig(
-        n=data.n,
-        p_list=(data.p,),
-        alpha=args.alpha,
-        k=args.k,
-        reps=1,
-        regressor=spec.regressor,
-        methods=methods,
-        seed=seed,
-        fold_mode=args.fold_mode,
-    )
+    cfg = _config(args, data.n, (data.p,), 1, seed)
+    spec = ScoreFunctionSpec(args.score, cfg.regressor)
     src = RandomSource(seed)
     folds = assign_folds(data.n, args.k, args.fold_mode, src)
-    needs_cv = any(m in FOLD_METHODS or m == "cv+" for m in methods)
+    needs_cv = any(m in FOLD_METHODS or m == "cv+" for m in cfg.methods)
     cv = compute_cv_scores(data, folds, spec) if needs_cv else None
     split_state = (
-        split_conformal(data, args.alpha, spec, src) if "split" in methods else None
+        split_conformal(data, args.alpha, spec, src) if "split" in cfg.methods else None
     )
-    gen_tau = src.generator("tau")
-    gen_u = src.generator("u")
     predictions = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for j in range(query.shape[0]):
-            draws = RandomDraws(_open_unit(gen_tau), _open_unit(gen_u))
-            sets = _point_sets(cfg, folds, cv, split_state, query[j], draws)
+        for j, sets in enumerate(query_sets(cfg, folds, cv, split_state, query, src)):
             if args.hull:
                 sets = {m: s.hull() for m, s in sets.items()}
             predictions.append(
@@ -199,7 +171,7 @@ def cmd_predict(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     payload = {
         "config": {"command": "predict", "alpha": args.alpha, "k": args.k,
-                   "methods": list(methods), "seed": seed, "fold_mode": args.fold_mode,
+                   "methods": list(cfg.methods), "seed": seed, "fold_mode": args.fold_mode,
                    "regressor": args.regressor, "hull": bool(args.hull)},
         "predictions": predictions,
     }

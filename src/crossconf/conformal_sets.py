@@ -9,7 +9,12 @@ closed intervals. No grid approximation is involved.
 
 Membership uses a strict inequality against the threshold while the rank
 counts use weak inequalities, so breakpoints themselves can belong to a set;
-they are evaluated directly and intervals are closed.
+they are evaluated directly and intervals are closed. Touching runs merge, so
+a scan returns the closure of its predicate's set. That is the exact set for
+deterministic fold p-values, whose weak counts keep every breakpoint at least
+as included as its neighbouring gaps. A tau-smoothed fold p-value at its own
+breakpoint lies between its two gap values, which keeps the set exact unless
+breakpoints of two folds coincide.
 """
 
 from __future__ import annotations
@@ -38,16 +43,13 @@ __all__ = [
     "is_subset",
     "empirical_quantile",
     "split_conformal",
-    "split_set",
     "split_set_from_state",
     "split_pvalue",
     "endpoint_scan",
     "candidate_endpoints",
     "cross_membership",
     "cross_membership_pvalue_form",
-    "cross_set_direct",
     "cross_set_from_scores",
-    "variant_set",
     "variant_set_from_scores",
     "fold_method_sets",
     "cv_plus_set",
@@ -240,12 +242,6 @@ def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
     return PredictionSet(((mu - q, mu + q),))
 
 
-def split_set(
-    data: Dataset, test_x, alpha: float, spec: ScoreFunctionSpec, rng: RandomSource
-) -> PredictionSet:
-    return split_set_from_state(split_conformal(data, alpha, spec, rng), test_x)
-
-
 def split_pvalue(state: SplitState, test_x, y: float) -> float:
     """Rank p-value of the candidate against the calibration scores."""
     mu = float(state.model.predict(np.atleast_2d(np.asarray(test_x, float)))[0])
@@ -320,7 +316,9 @@ def endpoint_scan(candidate_endpoints, membership) -> PredictionSet:
 
     ``membership`` may be vectorized over an array of y values or accept
     scalars; it must be constant between consecutive candidate endpoints and
-    on the two outer rays. Breakpoints are evaluated directly.
+    on the two outer rays. Breakpoints are evaluated directly, and the result
+    is the closure of the predicate's set: a breakpoint that the predicate
+    excludes between two included gaps is reported as included.
     """
     endpoints = np.unique(np.asarray(candidate_endpoints, dtype=float))
     if endpoints.size == 0:
@@ -394,68 +392,89 @@ def candidate_endpoints(cv: CvScores, folds: FoldAssignment, test_x) -> np.ndarr
     return _candidates(_fold_context(cv, folds, test_x))
 
 
-def _counts(ctx: _FoldContext, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per fold: weak count #{s(y) <= S_i} and strict count #{s(y) < S_i}."""
-    n_pts = ys.size
-    k_folds = len(ctx.sorted_scores)
-    le = np.empty((n_pts, k_folds), dtype=np.int64)
-    lt = np.empty((n_pts, k_folds), dtype=np.int64)
+@dataclass(frozen=True)
+class _FoldStats:
+    """Every membership statistic at a vector of candidate responses."""
+
+    le: np.ndarray
+    P: np.ndarray
+    mean: np.ndarray
+    emod: np.ndarray
+    weights: np.ndarray
+    n_used: int
+
+
+def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
+    """Every statistic at each candidate y: per fold, the weak count
+    le = #{s(y) <= S_i} and the strict count lt = #{s(y) < S_i}; from them
+    the fold p-values (tau-smoothed when ``tau`` is given), their mean and
+    their prefix-min mean. Mean and prefix-min mean come from one shared
+    accumulation, so that the prefix minimum can never exceed the mean by
+    rounding."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    le = np.empty((ys.size, len(ctx.sorted_scores)), dtype=np.int64)
+    lt = np.empty_like(le)
     for k, s in enumerate(ctx.sorted_scores):
         t = np.abs(ys - ctx.mu[k])
         le[:, k] = s.size - np.searchsorted(s, t, side="left")
         lt[:, k] = s.size - np.searchsorted(s, t, side="right")
-    return le, lt
-
-
-def _pmatrix(le: np.ndarray, lt: np.ndarray, sizes: np.ndarray, tau: float | None) -> np.ndarray:
-    denom = sizes + 1.0
-    if tau is None:
-        return (1.0 + le) / denom
-    return (tau + tau * (le - lt) + lt) / denom
-
-
-def _stat_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and prefix-min mean, from one shared accumulation so that the
-    prefix minimum can never exceed the mean by rounding."""
+    denom = ctx.sizes + 1.0
+    P = (1.0 + le) / denom if tau is None else (tau + tau * (le - lt) + lt) / denom
     cummean = np.cumsum(P, axis=1) / np.arange(1, P.shape[1] + 1)
-    return cummean[:, -1], cummean.min(axis=1)
+    weights = fold_weights(ctx.sizes).weights
+    return _FoldStats(le, P, cummean[:, -1], cummean.min(axis=1), weights, ctx.n_used)
 
 
 def _method_mask(
-    method: str,
-    threshold: float,
-    le: np.ndarray,
-    P: np.ndarray,
-    mean_stat: np.ndarray,
-    emod_stat: np.ndarray,
-    weights: np.ndarray,
-    n_used: int,
-    draws: RandomDraws | None,
+    method: str, threshold: float, st: _FoldStats, draws: RandomDraws | None
 ) -> np.ndarray:
     if method == "cross":
-        return (1.0 + le.sum(axis=1)) / (n_used + 1.0) > threshold
+        return (1.0 + st.le.sum(axis=1)) / (st.n_used + 1.0) > threshold
     if method == "mod":
-        return mean_stat > threshold
+        return st.mean > threshold
     if method in ("e-mod", "e-cross"):
-        return emod_stat > threshold
+        return st.emod > threshold
     if method == "u-mod":
-        return mean_stat / (2.0 - draws.u) > threshold
+        return st.mean / (2.0 - draws.u) > threshold
     if method == "u-cross":
-        return (P @ weights) / (2.0 - draws.u) > threshold
+        return (st.P @ st.weights) / (2.0 - draws.u) > threshold
     if method in ("eu-mod", "eu-cross"):
-        return np.minimum(P[:, 0] / (2.0 - draws.u), emod_stat) > threshold
+        return np.minimum(st.P[:, 0] / (2.0 - draws.u), st.emod) > threshold
     raise InvalidConfigurationError(f"unknown method {method!r}")
 
 
-def _warn_uninformative(entries: list[str]) -> None:
-    if entries:
+def _scan_sets(
+    ctx: _FoldContext,
+    thresholds: dict[str, float],
+    draws: RandomDraws | None,
+    tau: float | None,
+    hull: bool,
+) -> dict[str, PredictionSet]:
+    """One endpoint scan serving every method in ``thresholds``.
+
+    Warns once, naming each method whose threshold is too small for the
+    point count behind its statistic to exclude any response value.
+    """
+    ys, los, his = _pieces(_candidates(ctx))
+    st = _fold_stats(ctx, ys, tau)
+    out: dict[str, PredictionSet] = {}
+    uninformative: list[str] = []
+    for method, threshold in thresholds.items():
+        m = ctx.n_used if method == "cross" else ctx.sizes
+        if np.any(1.0 >= threshold * (m + 1)):
+            uninformative.append(method)
+        mask = _method_mask(method, threshold, st, draws)
+        result = PredictionSet.from_raw(_runs(los, his, mask))
+        out[method] = result.hull() if hull else result
+    if uninformative:
         warnings.warn(
             "threshold too small for the fold sizes (1 >= threshold * (m + 1)) for "
-            + ", ".join(entries)
+            + ", ".join(uninformative)
             + "; prediction sets may span the whole line",
             InformativenessWarning,
             stacklevel=3,
         )
+    return out
 
 
 def fold_method_sets(
@@ -492,36 +511,15 @@ def fold_method_sets(
             "u-cross keeps its guarantee"
         )
     ctx = _fold_context(cv, folds, test_x)
-    ys, los, his = _pieces(_candidates(ctx))
-    le, lt = _counts(ctx, ys)
-    P = _pmatrix(le, lt, sizes, draws.tau if smoothed else None)
-    mean_stat, emod_stat = _stat_rows(P)
-    weights = fold_weights(sizes).weights
     ap = alpha_prime(alpha, folds.n_folds, ctx.n_used)
-    out: dict[str, PredictionSet] = {}
-    uninformative: list[str] = []
-    for method in methods:
-        threshold = ap if method.endswith("-cross") else alpha
-        mask = _method_mask(
-            method, threshold, le, P, mean_stat, emod_stat, weights, ctx.n_used, draws
-        )
-        if method == "cross":
-            if 1.0 >= alpha * (ctx.n_used + 1):
-                uninformative.append(method)
-        elif np.any(1.0 >= threshold * (sizes + 1)):
-            uninformative.append(method)
-        result = PredictionSet.from_raw(_runs(los, his, mask))
-        out[method] = result.hull() if hull else result
-    _warn_uninformative(uninformative)
-    return out
+    thresholds = {m: ap if m.endswith("-cross") else alpha for m in methods}
+    return _scan_sets(ctx, thresholds, draws, draws.tau if smoothed else None, hull)
 
 
 def cross_membership(cv: CvScores, folds: FoldAssignment, test_x, alpha: float, ys) -> np.ndarray:
     """Pooled rank-count membership of each y: (1 + total count) / (n + 1) > alpha."""
-    ctx = _fold_context(cv, folds, test_x)
-    arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    le, _ = _counts(ctx, arr)
-    return (1.0 + le.sum(axis=1)) / (ctx.n_used + 1.0) > alpha
+    st = _fold_stats(_fold_context(cv, folds, test_x), ys)
+    return _method_mask("cross", alpha, st, None)
 
 
 def cross_membership_pvalue_form(
@@ -530,32 +528,15 @@ def cross_membership_pvalue_form(
     """Dual membership: weighted mean of fold p-values above the inflated
     threshold alpha + (1 - alpha)(K - 1)/(n + K). Equal fold sizes reduce the
     weights to exactly 1/K."""
-    ctx = _fold_context(cv, folds, test_x)
-    arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    le, lt = _counts(ctx, arr)
-    P = _pmatrix(le, lt, ctx.sizes, None)
-    weights = fold_weights(ctx.sizes).weights
-    threshold = alpha + (1.0 - alpha) * (folds.n_folds - 1) / (ctx.n_used + folds.n_folds)
-    return P @ weights > threshold
+    st = _fold_stats(_fold_context(cv, folds, test_x), ys)
+    threshold = alpha + (1.0 - alpha) * (folds.n_folds - 1) / (st.n_used + folds.n_folds)
+    return st.P @ st.weights > threshold
 
 
 def cross_set_from_scores(
     cv: CvScores, folds: FoldAssignment, test_x, alpha: float, hull: bool = False
 ) -> PredictionSet:
     return fold_method_sets(cv, folds, test_x, alpha, ["cross"], hull=hull)["cross"]
-
-
-def cross_set_direct(
-    data: Dataset,
-    folds: FoldAssignment,
-    test_x,
-    alpha: float,
-    spec: ScoreFunctionSpec,
-    hull: bool = False,
-) -> PredictionSet:
-    """Plain cross-validation conformal set at level alpha (pooled rank form)."""
-    cv = compute_cv_scores(data, folds, spec)
-    return cross_set_from_scores(cv, folds, test_x, alpha, hull=hull)
 
 
 def variant_set_from_scores(
@@ -575,32 +556,9 @@ def variant_set_from_scores(
     if smoothed and combiner.draws is None:
         raise InvalidConfigurationError("smoothed p-values require a (tau, U) draw")
     ctx = _fold_context(cv, folds, test_x)
-    ys, los, his = _pieces(_candidates(ctx))
-    le, lt = _counts(ctx, ys)
-    P = _pmatrix(le, lt, ctx.sizes, combiner.draws.tau if smoothed else None)
-    mean_stat, emod_stat = _stat_rows(P)
-    weights = fold_weights(ctx.sizes).weights
-    mask = _method_mask(
-        combiner.kind, combiner.threshold, le, P, mean_stat, emod_stat,
-        weights, ctx.n_used, combiner.draws,
-    )
-    if np.any(1.0 >= combiner.threshold * (ctx.sizes + 1)):
-        _warn_uninformative([combiner.kind])
-    result = PredictionSet.from_raw(_runs(los, his, mask))
-    return result.hull() if hull else result
-
-
-def variant_set(
-    data: Dataset,
-    folds: FoldAssignment,
-    test_x,
-    spec: ScoreFunctionSpec,
-    combiner,
-    smoothed: bool = False,
-    hull: bool = False,
-) -> PredictionSet:
-    cv = compute_cv_scores(data, folds, spec)
-    return variant_set_from_scores(cv, folds, test_x, combiner, smoothed=smoothed, hull=hull)
+    tau = combiner.draws.tau if smoothed else None
+    kind = combiner.kind
+    return _scan_sets(ctx, {kind: combiner.threshold}, combiner.draws, tau, hull)[kind]
 
 
 # ---------------------------------------------------------------------------

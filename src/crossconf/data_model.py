@@ -22,6 +22,7 @@ __all__ = [
     "RandomDraws",
     "assign_folds",
     "draw_randomization",
+    "randomization_stream",
     "load_csv",
     "load_query_csv",
 ]
@@ -249,16 +250,23 @@ def _open_unit(gen: np.random.Generator) -> float:
     return float(x)
 
 
-def draw_randomization(rng: RandomSource) -> RandomDraws:
-    """Draw the (tau, U) pair for one prediction task.
+def randomization_stream(rng: RandomSource):
+    """Yield the (tau, U) pair of each prediction task in turn: the j-th pair
+    holds the j-th draw of each of the named ``"tau"`` and ``"u"`` substreams.
 
-    tau and U come from separate named substreams, so they are independent of
-    each other and of the fold / data streams of the same source.
+    The two substreams are independent of each other and of the fold / data
+    streams of the same source.
     """
-    return RandomDraws(
-        tau=_open_unit(rng.generator("tau")),
-        u=_open_unit(rng.generator("u")),
-    )
+    gen_tau = rng.generator("tau")
+    gen_u = rng.generator("u")
+    while True:
+        yield RandomDraws(tau=_open_unit(gen_tau), u=_open_unit(gen_u))
+
+
+def draw_randomization(rng: RandomSource) -> RandomDraws:
+    """The (tau, U) pair for a single prediction task: the first pair of
+    ``randomization_stream(rng)``."""
+    return next(randomization_stream(rng))
 
 
 def load_csv(path, target: str) -> tuple[Dataset, list[str]]:

@@ -33,9 +33,8 @@ from .data_model import (
     Dataset,
     RandomDraws,
     RandomSource,
-    _open_unit,
     assign_folds,
-    draw_randomization,
+    randomization_stream,
 )
 from .errors import InvalidConfigurationError, NumericalError
 from .regression import RegressorSpec
@@ -51,6 +50,7 @@ __all__ = [
     "AggregateReport",
     "mc_standard_error",
     "simulate_instance",
+    "query_sets",
     "run_simulation",
     "run_real_data",
     "trial_results_csv",
@@ -305,12 +305,19 @@ def _point_sets(
     return sets
 
 
+def query_sets(cfg: SimulationConfig, folds, cv, split_state, queries, src: RandomSource):
+    """Yield the prediction sets of every requested method for each query row
+    in turn. Row j uses the j-th (tau, U) pair of ``randomization_stream(src)``,
+    so the sets of a row do not depend on how many rows follow it."""
+    for test_x, draws in zip(queries, randomization_stream(src)):
+        yield _point_sets(cfg, folds, cv, split_state, test_x, draws)
+
+
 def _simulation_trial(cfg: SimulationConfig, p: int, stream_id: int) -> list[TrialResult]:
     src = RandomSource(cfg.seed, stream_id)
     data, (test_x, test_y) = simulate_instance(cfg.n, p, src)
     folds, cv, split_state = _trial_states(cfg, data, src)
-    draws = draw_randomization(src)
-    sets = _point_sets(cfg, folds, cv, split_state, test_x, draws)
+    (sets,) = query_sets(cfg, folds, cv, split_state, [test_x], src)
     return [
         TrialResult(m, p, bool(s.contains(test_y)), float(s.width), s.n_components, cfg.alpha)
         for m, s in sets.items()
@@ -412,15 +419,12 @@ def _real_data_trial(
     train = data.subset(idx[:train_size])
     test = data.subset(idx[train_size:])
     folds, cv, split_state = _trial_states(cfg, train, src)
-    gen_tau = src.generator("tau")
-    gen_u = src.generator("u")
     covered: dict[str, list[bool]] = {m: [] for m in cfg.methods}
     widths: dict[str, list[float]] = {m: [] for m in cfg.methods}
-    for j in range(test.n):
-        draws = RandomDraws(_open_unit(gen_tau), _open_unit(gen_u))
-        sets = _point_sets(cfg, folds, cv, split_state, test.features[j], draws)
+    point_sets = query_sets(cfg, folds, cv, split_state, test.features, src)
+    for sets, test_y in zip(point_sets, test.responses):
         for m, s in sets.items():
-            covered[m].append(s.contains(test.responses[j]))
+            covered[m].append(s.contains(test_y))
             widths[m].append(s.width)
     out = {}
     for m in cfg.methods:

@@ -166,6 +166,15 @@ class TestEndpointScan:
         assert s.intervals == ((2.0, 2.0),)
         assert s.width == 0.0
 
+    def test_excluded_breakpoint_between_included_gaps_is_closed_over(self):
+        # the two closed runs touch at 0 and merge: the scan returns the closure
+        s = endpoint_scan(np.array([0.0]), lambda ys: ys != 0.0)
+        assert s.is_whole_line and s.contains(0.0)
+
+    def test_open_ray_is_closed_at_its_breakpoint(self):
+        s = endpoint_scan(np.array([0.0]), lambda ys: ys < 0.0)
+        assert s.intervals == ((-INF, 0.0),)
+
     def test_rays_beyond_unit_resolution(self):
         # at 1e17 a unit step rounds back onto the endpoint itself
         assert endpoint_scan([1e17], lambda ys: ys > 1e17).intervals == ((1e17, INF),)

@@ -15,6 +15,7 @@ from crossconf import (
     draw_randomization,
     load_csv,
     load_query_csv,
+    randomization_stream,
 )
 
 
@@ -125,6 +126,11 @@ class TestRandomization:
         d1 = draw_randomization(RandomSource(42, 3))
         d2 = draw_randomization(RandomSource(42, 3))
         assert d1.tau == d2.tau and d1.u == d2.u
+
+    def test_single_draw_is_first_pair_of_stream(self):
+        for s in range(20):
+            src = RandomSource(5, s)
+            assert draw_randomization(src) == next(randomization_stream(src))
 
     def test_tau_mean_matches_uniform(self):
         taus = np.array([draw_randomization(RandomSource(11, s)).tau for s in range(10000)])

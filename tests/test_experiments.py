@@ -19,7 +19,7 @@ from crossconf import (
 from crossconf import _blas
 from crossconf import conformal_sets as cs
 from crossconf import experiments as ex
-from crossconf.data_model import draw_randomization
+from crossconf.data_model import RandomDraws, _open_unit, draw_randomization
 from crossconf.experiments import _simulation_trial, trial_results_csv
 
 needs_openblas = pytest.mark.skipif(not _blas._openblas(), reason="no OpenBLAS loaded")
@@ -226,6 +226,22 @@ class TestSharedFoldPredictions:
         assert len(calls) == 1
         cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
         assert len(calls) == 2  # outside _point_sets nothing is shared
+
+
+class TestQuerySets:
+    def test_row_j_uses_the_jth_draw_pair(self):
+        cfg = base_config(methods=cs.ALL_METHODS)
+        src = RandomSource(8)
+        data, _ = simulate_instance(cfg.n, 4, src)
+        queries, _ = simulate_instance(6, 4, RandomSource(9))
+        folds, cv, split_state = ex._trial_states(cfg, data, src)
+        gen_tau, gen_u = src.generator("tau"), src.generator("u")
+        expected = []
+        for x in queries.features:
+            draws = RandomDraws(_open_unit(gen_tau), _open_unit(gen_u))
+            expected.append(ex._point_sets(cfg, folds, cv, split_state, x, draws))
+        got = list(ex.query_sets(cfg, folds, cv, split_state, queries.features, src))
+        assert got == expected
 
 
 class TestRunRealData:
