@@ -8,12 +8,9 @@ improvements, plus split conformal and CV+/jackknife+ for comparison.
 """
 
 from .combiners import (
-    CombinerSpec,
     CoverageBounds,
-    MembershipVerdict,
     alpha_prime,
     coverage_bounds,
-    evaluate_combiner,
     stat_emod,
     stat_eumod,
     stat_mod,
@@ -29,7 +26,6 @@ from .conformal_sets import (
     candidate_endpoints,
     cross_membership,
     cross_membership_pvalue_form,
-    cross_set_from_scores,
     cv_plus_from_scores,
     cv_plus_set,
     empirical_quantile,
@@ -39,7 +35,6 @@ from .conformal_sets import (
     split_conformal,
     split_pvalue,
     split_set_from_state,
-    variant_set_from_scores,
 )
 from .data_model import (
     Dataset,
@@ -58,6 +53,7 @@ from .experiments import (
     AggregateRow,
     SimulationConfig,
     TrialResult,
+    fit_state,
     mc_standard_error,
     query_sets,
     run_real_data,

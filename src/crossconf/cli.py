@@ -18,18 +18,20 @@ import warnings
 import numpy as np
 
 from .combiners import coverage_bounds
-from .conformal_sets import ALL_METHODS, FOLD_METHODS, split_conformal
+# assign_folds, compute_cv_scores, split_conformal are unused; perfbench rebinds them here.
+from .conformal_sets import ALL_METHODS, split_conformal
 from .data_model import RandomSource, assign_folds, load_csv, load_query_csv
 from .errors import InvalidConfigurationError, InvalidDataError, NumericalError
 from .experiments import (
     SimulationConfig,
     atomic_write_text,
+    fit_state,
     query_sets,
     run_real_data,
     run_simulation,
 )
 from .regression import parse_regressor
-from .scores import ScoreFunctionSpec, compute_cv_scores
+from .scores import compute_cv_scores
 
 SEED_ENV = "CROSSCONF_SEED"
 
@@ -54,18 +56,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InvalidConfigurationError(f"bad integer list {text!r}") from None
-
-
-def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    unknown = [m for m in methods if m not in ALL_METHODS]
-    if unknown:
-        raise InvalidConfigurationError(
-            f"unknown methods {unknown}; choose from {list(ALL_METHODS)}"
-        )
-    if not methods:
-        raise InvalidConfigurationError("need at least one method")
-    return methods
 
 
 def _resolve_seed(args) -> int:
@@ -115,7 +105,7 @@ def _config(args, n: int, p_list, reps: int, seed: int) -> SimulationConfig:
         k=args.k,
         reps=reps,
         regressor=parse_regressor(args.regressor),
-        methods=_parse_methods(args.methods),
+        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
         seed=seed,
         fold_mode=args.fold_mode,
         threads=args.threads,
@@ -150,14 +140,8 @@ def cmd_predict(args) -> int:
     data, feature_names = load_csv(args.data, args.target)
     query = load_query_csv(args.query, feature_names)
     cfg = _config(args, data.n, (data.p,), 1, seed)
-    spec = ScoreFunctionSpec(args.score, cfg.regressor)
     src = RandomSource(seed)
-    folds = assign_folds(data.n, args.k, args.fold_mode, src)
-    needs_cv = any(m in FOLD_METHODS or m == "cv+" for m in cfg.methods)
-    cv = compute_cv_scores(data, folds, spec) if needs_cv else None
-    split_state = (
-        split_conformal(data, args.alpha, spec, src) if "split" in cfg.methods else None
-    )
+    folds, cv, split_state = fit_state(cfg, data, src)
     predictions = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -227,7 +211,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fold-mode", choices=["equal", "varying"], default="equal", dest="fold_mode"
     )
-    parser.add_argument("--score", choices=["residual"], default="residual")
     parser.add_argument(
         "--regressor", default="ols", help="ols | ridge:LAMBDA | knn:K"
     )

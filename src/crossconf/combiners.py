@@ -13,6 +13,9 @@ its fold p-values exceeds the variant's threshold. The combining rules are:
 All four guarantee marginal coverage of at least 1 - 2*alpha at threshold
 alpha. Replacing the threshold by alpha' = alpha + (1 - alpha)(K - 1)/(K + n)
 turns them into shrunken versions of the plain cross-validation conformal set.
+
+The ``stat_*`` functions are the scalar definitions; the set builders evaluate
+the same rules vectorized over all candidate responses at once.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from .data_model import RandomDraws
 from .errors import InvalidConfigurationError, NumericalError
 
 __all__ = [
-    "COMBINER_KINDS",
-    "CombinerSpec",
-    "MembershipVerdict",
     "CoverageBounds",
     "stat_mod",
     "stat_emod",
@@ -37,39 +37,7 @@ __all__ = [
     "stat_weighted_mean",
     "alpha_prime",
     "coverage_bounds",
-    "evaluate_combiner",
 ]
-
-COMBINER_KINDS = ("mod", "e-mod", "u-mod", "eu-mod")
-
-
-@dataclass(frozen=True)
-class CombinerSpec:
-    """Variant choice plus its threshold (alpha or alpha').
-
-    The randomized kinds require a U draw; ``mod`` and ``e-mod`` never consume
-    one.
-    """
-
-    kind: str
-    threshold: float
-    draws: RandomDraws | None = None
-
-    def __post_init__(self):
-        if self.kind not in COMBINER_KINDS:
-            raise InvalidConfigurationError(
-                f"unknown combiner {self.kind!r}; choose from {COMBINER_KINDS}"
-            )
-        if not 0.0 < self.threshold < 1.0:
-            raise InvalidConfigurationError("threshold must lie strictly inside (0, 1)")
-        if self.kind in ("u-mod", "eu-mod") and self.draws is None:
-            raise InvalidConfigurationError(f"{self.kind} requires a U draw")
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    statistic: float
-    included: bool
 
 
 @dataclass(frozen=True)
@@ -161,15 +129,3 @@ def coverage_bounds(alpha: float, k: int, n: int) -> CoverageBounds:
         )
     return CoverageBounds(small, large, combined)
 
-
-def evaluate_combiner(spec: CombinerSpec, p) -> MembershipVerdict:
-    """Combined statistic of ``p`` under ``spec`` and its threshold verdict."""
-    if spec.kind == "mod":
-        stat = stat_mod(p)
-    elif spec.kind == "e-mod":
-        stat = stat_emod(p)
-    elif spec.kind == "u-mod":
-        stat = stat_umod(p, spec.draws)
-    else:
-        stat = stat_eumod(p, spec.draws)
-    return MembershipVerdict(stat, stat > spec.threshold)

@@ -49,8 +49,6 @@ __all__ = [
     "candidate_endpoints",
     "cross_membership",
     "cross_membership_pvalue_form",
-    "cross_set_from_scores",
-    "variant_set_from_scores",
     "fold_method_sets",
     "cv_plus_set",
     "cv_plus_from_scores",
@@ -99,7 +97,7 @@ class PredictionSet:
             raise InvalidConfigurationError("a hulled set holds exactly one interval")
 
     @classmethod
-    def from_raw(cls, pairs, hulled: bool = False) -> "PredictionSet":
+    def from_raw(cls, pairs) -> "PredictionSet":
         """Normalize arbitrary closed intervals: sort and merge any that overlap
         or touch at an endpoint."""
         cleaned = sorted((float(lo), float(hi)) for lo, hi in pairs)
@@ -109,7 +107,7 @@ class PredictionSet:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
-        return cls(tuple(merged), hulled=hulled)
+        return cls(tuple(merged))
 
     @property
     def n_components(self) -> int:
@@ -302,21 +300,21 @@ def _runs(los: np.ndarray, his: np.ndarray, mask: np.ndarray) -> list[tuple[floa
 
 
 def _eval_membership(membership, ys: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(membership(ys), dtype=bool)
-        if out.shape == ys.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([bool(membership(float(y))) for y in ys])
+    out = np.asarray(membership(ys), dtype=bool)
+    if out.shape != ys.shape:
+        raise InvalidConfigurationError(
+            f"membership predicate returned shape {out.shape} for {ys.shape} inputs; "
+            "it must be vectorized over an array of y values"
+        )
+    return out
 
 
 def endpoint_scan(candidate_endpoints, membership) -> PredictionSet:
     """Exact set recovery of a piecewise-constant membership predicate.
 
-    ``membership`` may be vectorized over an array of y values or accept
-    scalars; it must be constant between consecutive candidate endpoints and
-    on the two outer rays. Breakpoints are evaluated directly, and the result
+    ``membership`` maps an array of y values to a boolean array of the same
+    shape; it must be constant between consecutive candidate endpoints and on
+    the two outer rays. Breakpoints are evaluated directly, and the result
     is the closure of the predicate's set: a breakpoint that the predicate
     excludes between two included gaps is reported as included.
     """
@@ -448,7 +446,6 @@ def _scan_sets(
     thresholds: dict[str, float],
     draws: RandomDraws | None,
     tau: float | None,
-    hull: bool,
 ) -> dict[str, PredictionSet]:
     """One endpoint scan serving every method in ``thresholds``.
 
@@ -464,8 +461,7 @@ def _scan_sets(
         if np.any(1.0 >= threshold * (m + 1)):
             uninformative.append(method)
         mask = _method_mask(method, threshold, st, draws)
-        result = PredictionSet.from_raw(_runs(los, his, mask))
-        out[method] = result.hull() if hull else result
+        out[method] = PredictionSet.from_raw(_runs(los, his, mask))
     if uninformative:
         warnings.warn(
             "threshold too small for the fold sizes (1 >= threshold * (m + 1)) for "
@@ -485,7 +481,6 @@ def fold_method_sets(
     methods,
     draws: RandomDraws | None = None,
     smoothed: bool = False,
-    hull: bool = False,
 ) -> dict[str, PredictionSet]:
     """Prediction sets of several fold-based methods from one shared scan.
 
@@ -513,7 +508,7 @@ def fold_method_sets(
     ctx = _fold_context(cv, folds, test_x)
     ap = alpha_prime(alpha, folds.n_folds, ctx.n_used)
     thresholds = {m: ap if m.endswith("-cross") else alpha for m in methods}
-    return _scan_sets(ctx, thresholds, draws, draws.tau if smoothed else None, hull)
+    return _scan_sets(ctx, thresholds, draws, draws.tau if smoothed else None)
 
 
 def cross_membership(cv: CvScores, folds: FoldAssignment, test_x, alpha: float, ys) -> np.ndarray:
@@ -531,34 +526,6 @@ def cross_membership_pvalue_form(
     st = _fold_stats(_fold_context(cv, folds, test_x), ys)
     threshold = alpha + (1.0 - alpha) * (folds.n_folds - 1) / (st.n_used + folds.n_folds)
     return st.P @ st.weights > threshold
-
-
-def cross_set_from_scores(
-    cv: CvScores, folds: FoldAssignment, test_x, alpha: float, hull: bool = False
-) -> PredictionSet:
-    return fold_method_sets(cv, folds, test_x, alpha, ["cross"], hull=hull)["cross"]
-
-
-def variant_set_from_scores(
-    cv: CvScores,
-    folds: FoldAssignment,
-    test_x,
-    combiner,
-    smoothed: bool = False,
-    hull: bool = False,
-) -> PredictionSet:
-    """Set {y : combined statistic of the fold p-values at y > threshold}.
-
-    The caller owns the threshold semantics; note that the asymmetric kinds
-    (e-mod, eu-mod) need exchangeable fold positions, which requires equal
-    fold sizes or randomly placed larger folds.
-    """
-    if smoothed and combiner.draws is None:
-        raise InvalidConfigurationError("smoothed p-values require a (tau, U) draw")
-    ctx = _fold_context(cv, folds, test_x)
-    tau = combiner.draws.tau if smoothed else None
-    kind = combiner.kind
-    return _scan_sets(ctx, {kind: combiner.threshold}, combiner.draws, tau, hull)[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ __all__ = [
     "AggregateReport",
     "mc_standard_error",
     "simulate_instance",
+    "fit_state",
     "query_sets",
     "run_simulation",
     "run_real_data",
@@ -276,10 +277,18 @@ def simulate_instance(
     return data, test_pair
 
 
-def _trial_states(cfg: SimulationConfig, data: Dataset, src: RandomSource):
+def fit_state(cfg: SimulationConfig, data: Dataset, src: RandomSource):
+    """Fit what the requested methods need from the training data.
+
+    Returns ``(folds, cv, split_state)``: the fold assignment, the K fold
+    models with their scores (None unless a fold method or cv+ is requested)
+    and the split state (None unless split is requested). Every query of
+    ``query_sets`` reuses them.
+    """
     folds = assign_folds(data.n, cfg.k, cfg.fold_mode, src)
     spec = ScoreFunctionSpec("residual", cfg.regressor)
-    cv = compute_cv_scores(data, folds, spec)
+    needs_cv = any(m in FOLD_METHODS or m == "cv+" for m in cfg.methods)
+    cv = compute_cv_scores(data, folds, spec) if needs_cv else None
     split_state = (
         split_conformal(data, cfg.alpha, spec, src) if "split" in cfg.methods else None
     )
@@ -316,7 +325,7 @@ def query_sets(cfg: SimulationConfig, folds, cv, split_state, queries, src: Rand
 def _simulation_trial(cfg: SimulationConfig, p: int, stream_id: int) -> list[TrialResult]:
     src = RandomSource(cfg.seed, stream_id)
     data, (test_x, test_y) = simulate_instance(cfg.n, p, src)
-    folds, cv, split_state = _trial_states(cfg, data, src)
+    folds, cv, split_state = fit_state(cfg, data, src)
     (sets,) = query_sets(cfg, folds, cv, split_state, [test_x], src)
     return [
         TrialResult(m, p, bool(s.contains(test_y)), float(s.width), s.n_components, cfg.alpha)
@@ -418,7 +427,7 @@ def _real_data_trial(
     )
     train = data.subset(idx[:train_size])
     test = data.subset(idx[train_size:])
-    folds, cv, split_state = _trial_states(cfg, train, src)
+    folds, cv, split_state = fit_state(cfg, train, src)
     covered: dict[str, list[bool]] = {m: [] for m in cfg.methods}
     widths: dict[str, list[float]] = {m: [] for m in cfg.methods}
     point_sets = query_sets(cfg, folds, cv, split_state, test.features, src)

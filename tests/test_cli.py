@@ -93,6 +93,14 @@ class TestSimulateCommand:
         config = json.loads(out.read_text().splitlines()[0][len("# config: "):])
         assert isinstance(config["seed"], int)
 
+    def test_split_only_run_accepts_a_single_fold(self, tmp_path):
+        # no fold model is fitted, so one fold with no training complement is fine
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--n", "20", "--p", "2", "--reps", "2", "--k", "1",
+                     "--methods", "split", "--seed", "1", "--out", str(out), "--threads", "1"])
+        assert code == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[2:]] == ["split"]
+
     def test_usage_error_exit_code(self):
         assert main(["simulate", "--n", "20"]) == 2  # --p missing
         assert main(["simulate", "--n", "20", "--p", "2", "--methods", "bogus",

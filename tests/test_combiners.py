@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossconf import (
-    CombinerSpec,
     InvalidConfigurationError,
     NumericalError,
     PValueVector,
     RandomDraws,
     alpha_prime,
     coverage_bounds,
-    evaluate_combiner,
     stat_emod,
     stat_eumod,
     stat_mod,
@@ -157,39 +155,3 @@ class TestCoverageBounds:
         with pytest.raises(InvalidConfigurationError):
             coverage_bounds(0.1, 11, 10)
 
-
-class TestCombinerSpec:
-    def test_verdict_matches_threshold(self):
-        spec = CombinerSpec("mod", 0.25)
-        v = evaluate_combiner(spec, [0.3, 0.3])
-        assert v.statistic == pytest.approx(0.3) and v.included
-        v = evaluate_combiner(CombinerSpec("mod", 0.35), [0.3, 0.3])
-        assert not v.included
-
-    def test_randomized_kinds_require_draws(self):
-        with pytest.raises(InvalidConfigurationError):
-            CombinerSpec("u-mod", 0.1)
-        with pytest.raises(InvalidConfigurationError):
-            CombinerSpec("eu-mod", 0.1)
-        CombinerSpec("u-mod", 0.1, draws_with(0.5))  # fine with draws
-
-    def test_threshold_domain(self):
-        for bad in (0.0, 1.0, 1.5, -0.1):
-            with pytest.raises(InvalidConfigurationError):
-                CombinerSpec("mod", bad)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidConfigurationError):
-            CombinerSpec("median", 0.1)
-
-    def test_all_kinds_evaluate(self):
-        d = draws_with(0.5)
-        p = [0.5, 0.1, 0.3]
-        got = {
-            kind: evaluate_combiner(CombinerSpec(kind, 0.1, d), p).statistic
-            for kind in ("mod", "e-mod", "u-mod", "eu-mod")
-        }
-        assert got["mod"] == pytest.approx(0.3)
-        assert got["e-mod"] == pytest.approx(0.3)
-        assert got["u-mod"] == pytest.approx(0.2)
-        assert got["eu-mod"] == pytest.approx(0.3)

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import make_pipeline, random_grid
 from crossconf import (
-    CombinerSpec,
     CvScores,
     Dataset,
     FoldAssignment,
@@ -24,7 +23,6 @@ from crossconf import (
     compute_cv_scores,
     cross_membership,
     cross_membership_pvalue_form,
-    cross_set_from_scores,
     cv_plus_from_scores,
     cv_plus_set,
     empirical_quantile,
@@ -41,7 +39,6 @@ from crossconf import (
     stat_eumod,
     stat_mod,
     stat_umod,
-    variant_set_from_scores,
 )
 from crossconf.conformal_sets import _runs
 
@@ -157,9 +154,11 @@ class TestEndpointScan:
         assert endpoint_scan(np.array([]), lambda ys: np.ones_like(ys, bool)).is_whole_line
         assert endpoint_scan(np.array([]), lambda ys: np.zeros_like(ys, bool)).is_empty
 
-    def test_scalar_predicate_fallback(self):
-        s = endpoint_scan(np.array([0.0, 1.0]), lambda y: 0.0 <= y <= 1.0)
-        assert s.intervals == ((0.0, 1.0),)
+    def test_predicate_with_wrong_output_shape_is_rejected(self):
+        with pytest.raises(InvalidConfigurationError, match="vectorized"):
+            endpoint_scan(np.array([0.0, 1.0]), lambda ys: bool(np.all(ys >= 0.0)))
+        with pytest.raises(InvalidConfigurationError, match="vectorized"):
+            endpoint_scan(np.array([]), lambda ys: np.ones(2, bool))
 
     def test_isolated_point(self):
         s = endpoint_scan(np.array([2.0]), lambda ys: ys == 2.0)
@@ -235,8 +234,8 @@ class TestVariantSets:
         # p-value (1 + #{|y| <= S}) / 4 exceeds 0.6 only with count >= 2,
         # which happens exactly on [-2, 2]
         cv, folds = single_fold_state([1.0, 2.0, 3.0])
-        s = variant_set_from_scores(cv, folds, np.array([0.0]), CombinerSpec("mod", 0.6))
-        assert s.intervals == ((-2.0, 2.0),)
+        sets = fold_method_sets(cv, folds, np.array([0.0]), 0.6, ["mod"])
+        assert sets["mod"].intervals == ((-2.0, 2.0),)
 
     def test_matches_direct_statistic_evaluation(self):
         # scan exactness: agreement with the scalar path at 10^4 random y
@@ -319,7 +318,7 @@ class TestCrossSet:
         cv = CvScores(cal_scores, (model,), ScoreFunctionSpec())
         alpha = 0.2
         test_x = gen.standard_normal(3)
-        cross = cross_set_from_scores(cv, folds, test_x, alpha)
+        cross = fold_method_sets(cv, folds, test_x, alpha, ["cross"])["cross"]
         state = SplitState(
             np.arange(n_train), np.arange(n_cal), cal_scores,
             (1 - alpha) * (1 + 1 / n_cal), model,
@@ -342,8 +341,8 @@ class TestCrossSet:
     def test_nested_in_alpha(self):
         for seed in range(100):
             data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=30, p=4, k=3)
-            small = cross_set_from_scores(cv, folds, tx, 0.05)
-            large = cross_set_from_scores(cv, folds, tx, 0.2)
+            small = fold_method_sets(cv, folds, tx, 0.05, ["cross"])["cross"]
+            large = fold_method_sets(cv, folds, tx, 0.2, ["cross"])["cross"]
             assert is_subset(large, small)
 
 
@@ -403,7 +402,7 @@ class TestCvPlus:
     def test_contains_cross_set(self):
         for seed in range(60):
             data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=40, p=6, k=4)
-            cross = cross_set_from_scores(cv, folds, tx, 0.1)
+            cross = fold_method_sets(cv, folds, tx, 0.1, ["cross"])["cross"]
             plus = cv_plus_from_scores(cv, folds, tx, 0.1)
             assert is_subset(cross, plus), seed
 

@@ -211,7 +211,7 @@ class TestSharedFoldPredictions:
         cfg = base_config(methods=("mod", "cross", "cv+"))
         src = RandomSource(3)
         data, (test_x, _) = simulate_instance(cfg.n, 4, src)
-        folds, cv, split_state = ex._trial_states(cfg, data, src)
+        folds, cv, split_state = ex.fit_state(cfg, data, src)
         draws = draw_randomization(src)
         expected = ex._point_sets(cfg, folds, cv, split_state, test_x, draws)
         calls = []
@@ -234,7 +234,7 @@ class TestQuerySets:
         src = RandomSource(8)
         data, _ = simulate_instance(cfg.n, 4, src)
         queries, _ = simulate_instance(6, 4, RandomSource(9))
-        folds, cv, split_state = ex._trial_states(cfg, data, src)
+        folds, cv, split_state = ex.fit_state(cfg, data, src)
         gen_tau, gen_u = src.generator("tau"), src.generator("u")
         expected = []
         for x in queries.features:
@@ -243,6 +243,34 @@ class TestQuerySets:
         got = list(ex.query_sets(cfg, folds, cv, split_state, queries.features, src))
         assert got == expected
 
+
+class TestFitState:
+    def test_split_only_run_fits_no_fold_models(self, monkeypatch):
+        calls = []
+        real = ex.compute_cv_scores
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ex, "compute_cv_scores", counted)
+        report = run_simulation(base_config(methods=("split",), reps=10))
+        assert calls == [] and report.row("split", 4).reps == 10
+
+    def test_split_rows_do_not_depend_on_the_fold_models(self):
+        alone = run_simulation(base_config(methods=("split",)))
+        shared = run_simulation(base_config(methods=("mod", "split")))
+        assert alone.rows == tuple(r for r in shared.rows if r.method == "split")
+
+    def test_states_follow_the_requested_methods(self):
+        src = RandomSource(3)
+        data, _ = simulate_instance(40, 4, src)
+        folds, cv, split_state = ex.fit_state(base_config(methods=("split",)), data, src)
+        assert folds.n_folds == 4 and cv is None and split_state is not None
+        _, cv, split_state = ex.fit_state(base_config(methods=("cv+",)), data, src)
+        assert cv is not None and split_state is None
+        _, cv, split_state = ex.fit_state(base_config(methods=("mod", "split")), data, src)
+        assert cv is not None and split_state is not None
 
 class TestRunRealData:
     def synthetic(self, n, p, seed=0):

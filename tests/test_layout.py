@@ -1,9 +1,14 @@
 """Module boundaries inside the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import crossconf
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.tracing import Tracer  # noqa: E402
+from perfbench.workloads import install  # noqa: E402
 
 # A scope, not a helper: experiments opens it around the public set builders
 # so that they share a query's fold predictions and keep their signatures.
@@ -21,3 +26,11 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("_") and alias.name not in ALLOWED_PRIVATE_IMPORTS
                 ]
     assert offending == []
+
+
+def test_every_name_the_benchmark_rebinds_is_bound_where_it_looks():
+    tracer = Tracer()
+    try:
+        install(tracer, [])  # Tracer.patch raises AttributeError on a missing name
+    finally:
+        tracer.restore()
