@@ -52,7 +52,6 @@ from .experiments import (
     AggregateReport,
     AggregateRow,
     SimulationConfig,
-    TrialResult,
     fit_state,
     mc_standard_error,
     query_sets,

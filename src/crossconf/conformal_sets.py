@@ -404,18 +404,19 @@ class _FoldStats:
 
 def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
     """Every statistic at each candidate y: per fold, the weak count
-    le = #{s(y) <= S_i} and the strict count lt = #{s(y) < S_i}; from them
-    the fold p-values (tau-smoothed when ``tau`` is given), their mean and
-    their prefix-min mean. Mean and prefix-min mean come from one shared
-    accumulation, so that the prefix minimum can never exceed the mean by
-    rounding."""
+    le = #{s(y) <= S_i} and, only when ``tau`` is given, the strict count
+    lt = #{s(y) < S_i}; from them the fold p-values (tau-smoothed when
+    ``tau`` is given), their mean and their prefix-min mean. Mean and
+    prefix-min mean come from one shared accumulation, so that the prefix
+    minimum can never exceed the mean by rounding."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     le = np.empty((ys.size, len(ctx.sorted_scores)), dtype=np.int64)
-    lt = np.empty_like(le)
+    lt = None if tau is None else np.empty_like(le)
     for k, s in enumerate(ctx.sorted_scores):
         t = np.abs(ys - ctx.mu[k])
         le[:, k] = s.size - np.searchsorted(s, t, side="left")
-        lt[:, k] = s.size - np.searchsorted(s, t, side="right")
+        if lt is not None:
+            lt[:, k] = s.size - np.searchsorted(s, t, side="right")
     denom = ctx.sizes + 1.0
     P = (1.0 + le) / denom if tau is None else (tau + tau * (le - lt) + lt) / denom
     cummean = np.cumsum(P, axis=1) / np.arange(1, P.shape[1] + 1)

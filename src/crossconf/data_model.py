@@ -269,6 +269,30 @@ def draw_randomization(rng: RandomSource) -> RandomDraws:
     return next(randomization_stream(rng))
 
 
+def _read_table(path) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the non-blank rows of a headered CSV file,
+    which must hold at least one data row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise InvalidDataError(f"{path}: empty CSV file") from None
+        rows = [row for row in reader if row]
+    if not rows:
+        raise InvalidDataError(f"{path}: CSV has a header but no data rows")
+    return header, rows
+
+
+def _cell(value: str, column: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise InvalidDataError(
+            f"non-numeric value {value.strip()!r} in column {column!r}"
+        ) from None
+
+
 def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     """Read a numeric dataset from a headered CSV file.
 
@@ -276,18 +300,9 @@ def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     be numeric and becomes a feature. Returns the dataset together with the
     feature column names (in file order).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidDataError(f"{path}: empty CSV file") from None
-        rows = [row for row in reader if row]
-    header = [h.strip() for h in header]
+    header, rows = _read_table(path)
     if target not in header:
         raise InvalidDataError(f"target column {target!r} not found in CSV header")
-    if not rows:
-        raise InvalidDataError(f"{path}: CSV has a header but no data rows")
     t_col = header.index(target)
     feature_names = [h for i, h in enumerate(header) if i != t_col]
     width = len(header)
@@ -295,13 +310,7 @@ def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     for r, row in enumerate(rows):
         if len(row) != width:
             raise InvalidDataError(f"row {r + 2} has {len(row)} cells, expected {width}")
-        for c, cell in enumerate(row):
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise InvalidDataError(
-                    f"non-numeric value {cell.strip()!r} in column {header[c]!r}"
-                ) from None
+        values[r] = [_cell(cell, name) for cell, name in zip(row, header)]
     responses = values[:, t_col]
     features = np.delete(values, t_col, axis=1)
     return Dataset(features, responses), feature_names
@@ -313,33 +322,20 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
     Columns may appear in any order; missing or non-numeric feature columns
     raise an error naming the offending column. Extra columns are ignored.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InvalidDataError(f"{path}: empty CSV file") from None
-        rows = [row for row in reader if row]
+    header, rows = _read_table(path)
     missing = [name for name in feature_names if name not in header]
     if missing:
         raise InvalidDataError(
             f"query is missing feature column {missing[0]!r} "
             f"(train data has {len(feature_names)} features)"
         )
-    if not rows:
-        raise InvalidDataError(f"{path}: CSV has a header but no data rows")
     cols = [header.index(name) for name in feature_names]
     out = np.empty((len(rows), len(cols)))
     for r, row in enumerate(rows):
         for j, c in enumerate(cols):
             if c >= len(row):
                 raise InvalidDataError(f"row {r + 2} is missing column {header[c]!r}")
-            try:
-                out[r, j] = float(row[c])
-            except ValueError:
-                raise InvalidDataError(
-                    f"non-numeric value {row[c].strip()!r} in column {header[c]!r}"
-                ) from None
+            out[r, j] = _cell(row[c], header[c])
     if not np.isfinite(out).all():
         raise InvalidDataError("query rows must be finite")
     return out

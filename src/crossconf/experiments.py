@@ -2,9 +2,12 @@
 
 A trial draws fresh data, folds, tau and U, then evaluates every requested
 method on the same shared state, so width and containment comparisons between
-methods are paired. Trials run on independent random streams and may execute
-concurrently; aggregation is a deterministic reduction in trial order, so
-results do not depend on the worker count.
+methods are paired. A simulated trial is a real-data trial with one test row:
+both fit on their training part and reduce each method's sets over the test
+rows to (coverage, mean finite width, infinite count). Trials run on
+independent random streams and may execute concurrently; aggregation is a
+deterministic reduction in trial order, so results do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -42,9 +45,7 @@ from .scores import ScoreFunctionSpec, compute_cv_scores
 
 __all__ = [
     "REPORT_COLUMNS",
-    "TRIAL_COLUMNS",
     "SimulationConfig",
-    "TrialResult",
     "TrialFailure",
     "AggregateRow",
     "AggregateReport",
@@ -54,7 +55,6 @@ __all__ = [
     "query_sets",
     "run_simulation",
     "run_real_data",
-    "trial_results_csv",
     "atomic_write_text",
 ]
 
@@ -70,9 +70,6 @@ REPORT_COLUMNS = (
     "max_width",
     "n_infinite",
 )
-
-TRIAL_COLUMNS = ("method", "p", "width", "n_components", "covered")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -115,18 +112,6 @@ class SimulationConfig:
         out["p_list"] = list(self.p_list)
         out["methods"] = list(self.methods)
         return out
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """Outcome of one method on one trial's test point."""
-
-    method: str
-    p: int
-    covered: bool
-    width: float
-    n_components: int
-    alpha_used: float
 
 
 @dataclass(frozen=True)
@@ -244,16 +229,6 @@ def mc_standard_error(rate: float, reps: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / reps)
 
 
-def trial_results_csv(results) -> str:
-    """Per-trial set summaries as CSV with width, n_components and covered."""
-    lines = [",".join(TRIAL_COLUMNS)]
-    for r in results:
-        lines.append(
-            f"{r.method},{r.p!r},{r.width!r},{r.n_components!r},{int(r.covered)!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def simulate_instance(
     n: int, p: int, rng: RandomSource, return_coef: bool = False
 ):
@@ -322,15 +297,44 @@ def query_sets(cfg: SimulationConfig, folds, cv, split_state, queries, src: Rand
         yield _point_sets(cfg, folds, cv, split_state, test_x, draws)
 
 
-def _simulation_trial(cfg: SimulationConfig, p: int, stream_id: int) -> list[TrialResult]:
+Outcome = dict[str, tuple[float, float, int]]
+
+
+def _trial(cfg: SimulationConfig, train: Dataset, test_x, test_y, src: RandomSource) -> Outcome:
+    """Fit on ``train``, then build every method's sets at the test rows.
+    Returns per-method (coverage, mean finite width, infinite count) over the
+    test rows; the mean width is NaN when no set is finite."""
+    folds, cv, split_state = fit_state(cfg, train, src)
+    covered: dict[str, list[bool]] = {m: [] for m in cfg.methods}
+    widths: dict[str, list[float]] = {m: [] for m in cfg.methods}
+    for sets, y in zip(query_sets(cfg, folds, cv, split_state, test_x, src), test_y):
+        for m, s in sets.items():
+            covered[m].append(s.contains(y))
+            widths[m].append(s.width)
+    out = {}
+    for m in cfg.methods:
+        w = np.array(widths[m])
+        finite = w[np.isfinite(w)]
+        mean_w = float(finite.mean()) if finite.size else float("nan")
+        out[m] = (float(np.mean(covered[m])), mean_w, int(w.size - finite.size))
+    return out
+
+
+def _simulation_trial(cfg: SimulationConfig, p: int, stream_id: int) -> Outcome:
+    """One Monte-Carlo trial: a fresh Gaussian instance and its one test row."""
     src = RandomSource(cfg.seed, stream_id)
     data, (test_x, test_y) = simulate_instance(cfg.n, p, src)
-    folds, cv, split_state = fit_state(cfg, data, src)
-    (sets,) = query_sets(cfg, folds, cv, split_state, [test_x], src)
-    return [
-        TrialResult(m, p, bool(s.contains(test_y)), float(s.width), s.n_components, cfg.alpha)
-        for m, s in sets.items()
-    ]
+    return _trial(cfg, data, [test_x], [test_y], src)
+
+
+def _real_data_trial(
+    cfg: SimulationConfig, data: Dataset, train_size: int, test_size: int, trial: int
+) -> Outcome:
+    """One subsample trial: disjoint train and test rows drawn from ``data``."""
+    src = RandomSource(cfg.seed, trial)
+    idx = src.generator("subsample").choice(data.n, train_size + test_size, replace=False)
+    test = data.subset(idx[train_size:])
+    return _trial(cfg, data.subset(idx[:train_size]), test.features, test.responses, src)
 
 
 def _run_jobs(jobs, worker, threads: int) -> tuple[list, tuple[TrialFailure, ...]]:
@@ -357,39 +361,35 @@ def _run_jobs(jobs, worker, threads: int) -> tuple[list, tuple[TrialFailure, ...
     return [o for o, _ in pairs], tuple(f for _, f in pairs if f is not None)
 
 
-def _width_stats(widths: np.ndarray) -> tuple[float, float, float, float, float, int]:
+def _width_stats(widths: np.ndarray) -> tuple[float, float, float, float, float]:
     finite = widths[np.isfinite(widths)]
-    n_infinite = int(widths.size - finite.size)
     if finite.size == 0:
-        nan = float("nan")
-        return nan, nan, nan, nan, nan, n_infinite
-    sd = float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0
+        return (float("nan"),) * 5
     return (
         float(np.mean(finite)),
-        sd,
+        float(np.std(finite, ddof=1)) if finite.size > 1 else 0.0,
         float(np.median(finite)),
         float(np.min(finite)),
         float(np.max(finite)),
-        n_infinite,
     )
 
 
-def _aggregate_trials(
-    results: list[TrialResult], method_order, p_order
-) -> tuple[AggregateRow, ...]:
+def _rows(methods, groups) -> tuple[AggregateRow, ...]:
+    """One row per method and group, method-major. A group is a ``(p,
+    outcomes)`` pair, with None for a failed trial. Coverage is the mean of
+    the trials' coverages, the width statistics cover the trials' finite mean
+    widths and ``n_infinite`` sums their infinite counts."""
     rows = []
-    for method in method_order:
-        for p in p_order:
-            chunk = [r for r in results if r.method == method and r.p == p]
-            if not chunk:
+    for method in methods:
+        for p, outcomes in groups:
+            per_trial = [o[method] for o in outcomes if o is not None]
+            if not per_trial:
                 continue
-            covered = np.array([r.covered for r in chunk])
-            widths = np.array([r.width for r in chunk])
-            mean_w, sd_w, med_w, min_w, max_w, n_inf = _width_stats(widths)
+            coverages, mean_widths, n_infinite = zip(*per_trial)
             rows.append(
                 AggregateRow(
-                    method, p, len(chunk), float(covered.mean()),
-                    mean_w, sd_w, med_w, min_w, max_w, n_inf,
+                    method, p, len(per_trial), float(np.mean(coverages)),
+                    *_width_stats(np.array(mean_widths)), int(sum(n_infinite)),
                 )
             )
     return tuple(rows)
@@ -409,39 +409,12 @@ def run_simulation(cfg: SimulationConfig) -> AggregateReport:
     outcomes, failures = _run_jobs(
         jobs, lambda job: _simulation_trial(cfg, *job), cfg.threads
     )
-    results = [r for chunk in outcomes if chunk is not None for r in chunk]
+    groups = [
+        (p, outcomes[p_idx * cfg.reps : (p_idx + 1) * cfg.reps])
+        for p_idx, p in enumerate(cfg.p_list)
+    ]
     config = {"command": "simulate", **cfg.to_jsonable()}
-    return AggregateReport(
-        _aggregate_trials(results, cfg.methods, cfg.p_list), config, failures
-    )
-
-
-def _real_data_trial(
-    cfg: SimulationConfig, data: Dataset, train_size: int, test_size: int, trial: int
-) -> dict[str, tuple[float, float, int]]:
-    """One subsample trial; returns per-method (coverage, mean finite width,
-    infinite count) over the test points."""
-    src = RandomSource(cfg.seed, trial)
-    idx = src.generator("subsample").choice(
-        data.n, size=train_size + test_size, replace=False
-    )
-    train = data.subset(idx[:train_size])
-    test = data.subset(idx[train_size:])
-    folds, cv, split_state = fit_state(cfg, train, src)
-    covered: dict[str, list[bool]] = {m: [] for m in cfg.methods}
-    widths: dict[str, list[float]] = {m: [] for m in cfg.methods}
-    point_sets = query_sets(cfg, folds, cv, split_state, test.features, src)
-    for sets, test_y in zip(point_sets, test.responses):
-        for m, s in sets.items():
-            covered[m].append(s.contains(test_y))
-            widths[m].append(s.width)
-    out = {}
-    for m in cfg.methods:
-        w = np.array(widths[m])
-        finite = w[np.isfinite(w)]
-        mean_w = float(finite.mean()) if finite.size else float("nan")
-        out[m] = (float(np.mean(covered[m])), mean_w, int(w.size - finite.size))
-    return out
+    return AggregateReport(_rows(cfg.methods, groups), config, failures)
 
 
 def run_real_data(
@@ -467,21 +440,6 @@ def run_real_data(
         lambda t: _real_data_trial(cfg, data, train_size, test_size, t),
         cfg.threads,
     )
-    rows = []
-    for method in cfg.methods:
-        per_trial = [o[method] for o in outcomes if o is not None]
-        if not per_trial:
-            continue
-        coverage = float(np.mean([c for c, _, _ in per_trial]))
-        trial_means = np.array([w for _, w, _ in per_trial])
-        n_infinite = int(sum(k for _, _, k in per_trial))
-        mean_w, sd_w, med_w, min_w, max_w, _ = _width_stats(trial_means)
-        rows.append(
-            AggregateRow(
-                method, data.p, len(per_trial), coverage,
-                mean_w, sd_w, med_w, min_w, max_w, n_infinite,
-            )
-        )
     config = {
         "command": "run",
         "train_size": train_size,
@@ -489,4 +447,4 @@ def run_real_data(
         "trials": trials,
         **cfg.to_jsonable(),
     }
-    return AggregateReport(tuple(rows), config, failures)
+    return AggregateReport(_rows(cfg.methods, [(data.p, outcomes)]), config, failures)

@@ -200,3 +200,31 @@ class TestCsvIngestion:
         path = self._write(tmp_path, "a\n1\n", "q.csv")
         with pytest.raises(InvalidDataError, match="'b'"):
             load_query_csv(path, ["a", "b"])
+
+    @pytest.mark.parametrize("load", [lambda p: load_csv(p, "y"),
+                                      lambda p: load_query_csv(p, ["y"])])
+    def test_empty_and_header_only_files(self, tmp_path, load):
+        with pytest.raises(InvalidDataError, match="empty CSV file"):
+            load(self._write(tmp_path, ""))
+        with pytest.raises(InvalidDataError, match="header but no data rows"):
+            load(self._write(tmp_path, "a,y\n"))
+
+    def test_ragged_training_row_is_numbered(self, tmp_path):
+        path = self._write(tmp_path, "a,b,y\n1,2,3\n4,5\n")
+        with pytest.raises(InvalidDataError, match="row 3 has 2 cells, expected 3"):
+            load_csv(path, "y")
+
+    def test_query_row_missing_a_column(self, tmp_path):
+        path = self._write(tmp_path, "a,b\n1,2\n3\n", "q.csv")
+        with pytest.raises(InvalidDataError, match="row 3 is missing column 'b'"):
+            load_query_csv(path, ["a", "b"])
+
+    def test_non_numeric_query_cell_is_named(self, tmp_path):
+        path = self._write(tmp_path, "a,b\n1, red \n", "q.csv")
+        with pytest.raises(InvalidDataError, match="non-numeric value 'red' in column 'b'"):
+            load_query_csv(path, ["a", "b"])
+
+    def test_non_finite_query_cell(self, tmp_path):
+        path = self._write(tmp_path, "a,b\n1,inf\n", "q.csv")
+        with pytest.raises(InvalidDataError, match="query rows must be finite"):
+            load_query_csv(path, ["a", "b"])
