@@ -15,7 +15,6 @@ from .combiners import (
     stat_eumod,
     stat_mod,
     stat_umod,
-    stat_weighted_mean,
 )
 from .conformal_sets import (
     ALL_METHODS,
@@ -77,6 +76,6 @@ from .regression import (
     fit_ridge,
     parse_regressor,
 )
-from .scores import CvScores, ScoreFunctionSpec, compute_cv_scores, test_score
+from .scores import CvScores, ScoreFunctionSpec, compute_cv_scores
 
 __version__ = "0.1.0"

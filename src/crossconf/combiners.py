@@ -34,7 +34,6 @@ __all__ = [
     "stat_emod",
     "stat_umod",
     "stat_eumod",
-    "stat_weighted_mean",
     "alpha_prime",
     "coverage_bounds",
 ]
@@ -83,15 +82,6 @@ def stat_eumod(p, draws: RandomDraws) -> float:
         raise InvalidConfigurationError("eu-mod requires a U draw")
     values = _values(p)
     return min(float(values[0]) / (2.0 - draws.u), stat_emod(values))
-
-
-def stat_weighted_mean(p, weights) -> float:
-    """Weighted average of the p-values; used by the cross-set dual form."""
-    values = _values(p)
-    w = np.asarray(getattr(weights, "weights", weights), dtype=float)
-    if w.shape != values.shape:
-        raise InvalidConfigurationError("weights must align with the p-value vector")
-    return float(values @ w)
 
 
 def alpha_prime(alpha: float, k: int, n: int) -> float:

@@ -132,13 +132,6 @@ class PredictionSet:
     def contains(self, y: float) -> bool:
         return any(lo <= y <= hi for lo, hi in self.intervals)
 
-    def contains_many(self, ys) -> np.ndarray:
-        arr = np.asarray(ys, dtype=float)
-        mask = np.zeros(arr.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            mask |= (arr >= lo) & (arr <= hi)
-        return mask
-
     def hull(self) -> "PredictionSet":
         """Single interval spanning the extreme endpoints."""
         if not self.intervals:

@@ -269,16 +269,16 @@ def draw_randomization(rng: RandomSource) -> RandomDraws:
     return next(randomization_stream(rng))
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    """The stripped header and the non-blank rows of a headered CSV file,
-    which must hold at least one data row."""
+def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The stripped header and the non-blank rows of a headered CSV file, each
+    with the file line it ends on; the file must hold at least one data row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise InvalidDataError(f"{path}: empty CSV file") from None
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise InvalidDataError(f"{path}: CSV has a header but no data rows")
     return header, rows
@@ -307,9 +307,9 @@ def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     feature_names = [h for i, h in enumerate(header) if i != t_col]
     width = len(header)
     values = np.empty((len(rows), width))
-    for r, row in enumerate(rows):
+    for r, (line, row) in enumerate(rows):
         if len(row) != width:
-            raise InvalidDataError(f"row {r + 2} has {len(row)} cells, expected {width}")
+            raise InvalidDataError(f"row {line} has {len(row)} cells, expected {width}")
         values[r] = [_cell(cell, name) for cell, name in zip(row, header)]
     responses = values[:, t_col]
     features = np.delete(values, t_col, axis=1)
@@ -331,10 +331,10 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
         )
     cols = [header.index(name) for name in feature_names]
     out = np.empty((len(rows), len(cols)))
-    for r, row in enumerate(rows):
+    for r, (line, row) in enumerate(rows):
         for j, c in enumerate(cols):
             if c >= len(row):
-                raise InvalidDataError(f"row {r + 2} is missing column {header[c]!r}")
+                raise InvalidDataError(f"row {line} is missing column {header[c]!r}")
             out[r, j] = _cell(row[c], header[c])
     if not np.isfinite(out).all():
         raise InvalidDataError("query rows must be finite")

@@ -17,7 +17,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -58,18 +58,6 @@ __all__ = [
     "atomic_write_text",
 ]
 
-REPORT_COLUMNS = (
-    "method",
-    "p",
-    "reps",
-    "coverage",
-    "mean_width",
-    "sd_width",
-    "median_width",
-    "min_width",
-    "max_width",
-    "n_infinite",
-)
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -84,7 +72,6 @@ class SimulationConfig:
     methods: tuple[str, ...]
     seed: int
     fold_mode: str = "equal"
-    smoothed: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -103,6 +90,8 @@ class SimulationConfig:
             )
         if self.threads < 1:
             raise InvalidConfigurationError("threads must be at least 1")
+        if len(set(self.p_list)) < len(self.p_list):
+            raise InvalidConfigurationError("each covariate count may be listed only once")
 
     def to_jsonable(self) -> dict:
         """The report configuration. ``threads`` is left out: it cannot change
@@ -126,6 +115,9 @@ class AggregateRow:
     min_width: float
     max_width: float
     n_infinite: int
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(AggregateRow))
 
 
 @dataclass(frozen=True)
@@ -163,22 +155,8 @@ class AggregateReport:
             lines.append(f"# skipped {self.n_failed} trial(s) after numerical failure")
         lines.append(",".join(REPORT_COLUMNS))
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        row.method,
-                        repr(row.p),
-                        repr(row.reps),
-                        repr(row.coverage),
-                        repr(row.mean_width),
-                        repr(row.sd_width),
-                        repr(row.median_width),
-                        repr(row.min_width),
-                        repr(row.max_width),
-                        repr(row.n_infinite),
-                    ]
-                )
-            )
+            cells = (getattr(row, col) for col in REPORT_COLUMNS)
+            lines.append(",".join(c if isinstance(c, str) else repr(c) for c in cells))
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
@@ -278,9 +256,7 @@ def _point_sets(
     with _shared_fold_predictions():  # the fold scan and cv+ share mu_k(test_x)
         if fold_ms:
             sets.update(
-                fold_method_sets(
-                    cv, folds, test_x, cfg.alpha, fold_ms, draws=draws, smoothed=cfg.smoothed
-                )
+                fold_method_sets(cv, folds, test_x, cfg.alpha, fold_ms, draws=draws)
             )
         if "cv+" in cfg.methods:
             sets["cv+"] = cv_plus_from_scores(cv, folds, test_x, cfg.alpha)

@@ -17,7 +17,6 @@ from .errors import InvalidConfigurationError
 
 __all__ = [
     "RegressorSpec",
-    "Standardizer",
     "LinearModel",
     "KnnModel",
     "FittedModel",
@@ -40,17 +39,12 @@ _KNN_BLOCK_BYTES = 512 * 1024
 
 @dataclass(frozen=True)
 class RegressorSpec:
-    """Which symmetric algorithm to fit, with its parameters.
-
-    ``standardize`` optionally z-scores the feature columns using training
-    statistics (column statistics are permutation-invariant, so symmetry is
-    preserved).
-    """
+    """Which symmetric algorithm to fit, with its parameters. Features are
+    used as given; no column scaling is applied."""
 
     kind: str
     ridge_lambda: float = 0.0
     knn_k: int = 1
-    standardize: bool = False
 
     def __post_init__(self):
         if self.kind not in REGRESSOR_KINDS:
@@ -86,24 +80,6 @@ def parse_regressor(text: str) -> RegressorSpec:
     raise InvalidConfigurationError(f"unknown regressor {text!r}")
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Column-wise z-scoring transform frozen at fit time."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    @classmethod
-    def from_features(cls, features: np.ndarray) -> "Standardizer":
-        mean = features.mean(axis=0)
-        scale = features.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
-        return cls(mean, scale)
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.mean) / self.scale
-
-
 def _as_matrix(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
@@ -116,13 +92,9 @@ class LinearModel:
     """Linear predictor x -> x @ coef (no intercept term)."""
 
     coef: np.ndarray
-    standardizer: Standardizer | None = None
 
     def predict(self, x) -> np.ndarray:
-        mat = _as_matrix(x)
-        if self.standardizer is not None:
-            mat = self.standardizer.transform(mat)
-        return mat @ self.coef
+        return _as_matrix(x) @ self.coef
 
 
 @dataclass(frozen=True)
@@ -142,12 +114,9 @@ class KnnModel:
     train_features: np.ndarray
     train_responses: np.ndarray
     k: int
-    standardizer: Standardizer | None = None
 
     def predict(self, x) -> np.ndarray:
         mat = _as_matrix(x)
-        if self.standardizer is not None:
-            mat = self.standardizer.transform(mat)
         feats = self.train_features
         out = np.empty(mat.shape[0])
         step = max(1, _KNN_BLOCK_BYTES // feats.nbytes)
@@ -181,19 +150,17 @@ class KnnModel:
 FittedModel = Union[LinearModel, KnnModel]
 
 
-def fit_min_norm_ols(train: Dataset, standardize: bool = False) -> LinearModel:
+def fit_min_norm_ols(train: Dataset) -> LinearModel:
     """Least squares via the Moore-Penrose pseudoinverse.
 
     For full-column-rank features this is ordinary least squares; otherwise it
     returns the minimum-l2-norm solution of the underdetermined system.
     """
-    std = Standardizer.from_features(train.features) if standardize else None
-    feats = std.transform(train.features) if std else train.features
-    coef, *_ = np.linalg.lstsq(feats, train.responses, rcond=RCOND)
-    return LinearModel(coef, std)
+    coef, *_ = np.linalg.lstsq(train.features, train.responses, rcond=RCOND)
+    return LinearModel(coef)
 
 
-def fit_ridge(train: Dataset, ridge_lambda: float, standardize: bool = False) -> LinearModel:
+def fit_ridge(train: Dataset, ridge_lambda: float) -> LinearModel:
     """Ridge regression coef = (X'X + lambda I)^-1 X'y.
 
     At lambda = 0 this falls back to the minimum-norm least squares solution,
@@ -203,16 +170,14 @@ def fit_ridge(train: Dataset, ridge_lambda: float, standardize: bool = False) ->
     if ridge_lambda < 0:
         raise InvalidConfigurationError("ridge penalty must be nonnegative")
     if ridge_lambda == 0.0:
-        return fit_min_norm_ols(train, standardize=standardize)
-    std = Standardizer.from_features(train.features) if standardize else None
-    feats = std.transform(train.features) if std else train.features
-    p = feats.shape[1]
-    gram = feats.T @ feats + ridge_lambda * np.eye(p)
+        return fit_min_norm_ols(train)
+    feats = train.features
+    gram = feats.T @ feats + ridge_lambda * np.eye(train.p)
     coef = np.linalg.solve(gram, feats.T @ train.responses)
-    return LinearModel(coef, std)
+    return LinearModel(coef)
 
 
-def fit_knn(train: Dataset, k: int, standardize: bool = False) -> KnnModel:
+def fit_knn(train: Dataset, k: int) -> KnnModel:
     """k-nearest-neighbor mean with data-valued tie-breaking."""
     if k < 1:
         raise InvalidConfigurationError("knn neighbor count must be at least 1")
@@ -220,15 +185,13 @@ def fit_knn(train: Dataset, k: int, standardize: bool = False) -> KnnModel:
         raise InvalidConfigurationError(
             f"knn neighbor count {k} exceeds the training size {train.n}"
         )
-    std = Standardizer.from_features(train.features) if standardize else None
-    feats = std.transform(train.features) if std else train.features
-    return KnnModel(feats, train.responses, k, std)
+    return KnnModel(train.features, train.responses, k)
 
 
 def fit(spec: RegressorSpec, train: Dataset) -> FittedModel:
     """Fit the regressor described by ``spec`` on ``train``."""
     if spec.kind == "ols":
-        return fit_min_norm_ols(train, standardize=spec.standardize)
+        return fit_min_norm_ols(train)
     if spec.kind == "ridge":
-        return fit_ridge(train, spec.ridge_lambda, standardize=spec.standardize)
-    return fit_knn(train, spec.knn_k, standardize=spec.standardize)
+        return fit_ridge(train, spec.ridge_lambda)
+    return fit_knn(train, spec.knn_k)

@@ -20,7 +20,6 @@ __all__ = [
     "ScoreFunctionSpec",
     "CvScores",
     "compute_cv_scores",
-    "test_score",
     "fold_predictions",
 ]
 
@@ -85,14 +84,6 @@ def compute_cv_scores(
         preds = model.predict(data.features[members])
         scores[members] = np.abs(data.responses[members] - preds)
     return CvScores(scores, tuple(models), spec)
-
-
-def test_score(x, y: float, fold: int, cv: CvScores, spec: ScoreFunctionSpec) -> float:
-    """Score the candidate pair (x, y) under fold ``fold``'s cached model."""
-    if not 0 <= fold < cv.n_folds:
-        raise InvalidConfigurationError(f"fold index {fold} out of range")
-    pred = float(cv.fold_models[fold].predict(np.atleast_2d(np.asarray(x, float)))[0])
-    return abs(float(y) - pred)
 
 
 def fold_predictions(cv: CvScores, x) -> np.ndarray:

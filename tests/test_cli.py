@@ -106,6 +106,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--n", "20", "--p", "2", "--methods", "bogus",
                      "--seed", "1"]) == 2
 
+    def test_repeated_p_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--n", "20", "--p", "3,3", "--reps", "1", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "listed only once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredictCommand:
     def test_sets_match_library_computation(self, tmp_path, capsys):

@@ -18,7 +18,6 @@ from crossconf import (
     stat_eumod,
     stat_mod,
     stat_umod,
-    stat_weighted_mean,
 )
 from crossconf import combiners
 
@@ -66,12 +65,6 @@ class TestStatistics:
     def test_accepts_pvalue_vector_objects(self):
         pv = PValueVector(np.array([0.5, 0.1, 0.3]), np.array([4, 4, 4]))
         assert stat_mod(pv) == pytest.approx(0.3)
-
-    def test_weighted_mean(self):
-        w = np.array([0.5, 0.25, 0.25])
-        assert stat_weighted_mean([0.2, 0.4, 0.8], w) == pytest.approx(0.4)
-        with pytest.raises(InvalidConfigurationError):
-            stat_weighted_mean([0.2, 0.4], w)
 
 
 class TestStatisticOrdering:

@@ -110,7 +110,6 @@ class TestPredictionSet:
         s = PredictionSet(((0.0, 1.0), (4.0, 6.0)))
         assert s.contains(0.0) and s.contains(5.0) and not s.contains(2.0)
         assert s.width == 3.0 and s.n_components == 2
-        assert np.array_equal(s.contains_many([0.5, 2.0, 6.0]), [True, False, True])
 
     def test_infinite_width(self):
         assert PredictionSet(((-INF, 0.0),)).width == INF

@@ -214,9 +214,19 @@ class TestCsvIngestion:
         with pytest.raises(InvalidDataError, match="row 3 has 2 cells, expected 3"):
             load_csv(path, "y")
 
+    def test_ragged_row_after_blank_lines_names_its_file_line(self, tmp_path):
+        path = self._write(tmp_path, "a,b,y\n\n1,2,3\n\n4,5\n")
+        with pytest.raises(InvalidDataError, match="row 5 has 2 cells, expected 3"):
+            load_csv(path, "y")
+
     def test_query_row_missing_a_column(self, tmp_path):
         path = self._write(tmp_path, "a,b\n1,2\n3\n", "q.csv")
         with pytest.raises(InvalidDataError, match="row 3 is missing column 'b'"):
+            load_query_csv(path, ["a", "b"])
+
+    def test_query_row_after_blank_lines_names_its_file_line(self, tmp_path):
+        path = self._write(tmp_path, "a,b\n\n1,2\n\n3\n", "q.csv")
+        with pytest.raises(InvalidDataError, match="row 5 is missing column 'b'"):
             load_query_csv(path, ["a", "b"])
 
     def test_non_numeric_query_cell_is_named(self, tmp_path):

@@ -129,6 +129,11 @@ class TestRunSimulation:
         with pytest.raises(InvalidConfigurationError):
             base_config(methods=("mod", "bogus"))
 
+    def test_repeated_covariate_count_rejected(self):
+        # AggregateReport.row finds a row by (method, p), so each p gets one row
+        with pytest.raises(InvalidConfigurationError, match="listed only once"):
+            base_config(p_list=(3, 5, 3))
+
 
 class TestFailedTrials:
     def failing_on(self, monkeypatch, stream_id):

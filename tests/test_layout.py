@@ -1,11 +1,13 @@
-"""Module boundaries inside the package."""
+"""Module boundaries inside the package, and options every command can reach."""
 
 import ast
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 
 import crossconf
+from crossconf import RegressorSpec, SimulationConfig, parse_regressor
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.tracing import Tracer  # noqa: E402
@@ -58,3 +60,21 @@ def test_every_name_the_benchmark_rebinds_is_bound_where_it_looks():
         install(tracer, [])  # Tracer.patch raises AttributeError on a missing name
     finally:
         tracer.restore()
+
+
+def test_cli_sets_every_simulation_config_field():
+    # a field the CLI never passes is an option no command can change
+    tree = ast.parse((Path(crossconf.__file__).parent / "cli.py").read_text())
+    builder = next(n for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef) and n.name == "_config")
+    passed = {kw.arg for n in ast.walk(builder)
+              if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "SimulationConfig"
+              for kw in n.keywords}
+    assert {f.name for f in dataclasses.fields(SimulationConfig)} - passed == set()
+
+
+def test_every_regressor_field_is_set_by_some_cli_string():
+    specs = [parse_regressor(text) for text in ("ols", "ridge:0.5", "knn:3")]
+    unreachable = [f.name for f in dataclasses.fields(RegressorSpec)
+                   if all(getattr(spec, f.name) == f.default for spec in specs)]
+    assert unreachable == []

@@ -14,7 +14,7 @@ from crossconf import (
     compute_cv_scores,
     fit,
 )
-from crossconf import test_score as candidate_score
+from crossconf.scores import fold_predictions
 
 
 def brute_force_scores(data, folds, spec):
@@ -92,51 +92,16 @@ class TestComputeCvScores:
             compute_cv_scores(data, folds, ScoreFunctionSpec())
 
 
-class TestTestScore:
-    @pytest.fixture()
-    def fitted(self):
+class TestFoldPredictions:
+    def test_matches_refit_oracle_on_random_queries(self):
         gen = np.random.default_rng(4)
         data = Dataset(gen.standard_normal((18, 3)), gen.standard_normal(18))
         folds = assign_folds(18, 3, "equal", RandomSource(8))
         spec = ScoreFunctionSpec()
-        return data, folds, spec, compute_cv_scores(data, folds, spec)
-
-    def test_zero_at_the_model_prediction(self, fitted):
-        data, folds, spec, cv = fitted
-        x = np.ones(3)
-        mu = float(cv.fold_models[1].predict(x[None, :])[0])
-        assert candidate_score(x, mu, 1, cv, spec) == 0.0
-
-    def test_offset_gives_that_offset(self, fitted):
-        data, folds, spec, cv = fitted
-        x = np.full(3, 0.25)
-        mu = float(cv.fold_models[0].predict(x[None, :])[0])
-        for c in [0.0, 0.5, 3.75]:
-            assert candidate_score(x, mu + c, 0, cv, spec) == pytest.approx(c, abs=1e-12)
-            assert candidate_score(x, mu - c, 0, cv, spec) == pytest.approx(c, abs=1e-12)
-
-    def test_matches_refit_oracle_on_random_queries(self, fitted):
-        data, folds, spec, cv = fitted
+        cv = compute_cv_scores(data, folds, spec)
+        refits = [fit(spec.regressor, data.subset(folds.complement(k))) for k in range(3)]
         gen = np.random.default_rng(5)
         for _ in range(100):
             x = gen.standard_normal(3)
-            y = gen.standard_normal()
-            k = int(gen.integers(folds.n_folds))
-            model = fit(spec.regressor, data.subset(folds.complement(k)))
-            oracle = abs(y - float(model.predict(x[None, :])[0]))
-            assert candidate_score(x, y, k, cv, spec) == pytest.approx(oracle, abs=1e-10)
-
-    def test_v_shape_with_unit_slopes(self, fitted):
-        data, folds, spec, cv = fitted
-        x = np.array([0.3, -0.7, 1.1])
-        mu = float(cv.fold_models[2].predict(x[None, :])[0])
-        offsets = np.linspace(0.1, 5.0, 25)
-        left = np.array([candidate_score(x, mu - c, 2, cv, spec) for c in offsets])
-        right = np.array([candidate_score(x, mu + c, 2, cv, spec) for c in offsets])
-        assert np.allclose(left, offsets, atol=1e-12)
-        assert np.allclose(right, offsets, atol=1e-12)
-
-    def test_fold_index_bounds(self, fitted):
-        data, folds, spec, cv = fitted
-        with pytest.raises(InvalidConfigurationError):
-            candidate_score(np.ones(3), 0.0, 3, cv, spec)
+            oracle = [float(m.predict(x[None, :])[0]) for m in refits]
+            assert np.allclose(fold_predictions(cv, x), oracle, rtol=0, atol=1e-10)
