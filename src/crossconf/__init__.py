@@ -11,10 +11,6 @@ from .combiners import (
     CoverageBounds,
     alpha_prime,
     coverage_bounds,
-    stat_emod,
-    stat_eumod,
-    stat_mod,
-    stat_umod,
 )
 from .conformal_sets import (
     ALL_METHODS,
@@ -26,13 +22,9 @@ from .conformal_sets import (
     cross_membership,
     cross_membership_pvalue_form,
     cv_plus_from_scores,
-    cv_plus_set,
     empirical_quantile,
-    endpoint_scan,
     fold_method_sets,
-    is_subset,
     split_conformal,
-    split_pvalue,
     split_set_from_state,
 )
 from .data_model import (
@@ -41,7 +33,6 @@ from .data_model import (
     RandomDraws,
     RandomSource,
     assign_folds,
-    draw_randomization,
     load_csv,
     load_query_csv,
     randomization_stream,
@@ -52,19 +43,10 @@ from .experiments import (
     AggregateRow,
     SimulationConfig,
     fit_state,
-    mc_standard_error,
     query_sets,
     run_real_data,
     run_simulation,
     simulate_instance,
-)
-from .pvalues import (
-    FoldWeights,
-    PValueVector,
-    all_fold_pvalues,
-    fold_pvalue,
-    fold_pvalue_randomized,
-    fold_weights,
 )
 from .regression import (
     KnnModel,

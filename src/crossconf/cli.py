@@ -151,8 +151,8 @@ def cmd_predict(args) -> int:
             predictions.append(
                 {"row": j, "sets": {m: _jsonable_set(s) for m, s in sets.items()}}
             )
-    for w in {str(w.message) for w in caught}:
-        print(f"warning: {w}", file=sys.stderr)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     payload = {
         "config": {"command": "predict", "alpha": args.alpha, "k": args.k,
                    "methods": list(cfg.methods), "seed": seed, "fold_mode": args.fold_mode,

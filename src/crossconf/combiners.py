@@ -1,4 +1,4 @@
-"""Combination statistics and thresholds defining each prediction-set variant.
+"""Thresholds and coverage bounds of the prediction-set variants.
 
 A candidate response belongs to a variant's set when the combined statistic of
 its fold p-values exceeds the variant's threshold. The combining rules are:
@@ -13,9 +13,6 @@ its fold p-values exceeds the variant's threshold. The combining rules are:
 All four guarantee marginal coverage of at least 1 - 2*alpha at threshold
 alpha. Replacing the threshold by alpha' = alpha + (1 - alpha)(K - 1)/(K + n)
 turns them into shrunken versions of the plain cross-validation conformal set.
-
-The ``stat_*`` functions are the scalar definitions; the set builders evaluate
-the same rules vectorized over all candidate responses at once.
 """
 
 from __future__ import annotations
@@ -23,17 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .data_model import RandomDraws
 from .errors import InvalidConfigurationError, NumericalError
 
 __all__ = [
     "CoverageBounds",
-    "stat_mod",
-    "stat_emod",
-    "stat_umod",
-    "stat_eumod",
     "alpha_prime",
     "coverage_bounds",
 ]
@@ -46,42 +36,6 @@ class CoverageBounds:
     bound_small_k: float
     bound_large_k: float
     combined: float
-
-
-def _values(p) -> np.ndarray:
-    values = np.asarray(getattr(p, "values", p), dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise InvalidConfigurationError("need a nonempty 1-D p-value vector")
-    return values
-
-
-def _prefix_means(values: np.ndarray) -> np.ndarray:
-    return np.cumsum(values) / np.arange(1, values.size + 1)
-
-
-def stat_mod(p) -> float:
-    """Arithmetic mean of the fold p-values."""
-    return float(_prefix_means(_values(p))[-1])
-
-
-def stat_emod(p) -> float:
-    """Minimum over l of the mean of the first l p-values, in vector order."""
-    return float(_prefix_means(_values(p)).min())
-
-
-def stat_umod(p, draws: RandomDraws) -> float:
-    """Mean p-value scaled by 1/(2 - U)."""
-    if draws is None:
-        raise InvalidConfigurationError("u-mod requires a U draw")
-    return stat_mod(p) / (2.0 - draws.u)
-
-
-def stat_eumod(p, draws: RandomDraws) -> float:
-    """min(P_1 / (2 - U), running-minimum prefix mean)."""
-    if draws is None:
-        raise InvalidConfigurationError("eu-mod requires a U draw")
-    values = _values(p)
-    return min(float(values[0]) / (2.0 - draws.u), stat_emod(values))
 
 
 def alpha_prime(alpha: float, k: int, n: int) -> float:

@@ -2,15 +2,15 @@
 
 With the residual score every membership statistic is a step function of the
 candidate response y: each fold indicator flips only where |y - mu_k| crosses
-one of that fold's scores, i.e. at y = mu_k +/- S_i. The endpoint scan
-evaluates the statistic once per piece (every breakpoint, every gap midpoint,
-and the two unbounded rays) and recovers the set exactly as a finite union of
-closed intervals. No grid approximation is involved.
+one of that fold's scores, i.e. at y = mu_k +/- S_i. ``fold_method_sets``
+evaluates the statistics once per piece (every breakpoint, every gap
+midpoint, and the two unbounded rays) and recovers each set exactly as a
+finite union of closed intervals. No grid approximation is involved.
 
 Membership uses a strict inequality against the threshold while the rank
 counts use weak inequalities, so breakpoints themselves can belong to a set;
 they are evaluated directly and intervals are closed. Touching runs merge, so
-a scan returns the closure of its predicate's set. That is the exact set for
+a set is the closure of its membership set. That is the exact set for
 deterministic fold p-values, whose weak counts keep every breakpoint at least
 as included as its neighbouring gaps. A tau-smoothed fold p-value at its own
 breakpoint lies between its two gap values, which keeps the set exact unless
@@ -30,9 +30,8 @@ import numpy as np
 from .combiners import alpha_prime
 from .data_model import Dataset, FoldAssignment, RandomDraws, RandomSource
 from .errors import InvalidConfigurationError
-from .pvalues import fold_weights
-from .regression import FittedModel, RegressorSpec, fit
-from .scores import CvScores, ScoreFunctionSpec, compute_cv_scores, fold_predictions
+from .regression import FittedModel, fit
+from .scores import CvScores, ScoreFunctionSpec, fold_predictions
 
 __all__ = [
     "FOLD_METHODS",
@@ -40,17 +39,13 @@ __all__ = [
     "InformativenessWarning",
     "PredictionSet",
     "SplitState",
-    "is_subset",
     "empirical_quantile",
     "split_conformal",
     "split_set_from_state",
-    "split_pvalue",
-    "endpoint_scan",
     "candidate_endpoints",
     "cross_membership",
     "cross_membership_pvalue_form",
     "fold_method_sets",
-    "cv_plus_set",
     "cv_plus_from_scores",
 ]
 
@@ -148,14 +143,6 @@ class PredictionSet:
         return out
 
 
-def is_subset(inner: PredictionSet, outer: PredictionSet) -> bool:
-    """Exact containment check between two normalized interval unions."""
-    for lo, hi in inner.intervals:
-        if not any(olo <= lo and hi <= ohi for olo, ohi in outer.intervals):
-            return False
-    return True
-
-
 def empirical_quantile(z, gamma: float) -> float:
     """inf{a : (1/n) * #{z_i <= a} >= gamma}, i.e. the ceil(gamma*n)-th order
     statistic; +inf when gamma exceeds one, -inf when gamma is nonpositive.
@@ -233,16 +220,8 @@ def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
     return PredictionSet(((mu - q, mu + q),))
 
 
-def split_pvalue(state: SplitState, test_x, y: float) -> float:
-    """Rank p-value of the candidate against the calibration scores."""
-    mu = float(state.model.predict(np.atleast_2d(np.asarray(test_x, float)))[0])
-    s = abs(float(y) - mu)
-    count = int(np.count_nonzero(s <= state.cal_scores))
-    return (1 + count) / (state.cal_scores.size + 1)
-
-
 # ---------------------------------------------------------------------------
-# Endpoint scan
+# Scan pieces
 # ---------------------------------------------------------------------------
 
 def _ray_probe(endpoint: float, side: float) -> float:
@@ -290,34 +269,6 @@ def _runs(los: np.ndarray, his: np.ndarray, mask: np.ndarray) -> list[tuple[floa
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
     return list(zip(los[starts].tolist(), his[ends].tolist()))
-
-
-def _eval_membership(membership, ys: np.ndarray) -> np.ndarray:
-    out = np.asarray(membership(ys), dtype=bool)
-    if out.shape != ys.shape:
-        raise InvalidConfigurationError(
-            f"membership predicate returned shape {out.shape} for {ys.shape} inputs; "
-            "it must be vectorized over an array of y values"
-        )
-    return out
-
-
-def endpoint_scan(candidate_endpoints, membership) -> PredictionSet:
-    """Exact set recovery of a piecewise-constant membership predicate.
-
-    ``membership`` maps an array of y values to a boolean array of the same
-    shape; it must be constant between consecutive candidate endpoints and on
-    the two outer rays. Breakpoints are evaluated directly, and the result
-    is the closure of the predicate's set: a breakpoint that the predicate
-    excludes between two included gaps is reported as included.
-    """
-    endpoints = np.unique(np.asarray(candidate_endpoints, dtype=float))
-    if endpoints.size == 0:
-        inside = bool(_eval_membership(membership, np.array([0.0]))[0])
-        return PredictionSet(((-INF, INF),) if inside else ())
-    ys, los, his = _pieces(endpoints)
-    mask = _eval_membership(membership, ys)
-    return PredictionSet.from_raw(_runs(los, his, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +346,12 @@ class _FoldStats:
     n_used: int
 
 
+def _fold_weights(sizes: np.ndarray) -> np.ndarray:
+    """Weights (m_k + 1) / (n + K) of the dual form; they sum to one, and
+    equal sizes give exactly 1/K each."""
+    return (sizes + 1) / (int(sizes.sum()) + sizes.size)
+
+
 def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
     """Every statistic at each candidate y: per fold, the weak count
     le = #{s(y) <= S_i} and, only when ``tau`` is given, the strict count
@@ -413,7 +370,7 @@ def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
     denom = ctx.sizes + 1.0
     P = (1.0 + le) / denom if tau is None else (tau + tau * (le - lt) + lt) / denom
     cummean = np.cumsum(P, axis=1) / np.arange(1, P.shape[1] + 1)
-    weights = fold_weights(ctx.sizes).weights
+    weights = _fold_weights(ctx.sizes)
     return _FoldStats(le, P, cummean[:, -1], cummean.min(axis=1), weights, ctx.n_used)
 
 
@@ -534,8 +491,6 @@ def cv_plus_from_scores(
     Always a single interval (possibly empty or the whole line); contains the
     plain cross-validation conformal set under the residual score.
     """
-    if cv.spec.kind != "residual":
-        raise InvalidConfigurationError("CV+ is defined for residual scores only")
     mu = _fold_mu(cv, test_x)
     fold_of = folds.fold_of
     used = fold_of >= 0
@@ -554,14 +509,3 @@ def cv_plus_from_scores(
     if lo > hi:  # inverted quantiles can only happen at levels below one half
         return PredictionSet(())
     return PredictionSet(((lo, hi),))
-
-
-def cv_plus_set(
-    data: Dataset,
-    folds: FoldAssignment,
-    test_x,
-    alpha: float,
-    regressor: RegressorSpec,
-) -> PredictionSet:
-    cv = compute_cv_scores(data, folds, ScoreFunctionSpec("residual", regressor))
-    return cv_plus_from_scores(cv, folds, test_x, alpha)

@@ -21,7 +21,6 @@ __all__ = [
     "RandomSource",
     "RandomDraws",
     "assign_folds",
-    "draw_randomization",
     "randomization_stream",
     "load_csv",
     "load_query_csv",
@@ -187,9 +186,6 @@ class RandomSource:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, tag))
         return np.random.default_rng(seq)
 
-    def stream(self, stream_id: int) -> "RandomSource":
-        return RandomSource(self.seed, stream_id)
-
 
 @dataclass(frozen=True)
 class RandomDraws:
@@ -261,12 +257,6 @@ def randomization_stream(rng: RandomSource):
     gen_u = rng.generator("u")
     while True:
         yield RandomDraws(tau=_open_unit(gen_tau), u=_open_unit(gen_u))
-
-
-def draw_randomization(rng: RandomSource) -> RandomDraws:
-    """The (tau, U) pair for a single prediction task: the first pair of
-    ``randomization_stream(rng)``."""
-    return next(randomization_stream(rng))
 
 
 def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:

@@ -49,7 +49,6 @@ __all__ = [
     "TrialFailure",
     "AggregateRow",
     "AggregateReport",
-    "mc_standard_error",
     "simulate_instance",
     "fit_state",
     "query_sets",
@@ -92,6 +91,8 @@ class SimulationConfig:
             raise InvalidConfigurationError("threads must be at least 1")
         if len(set(self.p_list)) < len(self.p_list):
             raise InvalidConfigurationError("each covariate count may be listed only once")
+        if not self.p_list:
+            raise InvalidConfigurationError("need at least one covariate count")
 
     def to_jsonable(self) -> dict:
         """The report configuration. ``threads`` is left out: it cannot change
@@ -202,14 +203,7 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def mc_standard_error(rate: float, reps: int) -> float:
-    """Standard error of a Monte-Carlo proportion, sqrt(c(1-c)/reps)."""
-    return math.sqrt(rate * (1.0 - rate) / reps)
-
-
-def simulate_instance(
-    n: int, p: int, rng: RandomSource, return_coef: bool = False
-):
+def simulate_instance(n: int, p: int, rng: RandomSource):
     """Gaussian linear instance: X ~ N(0, I_p), Y | X ~ N(X'beta, 1).
 
     beta = sqrt(10) * u for a uniformly random unit vector u, redrawn on every
@@ -224,10 +218,7 @@ def simulate_instance(
     x_all = gen.standard_normal((n + 1, p))
     y_all = x_all @ beta + gen.standard_normal(n + 1)
     data = Dataset(x_all[:n], y_all[:n])
-    test_pair = (x_all[n], float(y_all[n]))
-    if return_coef:
-        return data, test_pair, beta
-    return data, test_pair
+    return data, (x_all[n], float(y_all[n]))
 
 
 def fit_state(cfg: SimulationConfig, data: Dataset, src: RandomSource):

@@ -6,7 +6,7 @@ from crossconf import (
     ScoreFunctionSpec,
     assign_folds,
     compute_cv_scores,
-    draw_randomization,
+    randomization_stream,
     simulate_instance,
 )
 
@@ -18,7 +18,7 @@ def make_pipeline(seed, n=60, p=10, k=5, mode="equal", regressor=None):
     folds = assign_folds(n, k, mode, src)
     spec = ScoreFunctionSpec("residual", regressor or RegressorSpec("ols"))
     cv = compute_cv_scores(data, folds, spec)
-    draws = draw_randomization(src)
+    draws = next(randomization_stream(src))
     return data, folds, spec, cv, draws, test_x, test_y
 
 

@@ -1,30 +1,34 @@
-"""Fold-wise conformal p-values, deterministic and randomized.
+"""Scalar reference implementations the tests compare the package against.
 
-The deterministic p-value of a candidate test score against a fold of m
-scores is the rank statistic (1 + #{i : s <= S_i}) / (m + 1). The randomized
-variant replaces the weak-inequality count with a tau-weighted split of the
-ties, using one uniform tau shared by all folds of a prediction task; it is
-never larger than the deterministic value.
+The package evaluates every membership rule in one vectorized kernel over
+all candidate responses. The functions here restate the definitions one
+candidate at a time: the fold p-values (deterministic and tau-randomized),
+the four combination statistics, the split p-value and the CV+ set from raw
+data, plus two test helpers (set containment and the Monte-Carlo standard
+error). They use only the public API of ``crossconf``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import FoldAssignment, RandomDraws
-from .errors import InvalidConfigurationError
-from .scores import CvScores, fold_predictions
-
-__all__ = [
-    "PValueVector",
-    "FoldWeights",
-    "fold_pvalue",
-    "fold_pvalue_randomized",
-    "all_fold_pvalues",
-    "fold_weights",
-]
+from crossconf import (
+    CvScores,
+    Dataset,
+    FoldAssignment,
+    InvalidConfigurationError,
+    PredictionSet,
+    RandomDraws,
+    RegressorSpec,
+    ScoreFunctionSpec,
+    SplitState,
+    compute_cv_scores,
+    cv_plus_from_scores,
+)
+from crossconf.scores import fold_predictions
 
 
 @dataclass(frozen=True)
@@ -60,22 +64,6 @@ class PValueVector:
     @property
     def n_folds(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class FoldWeights:
-    """Positive fold weights (m_k + 1) / (n + K); they sum to one."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        if np.any(weights <= 0):
-            raise InvalidConfigurationError("fold weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise InvalidConfigurationError("fold weights must sum to one")
 
 
 def fold_pvalue(test_s: float, fold_scores) -> float:
@@ -141,11 +129,70 @@ def all_fold_pvalues(
     )
 
 
-def fold_weights(fold_sizes) -> FoldWeights:
-    """Weights (m_k + 1) / (n + K); equal sizes give exactly 1/K each."""
-    sizes = np.asarray(fold_sizes, dtype=int)
-    if sizes.size < 1 or np.any(sizes < 1):
-        raise InvalidConfigurationError("fold sizes must be positive")
-    n = int(sizes.sum())
-    k = sizes.size
-    return FoldWeights((sizes + 1) / (n + k))
+def _values(p) -> np.ndarray:
+    values = np.asarray(getattr(p, "values", p), dtype=float)
+    if values.ndim != 1 or values.size < 1:
+        raise InvalidConfigurationError("need a nonempty 1-D p-value vector")
+    return values
+
+
+def _prefix_means(values: np.ndarray) -> np.ndarray:
+    return np.cumsum(values) / np.arange(1, values.size + 1)
+
+
+def stat_mod(p) -> float:
+    """Arithmetic mean of the fold p-values."""
+    return float(_prefix_means(_values(p))[-1])
+
+
+def stat_emod(p) -> float:
+    """Minimum over l of the mean of the first l p-values, in vector order."""
+    return float(_prefix_means(_values(p)).min())
+
+
+def stat_umod(p, draws: RandomDraws) -> float:
+    """Mean p-value scaled by 1/(2 - U)."""
+    if draws is None:
+        raise InvalidConfigurationError("u-mod requires a U draw")
+    return stat_mod(p) / (2.0 - draws.u)
+
+
+def stat_eumod(p, draws: RandomDraws) -> float:
+    """min(P_1 / (2 - U), running-minimum prefix mean)."""
+    if draws is None:
+        raise InvalidConfigurationError("eu-mod requires a U draw")
+    values = _values(p)
+    return min(float(values[0]) / (2.0 - draws.u), stat_emod(values))
+
+
+def split_pvalue(state: SplitState, test_x, y: float) -> float:
+    """Rank p-value of the candidate against the calibration scores."""
+    mu = float(state.model.predict(np.atleast_2d(np.asarray(test_x, float)))[0])
+    s = abs(float(y) - mu)
+    count = int(np.count_nonzero(s <= state.cal_scores))
+    return (1 + count) / (state.cal_scores.size + 1)
+
+
+def cv_plus_set(
+    data: Dataset,
+    folds: FoldAssignment,
+    test_x,
+    alpha: float,
+    regressor: RegressorSpec,
+) -> PredictionSet:
+    """The CV+ set from raw data: fit the fold models, then build the set."""
+    cv = compute_cv_scores(data, folds, ScoreFunctionSpec("residual", regressor))
+    return cv_plus_from_scores(cv, folds, test_x, alpha)
+
+
+def is_subset(inner: PredictionSet, outer: PredictionSet) -> bool:
+    """Exact containment check between two normalized interval unions."""
+    for lo, hi in inner.intervals:
+        if not any(olo <= lo and hi <= ohi for olo, ohi in outer.intervals):
+            return False
+    return True
+
+
+def mc_standard_error(rate: float, reps: int) -> float:
+    """Standard error of a Monte-Carlo proportion, sqrt(c(1-c)/reps)."""
+    return math.sqrt(rate * (1.0 - rate) / reps)

@@ -18,7 +18,6 @@ from crossconf import (
     RegressorSpec,
     ScoreFunctionSpec,
     SimulationConfig,
-    all_fold_pvalues,
     assign_folds,
     candidate_endpoints,
     compute_cv_scores,
@@ -26,14 +25,16 @@ from crossconf import (
     cross_membership,
     cross_membership_pvalue_form,
     cv_plus_from_scores,
-    cv_plus_set,
-    draw_randomization,
     fit_min_norm_ols,
     fold_method_sets,
-    is_subset,
-    mc_standard_error,
     run_simulation,
     simulate_instance,
+)
+from oracles import (
+    all_fold_pvalues,
+    cv_plus_set,
+    is_subset,
+    mc_standard_error,
     stat_emod,
     stat_eumod,
     stat_mod,

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossconf
 from crossconf import (
     RandomSource,
     ScoreFunctionSpec,
@@ -164,6 +168,27 @@ class TestPredictCommand:
         payload = json.loads(captured.out)
         assert payload["predictions"][0]["sets"]["mod"]["intervals"] == [["-inf", "inf"]]
         assert payload["predictions"][0]["sets"]["mod"]["width"] == "inf"
+
+    def test_warnings_print_in_first_seen_order(self, tmp_path):
+        # two distinct warnings; their order must not follow string hashing
+        write_dataset_csv(tmp_path / "train.csv", n=10, p=2, seed=4)
+        (tmp_path / "q.csv").write_text("x0,x1\n0.0,0.0\n")
+        argv = [
+            sys.executable, "-m", "crossconf.cli", "predict",
+            "--data", str(tmp_path / "train.csv"), "--target", "y",
+            "--query", str(tmp_path / "q.csv"), "--alpha", "0.1", "--k", "5",
+            "--methods", "mod,split,cv+", "--seed", "1",
+        ]
+        src = str(Path(crossconf.__file__).resolve().parents[1])
+        errs = []
+        for hash_seed in ("0", "3"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            errs.append(proc.stderr)
+        lines = errs[0].splitlines()
+        assert len(lines) == 2
+        assert "threshold too small" in lines[0] and "split set" in lines[1]
+        assert errs[1] == errs[0]
 
     def test_hull_flag_yields_single_intervals(self, tmp_path, capsys):
         write_dataset_csv(tmp_path / "train.csv", n=40, p=2, seed=5)

@@ -1,4 +1,4 @@
-"""Tests for the combination statistics, thresholds and coverage bounds."""
+"""Tests for the combination-statistic oracles, thresholds and coverage bounds."""
 
 import types
 
@@ -10,16 +10,12 @@ from hypothesis import strategies as st
 from crossconf import (
     InvalidConfigurationError,
     NumericalError,
-    PValueVector,
     RandomDraws,
     alpha_prime,
     coverage_bounds,
-    stat_emod,
-    stat_eumod,
-    stat_mod,
-    stat_umod,
 )
 from crossconf import combiners
+from oracles import PValueVector, stat_emod, stat_eumod, stat_mod, stat_umod
 
 
 def draws_with(u):

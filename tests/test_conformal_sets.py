@@ -18,29 +18,29 @@ from crossconf import (
     RegressorSpec,
     ScoreFunctionSpec,
     SplitState,
-    all_fold_pvalues,
     assign_folds,
     compute_cv_scores,
     cross_membership,
     cross_membership_pvalue_form,
     cv_plus_from_scores,
-    cv_plus_set,
     empirical_quantile,
-    endpoint_scan,
     fit_min_norm_ols,
     fold_method_sets,
-    fold_pvalue,
-    is_subset,
     simulate_instance,
     split_conformal,
-    split_pvalue,
     split_set_from_state,
+)
+from crossconf.conformal_sets import _pieces, _runs
+from oracles import (
+    all_fold_pvalues,
+    cv_plus_set,
+    is_subset,
+    split_pvalue,
     stat_emod,
     stat_eumod,
     stat_mod,
     stat_umod,
 )
-from crossconf.conformal_sets import _runs
 
 INF = float("inf")
 
@@ -133,66 +133,63 @@ class TestPredictionSet:
         assert is_subset(PredictionSet(()), outer)
 
 
+def scan(endpoints, membership):
+    """The piece scan that ``fold_method_sets`` runs, applied to a vectorized
+    predicate: evaluate it on every piece and merge the included runs."""
+    ys, los, his = _pieces(np.unique(np.asarray(endpoints, dtype=float)))
+    return PredictionSet.from_raw(_runs(los, his, membership(ys)))
+
+
 class TestEndpointScan:
     def test_simple_predicate(self):
-        s = endpoint_scan(np.array([-2.0, 2.0]), lambda ys: np.abs(ys) <= 2.0)
+        s = scan(np.array([-2.0, 2.0]), lambda ys: np.abs(ys) <= 2.0)
         assert s.intervals == ((-2.0, 2.0),)
 
     def test_two_component_predicate(self):
         cands = np.array([0.0, 1.0, 3.0, 4.0])
-        s = endpoint_scan(cands, lambda ys: ((ys >= 0) & (ys <= 1)) | ((ys >= 3) & (ys <= 4)))
+        s = scan(cands, lambda ys: ((ys >= 0) & (ys <= 1)) | ((ys >= 3) & (ys <= 4)))
         assert s.intervals == ((0.0, 1.0), (3.0, 4.0))
 
     def test_rays(self):
-        s = endpoint_scan(np.array([5.0]), lambda ys: ys >= 5.0)
+        s = scan(np.array([5.0]), lambda ys: ys >= 5.0)
         assert s.intervals == ((5.0, INF),)
-        s = endpoint_scan(np.array([5.0]), lambda ys: ys <= 5.0)
+        s = scan(np.array([5.0]), lambda ys: ys <= 5.0)
         assert s.intervals == ((-INF, 5.0),)
 
-    def test_empty_candidates(self):
-        assert endpoint_scan(np.array([]), lambda ys: np.ones_like(ys, bool)).is_whole_line
-        assert endpoint_scan(np.array([]), lambda ys: np.zeros_like(ys, bool)).is_empty
-
-    def test_predicate_with_wrong_output_shape_is_rejected(self):
-        with pytest.raises(InvalidConfigurationError, match="vectorized"):
-            endpoint_scan(np.array([0.0, 1.0]), lambda ys: bool(np.all(ys >= 0.0)))
-        with pytest.raises(InvalidConfigurationError, match="vectorized"):
-            endpoint_scan(np.array([]), lambda ys: np.ones(2, bool))
-
     def test_isolated_point(self):
-        s = endpoint_scan(np.array([2.0]), lambda ys: ys == 2.0)
+        s = scan(np.array([2.0]), lambda ys: ys == 2.0)
         assert s.intervals == ((2.0, 2.0),)
         assert s.width == 0.0
 
     def test_excluded_breakpoint_between_included_gaps_is_closed_over(self):
         # the two closed runs touch at 0 and merge: the scan returns the closure
-        s = endpoint_scan(np.array([0.0]), lambda ys: ys != 0.0)
+        s = scan(np.array([0.0]), lambda ys: ys != 0.0)
         assert s.is_whole_line and s.contains(0.0)
 
     def test_open_ray_is_closed_at_its_breakpoint(self):
-        s = endpoint_scan(np.array([0.0]), lambda ys: ys < 0.0)
+        s = scan(np.array([0.0]), lambda ys: ys < 0.0)
         assert s.intervals == ((-INF, 0.0),)
 
     def test_rays_beyond_unit_resolution(self):
         # at 1e17 a unit step rounds back onto the endpoint itself
-        assert endpoint_scan([1e17], lambda ys: ys > 1e17).intervals == ((1e17, INF),)
-        assert endpoint_scan([1e17], lambda ys: ys >= 1e17).intervals == ((1e17, INF),)
-        assert endpoint_scan([-1e17], lambda ys: ys < -1e17).intervals == ((-INF, -1e17),)
+        assert scan([1e17], lambda ys: ys > 1e17).intervals == ((1e17, INF),)
+        assert scan([1e17], lambda ys: ys >= 1e17).intervals == ((1e17, INF),)
+        assert scan([-1e17], lambda ys: ys < -1e17).intervals == ((-INF, -1e17),)
 
     def test_endpoints_near_float_max(self):
         big = 1.7e308
-        assert endpoint_scan([big], lambda ys: ys > big).intervals == ((big, INF),)
-        assert endpoint_scan([-big], lambda ys: ys < -big).intervals == ((-INF, -big),)
+        assert scan([big], lambda ys: ys > big).intervals == ((big, INF),)
+        assert scan([-big], lambda ys: ys < -big).intervals == ((-INF, -big),)
         # gap midpoints between huge endpoints must not overflow to infinity
         inside = lambda ys: (ys > big) & (ys < 1.75e308)
-        assert endpoint_scan([big, 1.75e308], inside).intervals == ((big, 1.75e308),)
+        assert scan([big, 1.75e308], inside).intervals == ((big, 1.75e308),)
         outside = lambda ys: (ys <= -big) | (ys >= big)
-        assert endpoint_scan([-big, big], outside).intervals == ((-INF, -big), (big, INF))
+        assert scan([-big, big], outside).intervals == ((-INF, -big), (big, INF))
 
     def test_endpoint_at_float_max_probes_infinity(self):
         top = float(np.finfo(float).max)
-        assert endpoint_scan([top], lambda ys: ys <= top).intervals == ((-INF, top),)
-        assert endpoint_scan([-top], lambda ys: ys >= -top).intervals == ((-top, INF),)
+        assert scan([top], lambda ys: ys <= top).intervals == ((-INF, top),)
+        assert scan([-top], lambda ys: ys >= -top).intervals == ((-top, INF),)
 
 
 class TestRunsAgainstScanOracle:

@@ -12,7 +12,6 @@ from crossconf import (
     RandomDraws,
     RandomSource,
     assign_folds,
-    draw_randomization,
     load_csv,
     load_query_csv,
     randomization_stream,
@@ -63,11 +62,10 @@ class TestAssignFolds:
 
     def test_partition_property_exhaustive(self):
         # folds plus discarded recover 0..n-1 exactly, for all n <= 30, K <= n
-        src = RandomSource(99)
         for n in range(1, 31):
             for k in range(1, n + 1):
                 for mode in ("equal", "varying"):
-                    folds = assign_folds(n, k, mode, src.stream(n * 100 + k))
+                    folds = assign_folds(n, k, mode, RandomSource(99, n * 100 + k))
                     pieces = [m for m in folds.fold_members] + [folds.discarded]
                     flat = np.sort(np.concatenate(pieces))
                     assert np.array_equal(flat, np.arange(n)), (n, k, mode)
@@ -121,30 +119,30 @@ class TestAssignFolds:
             FoldAssignment(4, (np.array([0, 1, 2]), np.array([3])), np.array([]), "equal")
 
 
+def draw(seed, stream_id):
+    """The (tau, U) pair of the first prediction task on a stream."""
+    return next(randomization_stream(RandomSource(seed, stream_id)))
+
+
 class TestRandomization:
     def test_same_seed_reproduces_draws(self):
-        d1 = draw_randomization(RandomSource(42, 3))
-        d2 = draw_randomization(RandomSource(42, 3))
+        d1 = draw(42, 3)
+        d2 = draw(42, 3)
         assert d1.tau == d2.tau and d1.u == d2.u
 
-    def test_single_draw_is_first_pair_of_stream(self):
-        for s in range(20):
-            src = RandomSource(5, s)
-            assert draw_randomization(src) == next(randomization_stream(src))
-
     def test_tau_mean_matches_uniform(self):
-        taus = np.array([draw_randomization(RandomSource(11, s)).tau for s in range(10000)])
+        taus = np.array([draw(11, s).tau for s in range(10000)])
         assert abs(taus.mean() - 0.5) < 0.015
 
     def test_tau_u_uncorrelated(self):
-        draws = [draw_randomization(RandomSource(13, s)) for s in range(10000)]
+        draws = [draw(13, s) for s in range(10000)]
         taus = np.array([d.tau for d in draws])
         us = np.array([d.u for d in draws])
         assert abs(np.corrcoef(taus, us)[0, 1]) < 0.03
 
     def test_draws_strictly_inside_unit_interval(self):
         for s in range(500):
-            d = draw_randomization(RandomSource(3, s))
+            d = draw(3, s)
             assert 0.0 < d.tau < 1.0 and 0.0 < d.u < 1.0
 
     def test_bad_draw_values_rejected(self):

@@ -11,7 +11,7 @@ from crossconf import (
     RandomSource,
     RegressorSpec,
     SimulationConfig,
-    mc_standard_error,
+    randomization_stream,
     run_real_data,
     run_simulation,
     simulate_instance,
@@ -19,8 +19,9 @@ from crossconf import (
 from crossconf import _blas
 from crossconf import conformal_sets as cs
 from crossconf import experiments as ex
-from crossconf.data_model import RandomDraws, _open_unit, draw_randomization
+from crossconf.data_model import RandomDraws, _open_unit
 from crossconf.experiments import _simulation_trial
+from oracles import mc_standard_error
 
 needs_openblas = pytest.mark.skipif(not _blas._openblas(), reason="no OpenBLAS loaded")
 
@@ -38,9 +39,12 @@ def base_config(**overrides):
 
 class TestSimulateInstance:
     def test_coefficients_have_fixed_norm(self):
-        for p in (1, 3, 17):
-            _, _, beta = simulate_instance(5, p, RandomSource(0, p), return_coef=True)
-            assert np.linalg.norm(beta) == pytest.approx(math.sqrt(10.0), abs=1e-12)
+        # ||beta||^2 = 10 for every p shows as Var(Y) = 10 + 1 = 11; p = 1 is
+        # in test_response_variance_decomposition
+        for p in (3, 17):
+            data, _ = simulate_instance(100_000, p, RandomSource(0, p))
+            se = math.sqrt(2.0 / data.n) * 11.0  # normal approximation for s^2
+            assert abs(data.responses.var(ddof=1) - 11.0) < 3 * se, p
 
     def test_seed_determinism(self):
         a, (ax, ay) = simulate_instance(20, 4, RandomSource(7, 3))
@@ -133,6 +137,13 @@ class TestRunSimulation:
         # AggregateReport.row finds a row by (method, p), so each p gets one row
         with pytest.raises(InvalidConfigurationError, match="listed only once"):
             base_config(p_list=(3, 5, 3))
+
+    def test_empty_covariate_list_rejected(self):
+        # a campaign with nothing to run; checked after the earlier checks
+        with pytest.raises(InvalidConfigurationError, match="at least one covariate count"):
+            base_config(p_list=())
+        with pytest.raises(InvalidConfigurationError, match="replication"):
+            base_config(p_list=(), reps=0)
 
 
 class TestFailedTrials:
@@ -238,7 +249,7 @@ class TestSharedFoldPredictions:
         src = RandomSource(3)
         data, (test_x, _) = simulate_instance(cfg.n, 4, src)
         folds, cv, split_state = ex.fit_state(cfg, data, src)
-        draws = draw_randomization(src)
+        draws = next(randomization_stream(src))
         expected = ex._point_sets(cfg, folds, cv, split_state, test_x, draws)
         calls = []
         real = cs.fold_predictions

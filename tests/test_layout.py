@@ -1,21 +1,28 @@
-"""Module boundaries inside the package, and options every command can reach."""
+"""Module boundaries inside the package, options every command can reach, and
+exports the program itself uses."""
 
 import ast
 import dataclasses
 import importlib
+import re
 import sys
 from pathlib import Path
 
 import crossconf
 from crossconf import RegressorSpec, SimulationConfig, parse_regressor
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 from perfbench.tracing import Tracer  # noqa: E402
 from perfbench.workloads import install  # noqa: E402
 
 # A scope, not a helper: experiments opens it around the public set builders
 # so that they share a query's fold predictions and keep their signatures.
 ALLOWED_PRIVATE_IMPORTS = {"_shared_fold_predictions"}
+
+# Acceptance criterion 2 checks the pooled-count sets against this dual form,
+# which reads the kernel's private statistics, so only a test can call it.
+TEST_ONLY_EXPORTS = {"cross_membership_pvalue_form"}
 
 
 def test_no_module_imports_another_modules_private_name():
@@ -78,3 +85,23 @@ def test_every_regressor_field_is_set_by_some_cli_string():
     unreachable = [f.name for f in dataclasses.fields(RegressorSpec)
                    if all(getattr(spec, f.name) == f.default for spec in specs)]
     assert unreachable == []
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # an export only tests call is a test helper or an oracle: it belongs in tests/
+    package = Path(crossconf.__file__).parent
+    exported = set()
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        exported |= set(getattr(importlib.import_module(f"crossconf.{path.stem}"), "__all__", ()))
+        for stmt in ast.parse(path.read_text()).body:
+            names = {node.id for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            used |= names - {getattr(stmt, "name", None)}  # a definition does not use itself
+    texts = [(ROOT / "README.md").read_text()]
+    texts += [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    used |= {word for text in texts for word in re.findall(r"\w+", text)}
+    assert sorted(exported - used - TEST_ONLY_EXPORTS) == []

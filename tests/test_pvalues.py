@@ -1,4 +1,5 @@
-"""Tests for fold p-values: hand values, dominance, grids, exchangeability."""
+"""Tests for the fold p-value oracles and the dual-form fold weights: hand
+values, dominance, grids, exchangeability."""
 
 import numpy as np
 import pytest
@@ -14,14 +15,12 @@ from crossconf import (
     RandomDraws,
     RandomSource,
     ScoreFunctionSpec,
-    all_fold_pvalues,
     assign_folds,
     compute_cv_scores,
-    fold_pvalue,
-    fold_pvalue_randomized,
-    fold_weights,
     simulate_instance,
 )
+from crossconf.conformal_sets import _fold_weights
+from oracles import all_fold_pvalues, fold_pvalue, fold_pvalue_randomized
 
 
 class TestFoldPvalue:
@@ -131,21 +130,17 @@ class TestAllFoldPvalues:
 
 class TestFoldWeights:
     def test_varying_sizes_by_hand(self):
-        w = fold_weights([21, 20, 20, 20, 20]).weights
+        w = _fold_weights(np.array([21, 20, 20, 20, 20]))
         assert np.allclose(w, [22 / 106, 21 / 106, 21 / 106, 21 / 106, 21 / 106])
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_equal_sizes_give_exactly_one_over_k(self):
         for m, k in [(7, 3), (20, 5), (1, 4)]:
-            w = fold_weights([m] * k).weights
+            w = _fold_weights(np.array([m] * k))
             assert np.all(w == 1.0 / k)
 
     def test_single_fold_weight_is_one(self):
-        assert fold_weights([9]).weights.tolist() == [1.0]
-
-    def test_bad_sizes_rejected(self):
-        with pytest.raises(InvalidConfigurationError):
-            fold_weights([3, 0])
+        assert _fold_weights(np.array([9])).tolist() == [1.0]
 
 
 def sample_first_last_pvalues(trials, seed, n, k, fixed_big_fold=False):
