@@ -20,7 +20,6 @@ from .conformal_sets import (
     SplitState,
     candidate_endpoints,
     cross_membership,
-    cross_membership_pvalue_form,
     cv_plus_from_scores,
     empirical_quantile,
     fold_method_sets,

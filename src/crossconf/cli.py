@@ -184,9 +184,8 @@ def cmd_bounds(args) -> int:
             if k > n:
                 continue
             b = coverage_bounds(alpha, k, n)
-            floor = 1.0 - 2.0 * alpha - 2.0 / math.sqrt(n)
             lines.append(
-                f"{k},{n},{b.bound_small_k!r},{b.bound_large_k!r},{b.combined!r},{floor!r}"
+                f"{k},{n},{b.bound_small_k!r},{b.bound_large_k!r},{b.combined!r},{b.floor!r}"
             )
     text = "\n".join(lines) + "\n"
     if args.out:

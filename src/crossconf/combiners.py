@@ -31,11 +31,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoverageBounds:
-    """Marginal coverage lower bounds for the plain cross-validation set."""
+    """Marginal coverage lower bounds for the plain cross-validation set, and
+    the 1 - 2*alpha - 2/sqrt(n) floor that ``combined`` always reaches."""
 
     bound_small_k: float
     bound_large_k: float
     combined: float
+    floor: float
 
 
 def alpha_prime(alpha: float, k: int, n: int) -> float:
@@ -71,5 +73,5 @@ def coverage_bounds(alpha: float, k: int, n: int) -> CoverageBounds:
         raise NumericalError(
             f"combined bound {combined} fell below the 1 - 2a - 2/sqrt(n) floor {floor}"
         )
-    return CoverageBounds(small, large, combined)
+    return CoverageBounds(small, large, combined, floor)
 

@@ -9,12 +9,13 @@ finite union of closed intervals. No grid approximation is involved.
 
 Membership uses a strict inequality against the threshold while the rank
 counts use weak inequalities, so breakpoints themselves can belong to a set;
-they are evaluated directly and intervals are closed. Touching runs merge, so
-a set is the closure of its membership set. That is the exact set for
-deterministic fold p-values, whose weak counts keep every breakpoint at least
-as included as its neighbouring gaps. A tau-smoothed fold p-value at its own
-breakpoint lies between its two gap values, which keeps the set exact unless
-breakpoints of two folds coincide.
+they are evaluated directly and intervals are closed. ``_runs`` also counts a
+breakpoint between two included gaps as included, so a set is the closure of
+its membership set. That is the exact set for deterministic fold p-values,
+whose weak counts keep every breakpoint at least as included as its
+neighbouring gaps. A tau-smoothed fold p-value at its own breakpoint lies
+between its two gap values, which keeps the set exact unless breakpoints of
+two folds coincide.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "split_set_from_state",
     "candidate_endpoints",
     "cross_membership",
-    "cross_membership_pvalue_form",
     "fold_method_sets",
     "cv_plus_from_scores",
 ]
@@ -91,30 +91,9 @@ class PredictionSet:
         if self.hulled and len(ivs) != 1:
             raise InvalidConfigurationError("a hulled set holds exactly one interval")
 
-    @classmethod
-    def from_raw(cls, pairs) -> "PredictionSet":
-        """Normalize arbitrary closed intervals: sort and merge any that overlap
-        or touch at an endpoint."""
-        cleaned = sorted((float(lo), float(hi)) for lo, hi in pairs)
-        merged: list[tuple[float, float]] = []
-        for lo, hi in cleaned:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return cls(tuple(merged))
-
     @property
     def n_components(self) -> int:
         return len(self.intervals)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
-    def is_whole_line(self) -> bool:
-        return self.intervals == ((-INF, INF),)
 
     @property
     def width(self) -> float:
@@ -264,8 +243,12 @@ def _pieces(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _runs(los: np.ndarray, his: np.ndarray, mask: np.ndarray) -> list[tuple[float, float]]:
-    """(first lo, last hi) of every maximal run of true pieces, in order."""
-    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    """(first lo, last hi) of every maximal run of true pieces of the closed
+    mask, in order: a false breakpoint between two true gaps is closed over,
+    so the runs come out sorted, disjoint and non-touching."""
+    closed = mask.copy()
+    closed[1:-1:2] |= mask[:-2:2] & mask[2::2]
+    edges = np.diff(np.concatenate(([0], closed.astype(np.int8), [0])))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
     return list(zip(los[starts].tolist(), his[ends].tolist()))
@@ -392,38 +375,6 @@ def _method_mask(
     raise InvalidConfigurationError(f"unknown method {method!r}")
 
 
-def _scan_sets(
-    ctx: _FoldContext,
-    thresholds: dict[str, float],
-    draws: RandomDraws | None,
-    tau: float | None,
-) -> dict[str, PredictionSet]:
-    """One endpoint scan serving every method in ``thresholds``.
-
-    Warns once, naming each method whose threshold is too small for the
-    point count behind its statistic to exclude any response value.
-    """
-    ys, los, his = _pieces(_candidates(ctx))
-    st = _fold_stats(ctx, ys, tau)
-    out: dict[str, PredictionSet] = {}
-    uninformative: list[str] = []
-    for method, threshold in thresholds.items():
-        m = ctx.n_used if method == "cross" else ctx.sizes
-        if np.any(1.0 >= threshold * (m + 1)):
-            uninformative.append(method)
-        mask = _method_mask(method, threshold, st, draws)
-        out[method] = PredictionSet.from_raw(_runs(los, his, mask))
-    if uninformative:
-        warnings.warn(
-            "threshold too small for the fold sizes (1 >= threshold * (m + 1)) for "
-            + ", ".join(uninformative)
-            + "; prediction sets may span the whole line",
-            InformativenessWarning,
-            stacklevel=3,
-        )
-    return out
-
-
 def fold_method_sets(
     cv: CvScores,
     folds: FoldAssignment,
@@ -439,6 +390,9 @@ def fold_method_sets(
     per-candidate containment relations between them hold exactly. ``smoothed``
     switches the fold p-values to their tau-randomized form (requires
     ``draws``); the plain ``cross`` method always uses the pooled rank count.
+    A repeated method gives one set. Warns once, naming each method whose
+    threshold is too small for the point count behind its statistic to
+    exclude any response value.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in FOLD_METHODS]
@@ -458,25 +412,32 @@ def fold_method_sets(
         )
     ctx = _fold_context(cv, folds, test_x)
     ap = alpha_prime(alpha, folds.n_folds, ctx.n_used)
-    thresholds = {m: ap if m.endswith("-cross") else alpha for m in methods}
-    return _scan_sets(ctx, thresholds, draws, draws.tau if smoothed else None)
+    ys, los, his = _pieces(_candidates(ctx))
+    st = _fold_stats(ctx, ys, draws.tau if smoothed else None)
+    out: dict[str, PredictionSet] = {}
+    uninformative: list[str] = []
+    for method in dict.fromkeys(methods):
+        threshold = ap if method.endswith("-cross") else alpha
+        m = ctx.n_used if method == "cross" else sizes
+        if np.any(1.0 >= threshold * (m + 1)):
+            uninformative.append(method)
+        mask = _method_mask(method, threshold, st, draws)
+        out[method] = PredictionSet(tuple(_runs(los, his, mask)))
+    if uninformative:
+        warnings.warn(
+            "threshold too small for the fold sizes (1 >= threshold * (m + 1)) for "
+            + ", ".join(uninformative)
+            + "; prediction sets may span the whole line",
+            InformativenessWarning,
+            stacklevel=2,
+        )
+    return out
 
 
 def cross_membership(cv: CvScores, folds: FoldAssignment, test_x, alpha: float, ys) -> np.ndarray:
     """Pooled rank-count membership of each y: (1 + total count) / (n + 1) > alpha."""
     st = _fold_stats(_fold_context(cv, folds, test_x), ys)
     return _method_mask("cross", alpha, st, None)
-
-
-def cross_membership_pvalue_form(
-    cv: CvScores, folds: FoldAssignment, test_x, alpha: float, ys
-) -> np.ndarray:
-    """Dual membership: weighted mean of fold p-values above the inflated
-    threshold alpha + (1 - alpha)(K - 1)/(n + K). Equal fold sizes reduce the
-    weights to exactly 1/K."""
-    st = _fold_stats(_fold_context(cv, folds, test_x), ys)
-    threshold = alpha + (1.0 - alpha) * (folds.n_folds - 1) / (st.n_used + folds.n_folds)
-    return st.P @ st.weights > threshold
 
 
 # ---------------------------------------------------------------------------

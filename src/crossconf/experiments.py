@@ -93,6 +93,8 @@ class SimulationConfig:
             raise InvalidConfigurationError("each covariate count may be listed only once")
         if not self.p_list:
             raise InvalidConfigurationError("need at least one covariate count")
+        if len(set(self.methods)) < len(self.methods):
+            raise InvalidConfigurationError("each method may be listed only once")
 
     def to_jsonable(self) -> dict:
         """The report configuration. ``threads`` is left out: it cannot change

@@ -50,7 +50,6 @@ class CvScores:
 
     scores: np.ndarray
     fold_models: tuple[FittedModel, ...]
-    spec: ScoreFunctionSpec
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=float)
@@ -83,7 +82,7 @@ def compute_cv_scores(
         models.append(model)
         preds = model.predict(data.features[members])
         scores[members] = np.abs(data.responses[members] - preds)
-    return CvScores(scores, tuple(models), spec)
+    return CvScores(scores, tuple(models))
 
 
 def fold_predictions(cv: CvScores, x) -> np.ndarray:

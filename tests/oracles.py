@@ -3,9 +3,10 @@
 The package evaluates every membership rule in one vectorized kernel over
 all candidate responses. The functions here restate the definitions one
 candidate at a time: the fold p-values (deterministic and tau-randomized),
-the four combination statistics, the split p-value and the CV+ set from raw
-data, plus two test helpers (set containment and the Monte-Carlo standard
-error). They use only the public API of ``crossconf``.
+the four combination statistics, the weighted-mean dual form of the plain
+cross set, the split p-value and the CV+ set from raw data, plus two test
+helpers (set containment and the Monte-Carlo standard error). They use only
+the public API of ``crossconf``.
 """
 
 from __future__ import annotations
@@ -163,6 +164,27 @@ def stat_eumod(p, draws: RandomDraws) -> float:
         raise InvalidConfigurationError("eu-mod requires a U draw")
     values = _values(p)
     return min(float(values[0]) / (2.0 - draws.u), stat_emod(values))
+
+
+def cross_membership_pvalue_form(
+    cv: CvScores, folds: FoldAssignment, test_x, alpha: float, ys
+) -> np.ndarray:
+    """Dual membership of each y: the mean of the fold p-values, weighted by
+    (m_k + 1)/(n + K), above the inflated threshold
+    alpha + (1 - alpha)(K - 1)/(n + K). Equal fold sizes reduce the weights to
+    exactly 1/K. Each count #{S_i >= |y - mu_k|} comes from comparing every y
+    with every score of the fold."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    mu = fold_predictions(cv, test_x)
+    sizes = folds.fold_sizes
+    P = np.empty((ys.size, folds.n_folds))
+    for k, members in enumerate(folds.fold_members):
+        scores = cv.scores[members]
+        count = np.count_nonzero(np.abs(ys - mu[k])[:, None] <= scores[None, :], axis=1)
+        P[:, k] = (1.0 + count) / (scores.size + 1.0)
+    weights = (sizes + 1) / (folds.n_used + folds.n_folds)
+    threshold = alpha + (1.0 - alpha) * (folds.n_folds - 1) / (folds.n_used + folds.n_folds)
+    return P @ weights > threshold
 
 
 def split_pvalue(state: SplitState, test_x, y: float) -> float:

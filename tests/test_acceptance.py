@@ -23,7 +23,6 @@ from crossconf import (
     compute_cv_scores,
     coverage_bounds,
     cross_membership,
-    cross_membership_pvalue_form,
     cv_plus_from_scores,
     fit_min_norm_ols,
     fold_method_sets,
@@ -32,6 +31,7 @@ from crossconf import (
 )
 from oracles import (
     all_fold_pvalues,
+    cross_membership_pvalue_form,
     cv_plus_set,
     is_subset,
     mc_standard_error,

@@ -119,6 +119,14 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+    def test_repeated_method_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--n", "20", "--p", "3", "--reps", "2", "--k", "2",
+                     "--methods", "mod,mod", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "each method may be listed only once" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestPredictCommand:
     def test_sets_match_library_computation(self, tmp_path, capsys):
         data = write_dataset_csv(tmp_path / "train.csv", n=40, p=3, seed=3)

@@ -1,5 +1,6 @@
 """Tests for the combination-statistic oracles, thresholds and coverage bounds."""
 
+import math
 import types
 
 import numpy as np
@@ -131,6 +132,11 @@ class TestCoverageBounds:
                     b = coverage_bounds(alpha, k, n)
                     floor = 1 - 2 * alpha - 2 / np.sqrt(n)
                     assert b.combined >= floor - 1e-12
+
+    def test_floor_is_reported(self):
+        b = coverage_bounds(0.1, 5, 100)
+        assert b.floor == 1.0 - 2.0 * 0.1 - 2.0 / math.sqrt(100)
+        assert b.combined >= b.floor
 
     def test_floor_violation_is_a_numerical_error(self, monkeypatch):
         # a floor of 1 - 2*alpha - 2e-9 lies above both bounds at K=5, n=100

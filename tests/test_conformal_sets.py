@@ -1,6 +1,7 @@
 """Tests for prediction-set construction: quantiles, scans, duals, containments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from crossconf import (
     assign_folds,
     compute_cv_scores,
     cross_membership,
-    cross_membership_pvalue_form,
     cv_plus_from_scores,
     empirical_quantile,
     fit_min_norm_ols,
@@ -33,6 +33,7 @@ from crossconf import (
 from crossconf.conformal_sets import _pieces, _runs
 from oracles import (
     all_fold_pvalues,
+    cross_membership_pvalue_form,
     cv_plus_set,
     is_subset,
     split_pvalue,
@@ -94,15 +95,13 @@ class TestEmpiricalQuantile:
 
 
 class TestPredictionSet:
-    def test_normalization_merges_overlaps_and_touching(self):
-        s = PredictionSet.from_raw([(3.0, 4.0), (0.0, 1.0), (1.0, 2.0), (3.5, 3.8)])
-        assert s.intervals == ((0.0, 2.0), (3.0, 4.0))
-
     def test_invariants_enforced(self):
         with pytest.raises(InvalidConfigurationError):
             PredictionSet(((1.0, 0.0),))
         with pytest.raises(InvalidConfigurationError):
             PredictionSet(((0.0, 2.0), (1.0, 3.0)))
+        with pytest.raises(InvalidConfigurationError):
+            PredictionSet(((0.0, 1.0), (1.0, 2.0)))  # touching runs are one run
         with pytest.raises(InvalidConfigurationError):
             PredictionSet(((0.0, 1.0), (2.0, 3.0)), hulled=True)
 
@@ -113,14 +112,14 @@ class TestPredictionSet:
 
     def test_infinite_width(self):
         assert PredictionSet(((-INF, 0.0),)).width == INF
-        assert PredictionSet(((-INF, INF),)).is_whole_line
+        assert PredictionSet(((-INF, INF),)).width == INF
 
     def test_hull_spans_and_is_idempotent(self):
         s = PredictionSet(((0.0, 1.0), (4.0, 6.0)))
         h = s.hull()
         assert h.intervals == ((0.0, 6.0),) and h.hulled
         assert h.hull() == h
-        assert PredictionSet(()).hull().is_empty
+        assert PredictionSet(()).hull().intervals == ()
 
     def test_json_sentinels(self):
         s = PredictionSet(((-INF, 1.5), (2.0, INF)))
@@ -135,9 +134,9 @@ class TestPredictionSet:
 
 def scan(endpoints, membership):
     """The piece scan that ``fold_method_sets`` runs, applied to a vectorized
-    predicate: evaluate it on every piece and merge the included runs."""
+    predicate: evaluate it on every piece and take the runs of the closed mask."""
     ys, los, his = _pieces(np.unique(np.asarray(endpoints, dtype=float)))
-    return PredictionSet.from_raw(_runs(los, his, membership(ys)))
+    return PredictionSet(tuple(_runs(los, his, membership(ys))))
 
 
 class TestEndpointScan:
@@ -164,7 +163,7 @@ class TestEndpointScan:
     def test_excluded_breakpoint_between_included_gaps_is_closed_over(self):
         # the two closed runs touch at 0 and merge: the scan returns the closure
         s = scan(np.array([0.0]), lambda ys: ys != 0.0)
-        assert s.is_whole_line and s.contains(0.0)
+        assert s.intervals == ((-INF, INF),) and s.contains(0.0)
 
     def test_open_ray_is_closed_at_its_breakpoint(self):
         s = scan(np.array([0.0]), lambda ys: ys < 0.0)
@@ -192,15 +191,25 @@ class TestEndpointScan:
         assert scan([-top], lambda ys: ys >= -top).intervals == ((-top, INF),)
 
 
+def close_over_breakpoints(mask):
+    """Reference closure: a false breakpoint (odd piece) between two true
+    pieces becomes true."""
+    closed = mask.copy()
+    for i in range(1, mask.size - 1, 2):
+        if mask[i - 1] and mask[i + 1]:
+            closed[i] = True
+    return closed
+
+
 class TestRunsAgainstScanOracle:
-    """Run extraction must match the piece-by-piece walk exactly."""
+    """Run extraction must match the piece-by-piece walk of the closed mask."""
 
     @staticmethod
     def check(mask):
         mask = np.asarray(mask, dtype=bool)
         los = np.arange(mask.size) * 2.0 - 0.5
         his = los + 1.0
-        assert _runs(los, his, mask) == scan_runs_oracle(los, his, mask)
+        assert _runs(los, his, mask) == scan_runs_oracle(los, his, close_over_breakpoints(mask))
 
     def test_random_masks(self):
         gen = np.random.default_rng(21)
@@ -221,7 +230,7 @@ def single_fold_state(scores, coef=0.0):
     """One fold holding len(scores) points, model predicting coef * x."""
     n = len(scores)
     folds = FoldAssignment(n, (np.arange(n),), np.array([], dtype=int), "equal")
-    cv = CvScores(np.asarray(scores, float), (LinearModel(np.array([coef])),), ScoreFunctionSpec())
+    cv = CvScores(np.asarray(scores, float), (LinearModel(np.array([coef])),))
     return cv, folds
 
 
@@ -282,7 +291,19 @@ class TestVariantSets:
         # m = 4 so the smallest achievable p-value is 1/5 > 0.1
         with pytest.warns(InformativenessWarning):
             s = fold_method_sets(cv, folds, tx, 0.1, ["mod"])["mod"]
-        assert s.is_whole_line
+        assert s.intervals == ((-INF, INF),)
+
+    def test_repeated_method_gives_one_set_and_one_warning(self):
+        data, folds, spec, cv, draws, tx, ty = make_pipeline(9, n=20, p=3, k=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sets = fold_method_sets(cv, folds, tx, 0.1, ["mod", "mod", "e-mod"])
+        assert list(sets) == ["mod", "e-mod"]
+        assert [w.category for w in caught] == [InformativenessWarning]
+        named = str(caught[0].message).split(" for ")[-1].split(";")[0]
+        assert named.split(", ") == ["mod", "e-mod"]
+        # the warning points at the caller of fold_method_sets
+        assert caught[0].filename == __file__
 
     def test_varying_sizes_refuse_exchangeable_cross_forms(self):
         data, folds, spec, cv, draws, tx, ty = make_pipeline(3, n=101, p=5, k=5, mode="varying")
@@ -311,7 +332,7 @@ class TestCrossSet:
         cal_x, cal_y = x[n_train:], y[n_train:]
         cal_scores = np.abs(cal_y - model.predict(cal_x))
         folds = FoldAssignment(n_cal, (np.arange(n_cal),), np.array([], dtype=int), "equal")
-        cv = CvScores(cal_scores, (model,), ScoreFunctionSpec())
+        cv = CvScores(cal_scores, (model,))
         alpha = 0.2
         test_x = gen.standard_normal(3)
         cross = fold_method_sets(cv, folds, test_x, alpha, ["cross"])["cross"]
@@ -360,7 +381,7 @@ class TestSplitConformal:
         )
         with pytest.warns(InformativenessWarning):
             s = split_set_from_state(state, np.array([0.0]))
-        assert s.is_whole_line
+        assert s.intervals == ((-INF, INF),)
 
     def test_membership_agrees_with_pvalue_form(self):
         src = RandomSource(6)

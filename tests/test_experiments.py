@@ -138,6 +138,11 @@ class TestRunSimulation:
         with pytest.raises(InvalidConfigurationError, match="listed only once"):
             base_config(p_list=(3, 5, 3))
 
+    def test_repeated_method_rejected(self):
+        # AggregateReport.row finds a row by (method, p), so each method gets one row
+        with pytest.raises(InvalidConfigurationError, match="each method may be listed only once"):
+            base_config(methods=("mod", "split", "mod"))
+
     def test_empty_covariate_list_rejected(self):
         # a campaign with nothing to run; checked after the earlier checks
         with pytest.raises(InvalidConfigurationError, match="at least one covariate count"):

@@ -20,10 +20,6 @@ from perfbench.workloads import install  # noqa: E402
 # so that they share a query's fold predictions and keep their signatures.
 ALLOWED_PRIVATE_IMPORTS = {"_shared_fold_predictions"}
 
-# Acceptance criterion 2 checks the pooled-count sets against this dual form,
-# which reads the kernel's private statistics, so only a test can call it.
-TEST_ONLY_EXPORTS = {"cross_membership_pvalue_form"}
-
 
 def test_no_module_imports_another_modules_private_name():
     offending = []
@@ -104,4 +100,4 @@ def test_every_exported_name_is_used_outside_the_tests():
     texts = [(ROOT / "README.md").read_text()]
     texts += [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     used |= {word for text in texts for word in re.findall(r"\w+", text)}
-    assert sorted(exported - used - TEST_ONLY_EXPORTS) == []
+    assert sorted(exported - used) == []

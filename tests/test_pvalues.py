@@ -65,7 +65,7 @@ class TestFoldPvalueRandomized:
 
 
 def hand_cv(models, scores):
-    return CvScores(np.asarray(scores, float), tuple(models), ScoreFunctionSpec())
+    return CvScores(np.asarray(scores, float), tuple(models))
 
 
 class TestAllFoldPvalues:
