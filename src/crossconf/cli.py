@@ -96,6 +96,16 @@ def _write_report(report, out: str) -> int:
     return 0
 
 
+def _emit(text: str, out: str | None) -> int:
+    """Write a command's text to ``out`` and say so, or print it when ``out`` is unset."""
+    if out:
+        atomic_write_text(out, text)
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+    return 0
+
+
 def _config(args, n: int, p_list, reps: int, seed: int) -> SimulationConfig:
     """The run configuration from the model flags every command shares."""
     return SimulationConfig(
@@ -121,8 +131,7 @@ def cmd_run(args) -> int:
     seed = _resolve_seed(args)
     data, _ = load_csv(args.data, args.target)
     cfg = _config(args, args.train_size, (data.p,), args.trials, seed)
-    report = run_real_data(data, args.train_size, args.test_size, args.trials, cfg)
-    return _write_report(report, args.out)
+    return _write_report(run_real_data(data, args.test_size, cfg), args.out)
 
 
 def _jsonable_set(pset) -> dict:
@@ -159,13 +168,7 @@ def cmd_predict(args) -> int:
                    "regressor": args.regressor, "hull": bool(args.hull)},
         "predictions": predictions,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 def cmd_bounds(args) -> int:
@@ -187,13 +190,7 @@ def cmd_bounds(args) -> int:
             lines.append(
                 f"{k},{n},{b.bound_small_k!r},{b.bound_large_k!r},{b.combined!r},{b.floor!r}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def _add_seed_flags(parser: argparse.ArgumentParser) -> None:

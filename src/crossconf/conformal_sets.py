@@ -5,7 +5,9 @@ candidate response y: each fold indicator flips only where |y - mu_k| crosses
 one of that fold's scores, i.e. at y = mu_k +/- S_i. ``fold_method_sets``
 evaluates the statistics once per piece (every breakpoint, every gap
 midpoint, and the two unbounded rays) and recovers each set exactly as a
-finite union of closed intervals. No grid approximation is involved.
+finite union of closed intervals. No grid approximation is involved. The rays
+are evaluated at -inf and +inf, where every fold count is 0 because the
+scores are finite.
 
 Membership uses a strict inequality against the threshold while the rank
 counts use weak inequalities, so breakpoints themselves can belong to a set;
@@ -50,7 +52,6 @@ __all__ = [
 ]
 
 INF = float("inf")
-_FLOAT_MAX = float(np.finfo(float).max)
 
 # Methods built from fold p-values; the -cross forms use the inflated
 # threshold alpha' and shrink the plain cross-validation conformal set.
@@ -203,55 +204,32 @@ def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
 # Scan pieces
 # ---------------------------------------------------------------------------
 
-def _ray_probe(endpoint: float, side: float) -> float:
-    """A point on the ray beyond ``endpoint`` in direction ``side`` (-1 or +1).
-
-    The step max(1, |endpoint|) survives rounding at every magnitude, where a
-    unit step is absorbed once |endpoint| >= 2**53. Past the float range the
-    probe clamps to the largest finite value; only an endpoint at that value,
-    whose ray holds no finite point, is probed at infinity.
+def _pieces(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval bounds and evaluation points of the 2M+1 constant pieces of
+    M >= 1 sorted breakpoints: the left ray, each breakpoint alternating with
+    the open gap after it, then the right ray. ``bounds`` pads the breakpoints
+    with -inf and +inf. An even piece is evaluated at 0.5*a + 0.5*b of its
+    bounds: the gap midpoint, which cannot overflow, or -inf/+inf on a ray.
+    An odd piece is evaluated at its breakpoint.
     """
-    probe = endpoint + side * max(1.0, abs(endpoint))
-    if math.isinf(probe):
-        probe = side * _FLOAT_MAX
-    return probe if probe != endpoint else side * INF
-
-
-def _pieces(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluation points and interval bounds of the 2M+1 constant pieces.
-
-    The pieces are, in order: the ray left of the first breakpoint, then each
-    breakpoint alternating with the open gap after it, then the right ray.
-    Gap midpoints halve before adding, so they cannot overflow.
-    """
-    m = endpoints.size
-    ys = np.empty(2 * m + 1)
-    los = np.empty(2 * m + 1)
-    his = np.empty(2 * m + 1)
-    ys[0] = _ray_probe(float(endpoints[0]), -1.0)
+    bounds = np.concatenate(([-INF], endpoints, [INF]))
+    ys = np.empty(2 * endpoints.size + 1)
+    ys[0::2] = 0.5 * bounds[:-1] + 0.5 * bounds[1:]
     ys[1::2] = endpoints
-    if m > 1:
-        ys[2:-1:2] = 0.5 * endpoints[:-1] + 0.5 * endpoints[1:]
-    ys[-1] = _ray_probe(float(endpoints[-1]), 1.0)
-    los[0] = -INF
-    los[1::2] = endpoints
-    los[2::2] = endpoints
-    his[-1] = INF
-    his[1::2] = endpoints
-    his[0:-1:2] = endpoints
-    return ys, los, his
+    return bounds, ys
 
 
-def _runs(los: np.ndarray, his: np.ndarray, mask: np.ndarray) -> list[tuple[float, float]]:
-    """(first lo, last hi) of every maximal run of true pieces of the closed
-    mask, in order: a false breakpoint between two true gaps is closed over,
-    so the runs come out sorted, disjoint and non-touching."""
+def _runs(bounds: np.ndarray, mask: np.ndarray) -> list[tuple[float, float]]:
+    """(lo, hi) of every maximal run of true pieces of the closed mask, in
+    order: a false breakpoint between two true gaps is closed over, so the
+    runs come out sorted, disjoint and non-touching. Piece j spans
+    ``bounds[(j + 1) // 2]`` to ``bounds[j // 2 + 1]``."""
     closed = mask.copy()
     closed[1:-1:2] |= mask[:-2:2] & mask[2::2]
     edges = np.diff(np.concatenate(([0], closed.astype(np.int8), [0])))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
-    return list(zip(los[starts].tolist(), his[ends].tolist()))
+    return list(zip(bounds[(starts + 1) // 2].tolist(), bounds[ends // 2 + 1].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +249,9 @@ _shared = threading.local()
 
 @contextlib.contextmanager
 def _shared_fold_predictions():
-    """Inside the block, the set builders called on this thread compute the
-    fold predictions at a (cv, test row) pair once and share them.
+    """Inside the block, the set builders called on this thread build the
+    fold context of a (cv, folds, test row) triple once and share it: the
+    fold predictions mu_k(test_x) and the sorted fold scores.
 
     A scope rather than a parameter keeps the public builders' signatures,
     and the builders stay the calls that a caller makes.
@@ -285,23 +264,20 @@ def _shared_fold_predictions():
         _shared.memo = outer
 
 
-def _fold_mu(cv: CvScores, test_x) -> np.ndarray:
-    memo = getattr(_shared, "memo", None)
-    if memo is None:
-        return fold_predictions(cv, test_x)
-    if not (memo and memo[0] is cv and memo[1] is test_x):
-        memo[:] = (cv, test_x, fold_predictions(cv, test_x))
-    return memo[2]
-
-
 def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
+    memo = getattr(_shared, "memo", None)
+    if memo and memo[0] is cv and memo[1] is folds and memo[2] is test_x:
+        return memo[3]
     if cv.n_folds != folds.n_folds:
         raise InvalidConfigurationError(
             f"cv scores carry {cv.n_folds} fold models but the assignment has {folds.n_folds}"
         )
-    mu = _fold_mu(cv, test_x)
+    mu = fold_predictions(cv, test_x)
     sorted_scores = tuple(np.sort(cv.scores[m]) for m in folds.fold_members)
-    return _FoldContext(mu, sorted_scores, folds.fold_sizes, folds.n_used)
+    ctx = _FoldContext(mu, sorted_scores, folds.fold_sizes, folds.n_used)
+    if memo is not None:
+        memo[:] = (cv, folds, test_x, ctx)
+    return ctx
 
 
 def _candidates(ctx: _FoldContext) -> np.ndarray:
@@ -412,7 +388,7 @@ def fold_method_sets(
         )
     ctx = _fold_context(cv, folds, test_x)
     ap = alpha_prime(alpha, folds.n_folds, ctx.n_used)
-    ys, los, his = _pieces(_candidates(ctx))
+    bounds, ys = _pieces(_candidates(ctx))
     st = _fold_stats(ctx, ys, draws.tau if smoothed else None)
     out: dict[str, PredictionSet] = {}
     uninformative: list[str] = []
@@ -422,7 +398,7 @@ def fold_method_sets(
         if np.any(1.0 >= threshold * (m + 1)):
             uninformative.append(method)
         mask = _method_mask(method, threshold, st, draws)
-        out[method] = PredictionSet(tuple(_runs(los, his, mask)))
+        out[method] = PredictionSet(tuple(_runs(bounds, mask)))
     if uninformative:
         warnings.warn(
             "threshold too small for the fold sizes (1 >= threshold * (m + 1)) for "
@@ -452,11 +428,9 @@ def cv_plus_from_scores(
     Always a single interval (possibly empty or the whole line); contains the
     plain cross-validation conformal set under the residual score.
     """
-    mu = _fold_mu(cv, test_x)
-    fold_of = folds.fold_of
-    used = fold_of >= 0
-    mu_i = mu[fold_of[used]]
-    s_i = cv.scores[used]
+    ctx = _fold_context(cv, folds, test_x)
+    mu_i = np.repeat(ctx.mu, ctx.sizes)
+    s_i = np.concatenate(ctx.sorted_scores)
     gamma = (1.0 - alpha) * (1.0 + 1.0 / folds.n_used)
     hi = empirical_quantile(mu_i + s_i, gamma)
     lo = -empirical_quantile(-(mu_i - s_i), gamma)

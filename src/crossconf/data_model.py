@@ -141,14 +141,6 @@ class FoldAssignment:
         """Number of points that belong to a fold (n minus discarded)."""
         return self.n - self.discarded.size
 
-    @property
-    def fold_of(self) -> np.ndarray:
-        """Length-n vector mapping each point to its fold index, -1 if discarded."""
-        out = np.full(self.n, -1, dtype=int)
-        for k, members in enumerate(self.fold_members):
-            out[members] = k
-        return out
-
     def complement(self, fold: int) -> np.ndarray:
         """Indices of the points used to train fold ``fold``'s model.
 

@@ -246,7 +246,7 @@ def _point_sets(
 ) -> dict[str, PredictionSet]:
     sets: dict[str, PredictionSet] = {}
     fold_ms = [m for m in cfg.methods if m in FOLD_METHODS]
-    with _shared_fold_predictions():  # the fold scan and cv+ share mu_k(test_x)
+    with _shared_fold_predictions():  # the fold scan and cv+ share one fold context
         if fold_ms:
             sets.update(
                 fold_method_sets(cv, folds, test_x, cfg.alpha, fold_ms, draws=draws)
@@ -296,14 +296,13 @@ def _simulation_trial(cfg: SimulationConfig, p: int, stream_id: int) -> Outcome:
     return _trial(cfg, data, [test_x], [test_y], src)
 
 
-def _real_data_trial(
-    cfg: SimulationConfig, data: Dataset, train_size: int, test_size: int, trial: int
-) -> Outcome:
-    """One subsample trial: disjoint train and test rows drawn from ``data``."""
+def _real_data_trial(cfg: SimulationConfig, data: Dataset, test_size: int, trial: int) -> Outcome:
+    """One subsample trial: ``cfg.n`` train rows and ``test_size`` disjoint
+    test rows drawn from ``data``."""
     src = RandomSource(cfg.seed, trial)
-    idx = src.generator("subsample").choice(data.n, train_size + test_size, replace=False)
-    test = data.subset(idx[train_size:])
-    return _trial(cfg, data.subset(idx[:train_size]), test.features, test.responses, src)
+    idx = src.generator("subsample").choice(data.n, cfg.n + test_size, replace=False)
+    test = data.subset(idx[cfg.n:])
+    return _trial(cfg, data.subset(idx[: cfg.n]), test.features, test.responses, src)
 
 
 def _run_jobs(jobs, worker, threads: int) -> tuple[list, tuple[TrialFailure, ...]]:
@@ -386,34 +385,34 @@ def run_simulation(cfg: SimulationConfig) -> AggregateReport:
     return AggregateReport(_rows(cfg.methods, groups), config, failures)
 
 
-def run_real_data(
-    data: Dataset, train_size: int, test_size: int, trials: int, cfg: SimulationConfig
-) -> AggregateReport:
+def run_real_data(data: Dataset, test_size: int, cfg: SimulationConfig) -> AggregateReport:
     """Repeated subsampling protocol on a fixed dataset.
 
-    Each trial samples disjoint train and test subsets without replacement,
-    builds every method once on the training part, and evaluates coverage and
-    width over the whole test part. Rows aggregate the per-trial means across
-    trials; ``reps`` reports the number of trials.
+    Each of the ``cfg.reps`` trials samples ``cfg.n`` train rows and
+    ``test_size`` disjoint test rows without replacement, builds every method
+    once on the training part, and evaluates coverage and width over the
+    whole test part. Rows aggregate the per-trial means across trials;
+    ``reps`` reports the number of trials. ``cfg.p_list`` must be
+    ``(data.p,)``.
     """
-    if trials < 1:
-        raise InvalidConfigurationError("need at least one trial")
-    if train_size < 2 or test_size < 1:
-        raise InvalidConfigurationError("need train_size >= 2 and test_size >= 1")
-    if train_size + test_size > data.n:
+    if cfg.p_list != (data.p,):
         raise InvalidConfigurationError(
-            f"train_size + test_size = {train_size + test_size} exceeds n = {data.n}"
+            f"p_list {list(cfg.p_list)} does not match the data's {data.p} covariates"
+        )
+    if cfg.n < 2 or test_size < 1:
+        raise InvalidConfigurationError("need train_size >= 2 and test_size >= 1")
+    if cfg.n + test_size > data.n:
+        raise InvalidConfigurationError(
+            f"train_size + test_size = {cfg.n + test_size} exceeds n = {data.n}"
         )
     outcomes, failures = _run_jobs(
-        range(trials),
-        lambda t: _real_data_trial(cfg, data, train_size, test_size, t),
-        cfg.threads,
+        range(cfg.reps), lambda t: _real_data_trial(cfg, data, test_size, t), cfg.threads
     )
     config = {
         "command": "run",
-        "train_size": train_size,
+        "train_size": cfg.n,
         "test_size": test_size,
-        "trials": trials,
+        "trials": cfg.reps,
         **cfg.to_jsonable(),
     }
     return AggregateReport(_rows(cfg.methods, [(data.p, outcomes)]), config, failures)

@@ -109,11 +109,22 @@ def all_fold_pvalues(
     Passing ``draws`` switches to randomized p-values with ``draws.tau``
     shared by every fold.
     """
+    return fold_pvalues_at(fold_predictions(cv, x), y, cv, folds, draws)
+
+
+def fold_pvalues_at(
+    mu,
+    y: float,
+    cv: CvScores,
+    folds: FoldAssignment,
+    draws: RandomDraws | None = None,
+) -> PValueVector:
+    """``all_fold_pvalues`` at a query whose K fold predictions ``mu`` the
+    caller has already computed."""
     if cv.n_folds != folds.n_folds:
         raise InvalidConfigurationError(
             f"cv scores carry {cv.n_folds} fold models but the assignment has {folds.n_folds}"
         )
-    mu = fold_predictions(cv, x)
     values = np.empty(folds.n_folds)
     for k, members in enumerate(folds.fold_members):
         test_s = abs(float(y) - mu[k])

@@ -33,6 +33,7 @@ from oracles import (
     all_fold_pvalues,
     cross_membership_pvalue_form,
     cv_plus_set,
+    fold_pvalues_at,
     is_subset,
     mc_standard_error,
     stat_emod,
@@ -116,7 +117,7 @@ def test_03_endpoint_scan_vs_dense_grid():
         fold_scores = [cv.scores[m] for m in folds.fold_members]
         pooled_n = folds.n_used
         for y in grid:
-            pv = all_fold_pvalues(tx, float(y), cv, folds)
+            pv = fold_pvalues_at(mu, float(y), cv, folds)
             count = sum(
                 int(np.count_nonzero(abs(float(y) - mu[k]) <= s))
                 for k, s in enumerate(fold_scores)

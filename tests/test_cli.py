@@ -398,3 +398,17 @@ class TestGoldenOutputs:
         for suffix in (".csv", ".json"):
             got = (tmp_path / ("sim" + suffix)).read_text()
             assert got == (GOLDEN_DIR / ("simulate" + suffix)).read_text()
+
+
+@pytest.mark.parametrize("command", ["predict", "bounds"])
+def test_stdout_and_out_file_hold_the_same_bytes(tmp_path, capsys, command):
+    if command == "predict":
+        argv = golden_predict_argv(tmp_path, hull=False)[:-2]  # without --out
+    else:
+        argv = ["bounds", "--alpha", "0.1", "--k-list", "2,5", "--n", "10:50:10"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_bytes() == printed.encode()

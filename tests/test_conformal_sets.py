@@ -135,8 +135,8 @@ class TestPredictionSet:
 def scan(endpoints, membership):
     """The piece scan that ``fold_method_sets`` runs, applied to a vectorized
     predicate: evaluate it on every piece and take the runs of the closed mask."""
-    ys, los, his = _pieces(np.unique(np.asarray(endpoints, dtype=float)))
-    return PredictionSet(tuple(_runs(los, his, membership(ys))))
+    bounds, ys = _pieces(np.unique(np.asarray(endpoints, dtype=float)))
+    return PredictionSet(tuple(_runs(bounds, membership(ys))))
 
 
 class TestEndpointScan:
@@ -191,6 +191,21 @@ class TestEndpointScan:
         assert scan([-top], lambda ys: ys >= -top).intervals == ((-top, INF),)
 
 
+def piece_bounds(bounds):
+    """Per-piece (lo, hi) of the pieces between ``bounds``: the left ray, each
+    breakpoint alternating with the gap after it, then the right ray."""
+    m = bounds.size - 2
+    los = np.empty(2 * m + 1)
+    his = np.empty(2 * m + 1)
+    los[0] = bounds[0]
+    los[1::2] = bounds[1:-1]
+    los[2::2] = bounds[1:-1]
+    his[-1] = bounds[-1]
+    his[1::2] = bounds[1:-1]
+    his[0:-1:2] = bounds[1:-1]
+    return los, his
+
+
 def close_over_breakpoints(mask):
     """Reference closure: a false breakpoint (odd piece) between two true
     pieces becomes true."""
@@ -206,10 +221,11 @@ class TestRunsAgainstScanOracle:
 
     @staticmethod
     def check(mask):
+        # built from bounds, not _pieces, so that a one-piece mask (no breakpoint) is covered
         mask = np.asarray(mask, dtype=bool)
-        los = np.arange(mask.size) * 2.0 - 0.5
-        his = los + 1.0
-        assert _runs(los, his, mask) == scan_runs_oracle(los, his, close_over_breakpoints(mask))
+        bounds = np.arange(mask.size // 2 + 2) * 2.0 - 0.5
+        los, his = piece_bounds(bounds)
+        assert _runs(bounds, mask) == scan_runs_oracle(los, his, close_over_breakpoints(mask))
 
     def test_random_masks(self):
         gen = np.random.default_rng(21)
@@ -449,6 +465,14 @@ class TestCvPlus:
         for seed in range(20):
             data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=30, p=40, k=5)
             assert cv_plus_from_scores(cv, folds, tx, 0.1).n_components <= 1
+
+    def test_fold_count_mismatch_rejected(self):
+        # 5 fold models with 3 folds, and 3 fold models with 5 folds
+        _, folds3, _, cv3, _, tx, _ = make_pipeline(0, n=30, p=3, k=3)
+        _, folds5, _, cv5, _, _, _ = make_pipeline(0, n=30, p=3, k=5)
+        for cv, folds in ((cv5, folds3), (cv3, folds5)):
+            with pytest.raises(InvalidConfigurationError, match="fold models"):
+                cv_plus_from_scores(cv, folds, tx, 0.1)
 
     def test_extreme_alpha_never_inverts(self):
         # quantile levels below one half can cross; the set must stay valid

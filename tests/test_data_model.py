@@ -105,13 +105,6 @@ class TestAssignFolds:
         with pytest.raises(InvalidConfigurationError):
             assign_folds(5, 2, "bogus", RandomSource(1))
 
-    def test_fold_of_marks_discarded(self):
-        folds = assign_folds(11, 5, "equal", RandomSource(7))
-        fold_of = folds.fold_of
-        assert (fold_of == -1).sum() == 1
-        for k, members in enumerate(folds.fold_members):
-            assert np.all(fold_of[members] == k)
-
     def test_manual_assignment_validation(self):
         with pytest.raises(InvalidConfigurationError):
             FoldAssignment(4, (np.array([0, 1]), np.array([1, 2])), np.array([3]), "equal")

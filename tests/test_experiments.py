@@ -185,14 +185,14 @@ class TestFailedTrials:
     def test_run_counts_the_trials_that_finished(self, monkeypatch, threads):
         real = ex._real_data_trial
 
-        def trial(cfg, data, train_size, test_size, t):
+        def trial(cfg, data, test_size, t):
             if t == 2:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return real(cfg, data, train_size, test_size, t)
+            return real(cfg, data, test_size, t)
 
         monkeypatch.setattr(ex, "_real_data_trial", trial)
         data, _ = simulate_instance(60, 4, RandomSource(0))
-        report = run_real_data(data, 40, 5, 4, base_config(threads=threads))
+        report = run_real_data(data, 5, base_config(reps=4, threads=threads))
         assert report.failures == (ex.TrialFailure(2, "LinAlgError", "SVD did not converge"),)
         assert len(report.rows) == 5 and all(row.reps == 3 for row in report.rows)
 
@@ -321,8 +321,8 @@ class TestRunRealData:
 
     def test_degenerate_single_trial_single_point(self):
         data = self.synthetic(50, 3)
-        cfg = base_config(n=30, p_list=(3,), methods=("mod",), k=3, seed=5)
-        report = run_real_data(data, 30, 1, 1, cfg)
+        cfg = base_config(n=30, p_list=(3,), reps=1, methods=("mod",), k=3, seed=5)
+        report = run_real_data(data, 1, cfg)
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row.reps == 1 and row.coverage in (0.0, 1.0) and row.p == 3
@@ -332,26 +332,38 @@ class TestRunRealData:
         # trained at 2 * 0.1 should cover about 0.80
         data = self.synthetic(20_000, 10, seed=42)
         cfg = base_config(
-            n=15_000, p_list=(10,), alpha=0.2, k=5, methods=("split",), seed=99,
+            n=15_000, p_list=(10,), alpha=0.2, k=5, reps=1, methods=("split",), seed=99,
         )
-        report = run_real_data(data, 15_000, 5000, 1, cfg)
+        report = run_real_data(data, 5000, cfg)
         assert report.rows[0].coverage == pytest.approx(0.80, abs=0.02)
 
     def test_mod_and_cross_agree_for_large_training_sets(self):
         data = self.synthetic(2600, 5, seed=3)
         cfg = base_config(
-            n=2000, p_list=(5,), alpha=0.1, k=5, methods=("mod", "cross"), seed=11,
+            n=2000, p_list=(5,), alpha=0.1, k=5, reps=1, methods=("mod", "cross"), seed=11,
         )
-        report = run_real_data(data, 2000, 500, 1, cfg)
+        report = run_real_data(data, 500, cfg)
         mod = report.row("mod", 5)
         cross = report.row("cross", 5)
         assert abs(mod.coverage - cross.coverage) <= 0.01
 
     def test_size_preconditions(self):
         data = self.synthetic(30, 3)
-        cfg = base_config(n=20, p_list=(3,), methods=("mod",))
+        cfg = base_config(n=25, p_list=(3,), reps=1, methods=("mod",))
         with pytest.raises(InvalidConfigurationError):
-            run_real_data(data, 25, 10, 1, cfg)
+            run_real_data(data, 10, cfg)
+
+    def test_train_size_trials_and_p_come_from_the_config(self):
+        # the report config and the rows must describe the same run
+        data = self.synthetic(60, 3)
+        cfg = base_config(n=30, p_list=(3,), reps=2, k=3, methods=("mod",))
+        report = run_real_data(data, 5, cfg)
+        c = report.config
+        assert (c["train_size"], c["test_size"], c["trials"]) == (30, 5, 2)
+        assert (c["n"], c["reps"], c["p_list"]) == (30, 2, [3])
+        assert [(row.p, row.reps) for row in report.rows] == [(3, 2)]
+        with pytest.raises(InvalidConfigurationError, match="p_list"):
+            run_real_data(data, 5, base_config(n=30, p_list=(77,), reps=2, k=3, methods=("mod",)))
 
 
 class TestHelpers:

@@ -17,7 +17,7 @@ from perfbench.tracing import Tracer  # noqa: E402
 from perfbench.workloads import install  # noqa: E402
 
 # A scope, not a helper: experiments opens it around the public set builders
-# so that they share a query's fold predictions and keep their signatures.
+# so that they share a query's fold context and keep their signatures.
 ALLOWED_PRIVATE_IMPORTS = {"_shared_fold_predictions"}
 
 

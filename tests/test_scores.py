@@ -76,7 +76,7 @@ class TestComputeCvScores:
         # oracle trains only on the retained complement, so agreement proves
         # the discarded point was excluded from every training set
         oracle = brute_force_scores(data, folds, spec)
-        used = folds.fold_of >= 0
+        used = np.setdiff1d(np.arange(11), folds.discarded)
         assert np.allclose(cv.scores[used], oracle[used], atol=1e-12)
 
     def test_single_fold_has_empty_complement(self):
