@@ -118,7 +118,7 @@ def _config(args, n: int, p_list, reps: int, seed: int) -> SimulationConfig:
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
         seed=seed,
         fold_mode=args.fold_mode,
-        threads=args.threads,
+        threads=getattr(args, "threads", 1),  # predict has no trials to spread
     )
 
 
@@ -214,7 +214,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         "--methods", default="mod,e-mod,u-mod,eu-mod,cross",
         help="comma-separated subset of " + ",".join(ALL_METHODS),
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=1000, help="replications per p")
     p_sim.add_argument("--out", default="simulation.csv")
     _add_model_flags(p_sim)
+    p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads")
     _add_seed_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -242,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trials", type=int, default=20)
     p_run.add_argument("--out", default="realdata.csv")
     _add_model_flags(p_run)
+    p_run.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads")
     _add_seed_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 

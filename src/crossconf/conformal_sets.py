@@ -22,10 +22,10 @@ two folds coincide.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,29 +244,19 @@ class _FoldContext:
     n_used: int
 
 
-_shared = threading.local()
-
-
-@contextlib.contextmanager
-def _shared_fold_predictions():
-    """Inside the block, the set builders called on this thread build the
-    fold context of a (cv, folds, test row) triple once and share it: the
-    fold predictions mu_k(test_x) and the sorted fold scores.
-
-    A scope rather than a parameter keeps the public builders' signatures,
-    and the builders stay the calls that a caller makes.
-    """
-    outer = getattr(_shared, "memo", None)
-    _shared.memo = []
-    try:
-        yield
-    finally:
-        _shared.memo = outer
+_last = threading.local()
 
 
 def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
-    memo = getattr(_shared, "memo", None)
-    if memo and memo[0] is cv and memo[1] is folds and memo[2] is test_x:
+    """The fold predictions mu_k(test_x) and the sorted fold scores. Each thread
+    keeps the context it built last, so the builders called in turn on one row
+    predict the K fold models once. The fit is matched by weak references, so
+    the memo keeps no fit alive and a new fit at a freed address is not taken
+    for it; the row is matched by its bytes, so a buffer changed in place is a
+    new row. Fits are read-only, so a matched fit still has the same models."""
+    row = np.asarray(test_x, dtype=float).tobytes()
+    memo = getattr(_last, "memo", None)
+    if memo and memo[0]() is cv and memo[1]() is folds and memo[2] == row:
         return memo[3]
     if cv.n_folds != folds.n_folds:
         raise InvalidConfigurationError(
@@ -275,8 +265,7 @@ def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
     mu = fold_predictions(cv, test_x)
     sorted_scores = tuple(np.sort(cv.scores[m]) for m in folds.fold_members)
     ctx = _FoldContext(mu, sorted_scores, folds.fold_sizes, folds.n_used)
-    if memo is not None:
-        memo[:] = (cv, folds, test_x, ctx)
+    _last.memo = (weakref.ref(cv), weakref.ref(folds), row, ctx)
     return ctx
 
 

@@ -171,7 +171,7 @@ class RandomSource:
         if self.stream_id < 0:
             raise InvalidConfigurationError("stream_id must be nonnegative")
 
-    def generator(self, purpose: str = "main") -> np.random.Generator:
+    def generator(self, purpose: str) -> np.random.Generator:
         tag = int.from_bytes(
             hashlib.blake2s(purpose.encode("utf8"), digest_size=4).digest(), "big"
         )
@@ -198,7 +198,7 @@ class RandomDraws:
             raise InvalidConfigurationError("u must lie strictly inside (0, 1)")
 
 
-def assign_folds(n: int, k: int, mode: str = "equal", rng: RandomSource | None = None) -> FoldAssignment:
+def assign_folds(n: int, k: int, mode: str, rng: RandomSource) -> FoldAssignment:
     """Uniformly random partition of n points into k folds.
 
     Equal-size mode discards a uniformly random subset of size n mod k so that
@@ -211,8 +211,6 @@ def assign_folds(n: int, k: int, mode: str = "equal", rng: RandomSource | None =
         raise InvalidConfigurationError(f"fold count {k} exceeds the number of points {n}")
     if mode not in FOLD_MODES:
         raise InvalidConfigurationError(f"unknown fold mode: {mode!r}")
-    if rng is None:
-        raise InvalidConfigurationError("assign_folds requires a RandomSource")
     gen = rng.generator("folds")
     perm = gen.permutation(n)
     if mode == "equal":

@@ -26,7 +26,6 @@ from .conformal_sets import (
     ALL_METHODS,
     FOLD_METHODS,
     PredictionSet,
-    _shared_fold_predictions,
     cv_plus_from_scores,
     fold_method_sets,
     split_conformal,
@@ -246,13 +245,10 @@ def _point_sets(
 ) -> dict[str, PredictionSet]:
     sets: dict[str, PredictionSet] = {}
     fold_ms = [m for m in cfg.methods if m in FOLD_METHODS]
-    with _shared_fold_predictions():  # the fold scan and cv+ share one fold context
-        if fold_ms:
-            sets.update(
-                fold_method_sets(cv, folds, test_x, cfg.alpha, fold_ms, draws=draws)
-            )
-        if "cv+" in cfg.methods:
-            sets["cv+"] = cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
+    if fold_ms:
+        sets.update(fold_method_sets(cv, folds, test_x, cfg.alpha, fold_ms, draws=draws))
+    if "cv+" in cfg.methods:
+        sets["cv+"] = cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
     if "split" in cfg.methods:
         sets["split"] = split_set_from_state(split_state, test_x)
     return sets

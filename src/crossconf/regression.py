@@ -89,7 +89,7 @@ def _as_matrix(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear predictor x -> x @ coef (no intercept term)."""
+    """Linear predictor x -> x @ coef (no intercept term); fits freeze ``coef``."""
 
     coef: np.ndarray
 
@@ -157,6 +157,7 @@ def fit_min_norm_ols(train: Dataset) -> LinearModel:
     returns the minimum-l2-norm solution of the underdetermined system.
     """
     coef, *_ = np.linalg.lstsq(train.features, train.responses, rcond=RCOND)
+    coef.setflags(write=False)
     return LinearModel(coef)
 
 
@@ -174,6 +175,7 @@ def fit_ridge(train: Dataset, ridge_lambda: float) -> LinearModel:
     feats = train.features
     gram = feats.T @ feats + ridge_lambda * np.eye(train.p)
     coef = np.linalg.solve(gram, feats.T @ train.responses)
+    coef.setflags(write=False)
     return LinearModel(coef)
 
 

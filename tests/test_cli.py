@@ -227,6 +227,16 @@ class TestPredictCommand:
         )
         assert code == 3
 
+    def test_threads_is_a_usage_error(self, tmp_path):
+        # predict has no trials to spread over workers, so it takes no --threads
+        write_dataset_csv(tmp_path / "train.csv", n=20, p=2, seed=6)
+        (tmp_path / "q.csv").write_text("x0,x1\n0.0,0.0\n")
+        code = main(
+            ["predict", "--data", str(tmp_path / "train.csv"), "--target", "y",
+             "--query", str(tmp_path / "q.csv"), "--seed", "1", "--threads", "2"]
+        )
+        assert code == 2
+
 
 class TestRunCommand:
     def test_real_data_report(self, tmp_path):

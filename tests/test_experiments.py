@@ -1,12 +1,16 @@
 """Tests for the simulation harness, real-data runner and aggregation."""
 
+import gc
 import json
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from crossconf import (
+    CvScores,
     InvalidConfigurationError,
     RandomSource,
     RegressorSpec,
@@ -249,13 +253,19 @@ class TestBlasPin:
 
 
 class TestSharedFoldPredictions:
-    def test_fold_scan_and_cv_plus_predict_once_per_query(self, monkeypatch):
+    """Each thread keeps the fold context it built last: the set builders called
+    in turn on one row predict the K fold models once."""
+
+    @staticmethod
+    def fitted():
         cfg = base_config(methods=("mod", "cross", "cv+"))
         src = RandomSource(3)
         data, (test_x, _) = simulate_instance(cfg.n, 4, src)
         folds, cv, split_state = ex.fit_state(cfg, data, src)
-        draws = next(randomization_stream(src))
-        expected = ex._point_sets(cfg, folds, cv, split_state, test_x, draws)
+        return cfg, folds, cv, split_state, test_x, next(randomization_stream(src))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
         real = cs.fold_predictions
 
@@ -264,10 +274,51 @@ class TestSharedFoldPredictions:
             return real(*args)
 
         monkeypatch.setattr(cs, "fold_predictions", counted)
+        return calls
+
+    def test_fold_scan_and_cv_plus_predict_once_per_query(self, calls):
+        cfg, folds, cv, split_state, test_x, draws = self.fitted()
+        expected = ex._point_sets(cfg, folds, cv, split_state, test_x, draws)
+        cs.fold_method_sets(cv, folds, np.zeros(4), cfg.alpha, ["mod"])  # another row
+        calls.clear()
         assert ex._point_sets(cfg, folds, cv, split_state, test_x, draws) == expected
         assert len(calls) == 1
-        cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
-        assert len(calls) == 2  # outside _point_sets nothing is shared
+        # standalone builders on an equal row, not the same object, share it too
+        cs.cv_plus_from_scores(cv, folds, test_x.copy(), cfg.alpha)
+        cs.cross_membership(cv, folds, list(test_x), cfg.alpha, [0.0, 1.0])
+        assert len(calls) == 1
+
+    def test_a_buffer_changed_in_place_is_predicted_again(self, calls):
+        cfg, folds, cv, _, test_x, _ = self.fitted()
+        row = test_x.copy()
+        before = cs.cv_plus_from_scores(cv, folds, row, cfg.alpha)
+        row[0] += 1.0
+        after = cs.cv_plus_from_scores(cv, folds, row, cfg.alpha)
+        assert len(calls) == 2 and after != before
+
+    def test_another_fit_or_thread_builds_its_own(self, calls):
+        cfg, folds, cv, _, test_x, _ = self.fitted()
+        here = cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
+        there = []
+        worker = threading.Thread(
+            target=lambda: there.append(cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha))
+        )
+        worker.start()
+        worker.join()
+        assert there == [here] and len(calls) == 2
+        cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)  # this thread still holds it
+        assert len(calls) == 2
+        refit = CvScores(cv.scores, cv.fold_models)
+        cs.cv_plus_from_scores(refit, folds, test_x, cfg.alpha)
+        assert len(calls) == 3
+
+    def test_the_memo_keeps_no_fit_alive(self):
+        cfg, folds, cv, split_state, test_x, draws = self.fitted()
+        ex._point_sets(cfg, folds, cv, split_state, test_x, draws)
+        refs = [weakref.ref(cv), weakref.ref(folds)]
+        del folds, cv, split_state
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestQuerySets:

@@ -16,10 +16,6 @@ sys.path.insert(0, str(ROOT))
 from perfbench.tracing import Tracer  # noqa: E402
 from perfbench.workloads import install  # noqa: E402
 
-# A scope, not a helper: experiments opens it around the public set builders
-# so that they share a query's fold context and keep their signatures.
-ALLOWED_PRIVATE_IMPORTS = {"_shared_fold_predictions"}
-
 
 def test_no_module_imports_another_modules_private_name():
     offending = []
@@ -29,7 +25,7 @@ def test_no_module_imports_another_modules_private_name():
                 offending += [
                     f"{path.name}: {alias.name} from {node.module}"
                     for alias in node.names
-                    if alias.name.startswith("_") and alias.name not in ALLOWED_PRIVATE_IMPORTS
+                    if alias.name.startswith("_")
                 ]
     assert offending == []
 

@@ -1,5 +1,7 @@
 """Tests for the symmetric regressors and their permutation invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,21 @@ class TestPermutationSymmetry:
         a = fit_knn(Dataset(x, y), 2).predict(np.array([[0.1]]))[0]
         b = fit_knn(Dataset(x[::-1], y[::-1]), 2).predict(np.array([[0.1]]))[0]
         assert a == b == 4.0
+
+
+class TestFittedModelsAreReadOnly:
+    @pytest.mark.parametrize("text", ["ols", "ridge:0.5", "knn:3"])
+    def test_in_place_write_to_a_fitted_array_raises(self, text):
+        # fold contexts are memoized per fit, so a fit must not change under them
+        gen = np.random.default_rng(2)
+        data = Dataset(gen.standard_normal((12, 3)), gen.standard_normal(12))
+        model = fit(parse_regressor(text), data)
+        arrays = [getattr(model, f.name) for f in dataclasses.fields(model)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert arrays
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] += 1.0
 
 
 class TestSpecParsing:
