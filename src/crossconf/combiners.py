@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import InvalidConfigurationError, NumericalError
 
@@ -41,10 +42,10 @@ class CoverageBounds:
 
 
 def alpha_prime(alpha: float, k: int, n: int) -> float:
-    """Inflated threshold alpha + (1 - alpha)(K - 1)/(K + n).
-
-    At this threshold the mean-p-value set coincides with the plain
-    cross-validation conformal set at level alpha.
+    """Inflated threshold alpha + (1 - alpha)(K - 1)/(K + n), the exact rational
+    rounded once, with alpha read as ``repr(alpha)``: the decimal the user typed
+    and the report echoes. At this threshold the mean-p-value set coincides
+    with the plain cross-validation conformal set at level alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidConfigurationError("alpha must lie strictly inside (0, 1)")
@@ -52,7 +53,8 @@ def alpha_prime(alpha: float, k: int, n: int) -> float:
         raise InvalidConfigurationError("fold count must be at least 1")
     if n < k:
         raise InvalidConfigurationError("need at least as many points as folds")
-    return alpha + (1.0 - alpha) * (k - 1) / (k + n)
+    num, den = Decimal(repr(float(alpha))).as_integer_ratio()
+    return (num * (k + n) + (den - num) * (k - 1)) / (den * (k + n))  # int / int rounds once
 
 
 def coverage_bounds(alpha: float, k: int, n: int) -> CoverageBounds:

@@ -287,26 +287,23 @@ class _FoldStats:
     """Every membership statistic at a vector of candidate responses."""
 
     le: np.ndarray
-    P: np.ndarray
+    pooled: np.ndarray
+    first: np.ndarray
     mean: np.ndarray
     emod: np.ndarray
-    weights: np.ndarray
     n_used: int
 
 
-def _fold_weights(sizes: np.ndarray) -> np.ndarray:
-    """Weights (m_k + 1) / (n + K) of the dual form; they sum to one, and
-    equal sizes give exactly 1/K each."""
-    return (sizes + 1) / (int(sizes.sum()) + sizes.size)
-
-
 def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
-    """Every statistic at each candidate y: per fold, the weak count
-    le = #{s(y) <= S_i} and, only when ``tau`` is given, the strict count
-    lt = #{s(y) < S_i}; from them the fold p-values (tau-smoothed when
-    ``tau`` is given), their mean and their prefix-min mean. Mean and
-    prefix-min mean come from one shared accumulation, so that the prefix
-    minimum can never exceed the mean by rounding."""
+    """Every statistic at each candidate y, from per-fold weak counts le = #{s(y) <= S_i}
+    and, when ``tau`` is given, strict counts lt. Fold k's p-value is a numerator over
+    m_k + 1: the integer 1 + le, or tau + tau * (le - lt) + lt. Times the integer
+    L / (m_k + 1), L = lcm(m_k + 1), each running mean is one division of a prefix sum by
+    l * L, and u-cross divides the pooled numerator sum once by n_used + K. A deterministic
+    statistic and its threshold are then correctly rounded rationals in [0, 1] with
+    denominators at most K * L and 10^d * (n_used + K), d = decimals of alpha; while that
+    product is below 2^52, their gap (at least its reciprocal) exceeds both roundings and
+    ``>`` decides exactly. u-* rounds once more (by 2 - U); smoothed numerators are floats."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     le = np.empty((ys.size, len(ctx.sorted_scores)), dtype=np.int64)
     lt = None if tau is None else np.empty_like(le)
@@ -315,11 +312,12 @@ def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
         le[:, k] = s.size - np.searchsorted(s, t, side="left")
         if lt is not None:
             lt[:, k] = s.size - np.searchsorted(s, t, side="right")
-    denom = ctx.sizes + 1.0
-    P = (1.0 + le) / denom if tau is None else (tau + tau * (le - lt) + lt) / denom
-    cummean = np.cumsum(P, axis=1) / np.arange(1, P.shape[1] + 1)
-    weights = _fold_weights(ctx.sizes)
-    return _FoldStats(le, P, cummean[:, -1], cummean.min(axis=1), weights, ctx.n_used)
+    num = 1 + le if tau is None else tau + tau * (le - lt) + lt
+    pooled, first = num.sum(axis=1) / (ctx.n_used + le.shape[1]), num[:, 0] / (ctx.sizes[0] + 1)
+    L = np.lcm.reduce(ctx.sizes + 1)
+    num *= L // (ctx.sizes + 1)
+    cummean = np.cumsum(num, axis=1, out=num) / (L * np.arange(1, le.shape[1] + 1))
+    return _FoldStats(le, pooled, first, cummean[:, -1], cummean.min(axis=1), ctx.n_used)
 
 
 def _method_mask(
@@ -334,9 +332,9 @@ def _method_mask(
     if method == "u-mod":
         return st.mean / (2.0 - draws.u) > threshold
     if method == "u-cross":
-        return (st.P @ st.weights) / (2.0 - draws.u) > threshold
+        return st.pooled / (2.0 - draws.u) > threshold
     if method in ("eu-mod", "eu-cross"):
-        return np.minimum(st.P[:, 0] / (2.0 - draws.u), st.emod) > threshold
+        return np.minimum(st.first / (2.0 - draws.u), st.emod) > threshold
     raise InvalidConfigurationError(f"unknown method {method!r}")
 
 

@@ -4,15 +4,17 @@ The package evaluates every membership rule in one vectorized kernel over
 all candidate responses. The functions here restate the definitions one
 candidate at a time: the fold p-values (deterministic and tau-randomized),
 the four combination statistics, the weighted-mean dual form of the plain
-cross set, the split p-value and the CV+ set from raw data, plus two test
-helpers (set containment and the Monte-Carlo standard error). They use only
-the public API of ``crossconf``.
+cross set, the exact verdict of every fold method, the split p-value and the
+CV+ set from raw data, plus two test helpers (set containment and the
+Monte-Carlo standard error). They use only the public API of ``crossconf``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -196,6 +198,52 @@ def cross_membership_pvalue_form(
     weights = (sizes + 1) / (folds.n_used + folds.n_folds)
     threshold = alpha + (1.0 - alpha) * (folds.n_folds - 1) / (folds.n_used + folds.n_folds)
     return P @ weights > threshold
+
+
+def exact_fold_method_masks(
+    cv: CvScores, folds: FoldAssignment, test_x, alpha: float, ys, draws: RandomDraws | None = None
+) -> dict[str, np.ndarray]:
+    """Every fold method's verdict at each y in exact rational arithmetic, with
+    deterministic fold p-values. Each count #{S_i >= |y - mu_k|} comes from
+    comparing y with every score of the fold. alpha is the decimal
+    ``repr(alpha)`` and U its exact binary value; the methods that read U are
+    left out when ``draws`` is None. u-cross is the dual form's weighted mean
+    with weights (m_k + 1)/(n + K)."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    mu = fold_predictions(cv, test_x)
+    k, n = folds.n_folds, folds.n_used
+    sizes = [int(m) for m in folds.fold_sizes]
+    counts = np.column_stack([
+        np.count_nonzero(np.abs(ys - mu[j])[:, None] <= cv.scores[members][None, :], axis=1)
+        for j, members in enumerate(folds.fold_members)
+    ])
+    a = Fraction(repr(float(alpha)))
+    a_prime = a + (1 - a) * Fraction(k - 1, k + n)
+    scale = None if draws is None else 2 - Fraction(draws.u)
+    out: dict[str, list[bool]] = {}
+    for row in counts.tolist():
+        p = [Fraction(1 + c, m + 1) for c, m in zip(row, sizes)]
+        prefix = list(accumulate(p))
+        mean = prefix[-1] / k
+        emod = min(total / (l + 1) for l, total in enumerate(prefix))
+        verdicts = {
+            "mod": mean > a,
+            "e-mod": emod > a,
+            "cross": Fraction(1 + sum(row), n + 1) > a,
+            "e-cross": emod > a_prime,
+        }
+        if scale is not None:
+            weighted = sum(pk * Fraction(m + 1, n + k) for pk, m in zip(p, sizes))
+            eu = min(p[0] / scale, emod)
+            verdicts.update({
+                "u-mod": mean / scale > a,
+                "eu-mod": eu > a,
+                "u-cross": weighted / scale > a_prime,
+                "eu-cross": eu > a_prime,
+            })
+        for method, verdict in verdicts.items():
+            out.setdefault(method, []).append(verdict)
+    return {method: np.array(v, dtype=bool) for method, v in out.items()}
 
 
 def split_pvalue(state: SplitState, test_x, y: float) -> float:

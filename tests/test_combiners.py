@@ -2,6 +2,7 @@
 
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ class TestAlphaPrime:
         assert all(a < b for a, b in zip(ks, ks[1:]))
         ns = [alpha_prime(0.1, 5, n) for n in range(5, 500, 7)]
         assert all(a > b for a, b in zip(ns, ns[1:]))
+
+    def test_is_the_exact_rational_rounded_once(self):
+        # alpha is the decimal it prints as; the float formula is an ulp off in
+        # about a quarter of these cases
+        for alpha in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.45):
+            a = Fraction(repr(alpha))
+            for k in range(2, 21):
+                for n in range(k, 400):
+                    assert alpha_prime(alpha, k, n) == float(a + (1 - a) * Fraction(k - 1, k + n))
 
     def test_preconditions(self):
         with pytest.raises(InvalidConfigurationError):

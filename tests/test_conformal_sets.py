@@ -1,5 +1,6 @@
 """Tests for prediction-set construction: quantiles, scans, duals, containments."""
 
+import itertools
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import make_pipeline, random_grid
 from crossconf import (
+    FOLD_METHODS,
     CvScores,
     Dataset,
     FoldAssignment,
@@ -18,14 +20,18 @@ from crossconf import (
     RandomSource,
     RegressorSpec,
     ScoreFunctionSpec,
+    SimulationConfig,
     SplitState,
     assign_folds,
+    candidate_endpoints,
     compute_cv_scores,
     cross_membership,
     cv_plus_from_scores,
     empirical_quantile,
     fit_min_norm_ols,
+    fit_state,
     fold_method_sets,
+    query_sets,
     simulate_instance,
     split_conformal,
     split_set_from_state,
@@ -35,6 +41,7 @@ from oracles import (
     all_fold_pvalues,
     cross_membership_pvalue_form,
     cv_plus_set,
+    exact_fold_method_masks,
     is_subset,
     split_pvalue,
     stat_emod,
@@ -275,11 +282,12 @@ class TestVariantSets:
             assert sets["eu-mod"].contains(y) == (stat_eumod(pv, draws) > alpha)
 
     def test_containment_chains(self):
-        for seed in range(30):
-            for smoothed in (False, True):
-                data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=60, p=10, k=5)
+        # the last three configurations have threshold ties (see TIE_GRID)
+        for n, k, alpha in [(60, 5, 0.1), (100, 3, 0.1), (100, 10, 0.1), (60, 5, 0.2)]:
+            for seed, smoothed in itertools.product(range(30), (False, True)):
+                data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=n, p=10, k=k)
                 sets = fold_method_sets(
-                    cv, folds, tx, 0.1,
+                    cv, folds, tx, alpha,
                     ["mod", "e-mod", "u-mod", "eu-mod", "cross",
                      "e-cross", "u-cross", "eu-cross"],
                     draws=draws, smoothed=smoothed,
@@ -287,7 +295,7 @@ class TestVariantSets:
                 assert is_subset(sets["eu-mod"], sets["e-mod"])
                 assert is_subset(sets["e-mod"], sets["mod"])
                 assert is_subset(sets["u-mod"], sets["mod"])
-                assert is_subset(sets["e-cross"], sets["cross"])
+                assert is_subset(sets["e-cross"], sets["cross"]), (n, k, alpha, seed)
                 assert is_subset(sets["u-cross"], sets["cross"])
                 assert is_subset(sets["eu-cross"], sets["e-cross"])
 
@@ -334,6 +342,65 @@ class TestVariantSets:
             fold_method_sets(cv, folds, tx, 0.1, ["u-mod"])
         with pytest.raises(InvalidConfigurationError):
             fold_method_sets(cv, folds, tx, 0.1, ["mod"], smoothed=True)
+
+
+# (n, K, alpha) with threshold ties: alpha * (n_used + 1) = 10 at n=100/K=3, and
+# K * (m + 1) * alpha = 11, 13, 11, 11 for the next four. The paper's setup,
+# n=100/K=5/alpha=0.1, has none: there K * (m + 1) * alpha = 10.5.
+TIE_GRID = [(100, 3, 0.1), (100, 10, 0.1), (60, 5, 0.2), (50, 5, 0.2), (40, 4, 0.25), (100, 5, 0.1)]
+
+
+def relabelled(cv, folds, order):
+    """The same fit with its folds listed in ``order``."""
+    models = tuple(cv.fold_models[j] for j in order)
+    members = tuple(folds.fold_members[j] for j in order)
+    return CvScores(cv.scores, models), FoldAssignment(folds.n, members, folds.discarded, folds.mode)
+
+
+class TestExactVerdicts:
+    """Deterministic fold statistics are rationals; the scan must decide their
+    comparisons with the threshold exactly, ties included."""
+
+    @staticmethod
+    def check_against_oracle(seeds, n, k, alpha, mode, methods):
+        for seed in seeds:
+            data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=n, p=5, k=k, mode=mode)
+            bounds, ys = _pieces(candidate_endpoints(cv, folds, tx))
+            sets = fold_method_sets(cv, folds, tx, alpha, methods, draws=draws)
+            exact = exact_fold_method_masks(cv, folds, tx, alpha, ys, draws)
+            for method in methods:
+                expected = tuple(_runs(bounds, exact[method]))
+                assert sets[method].intervals == expected, (seed, method)
+
+    @pytest.mark.parametrize("n,k,alpha", TIE_GRID)
+    def test_equal_folds_match_exact_oracle_on_every_piece(self, n, k, alpha):
+        self.check_against_oracle(range(24), n, k, alpha, "equal", FOLD_METHODS)
+
+    @pytest.mark.parametrize("n,k,alpha", TIE_GRID)
+    def test_varying_folds_match_exact_oracle_on_every_piece(self, n, k, alpha):
+        # n + 1 points, so that the folds differ in size
+        methods = ["mod", "u-mod", "cross", "u-cross"]
+        self.check_against_oracle(range(6), n + 1, k, alpha, "varying", methods)
+
+    def test_exchangeable_cross_inside_cross_at_a_tie(self):
+        # on the extra piece the counts are (5, 3, 1) over folds of 33 points:
+        # cross (1 + 9)/100 and e-cross 2/17 both equal their thresholds
+        src = RandomSource(5, 5000)
+        data, (test_x, _) = simulate_instance(100, 5, src)
+        cfg = SimulationConfig(n=100, p_list=(5,), alpha=0.1, k=3, reps=1, seed=5,
+                               regressor=RegressorSpec("ols"), methods=FOLD_METHODS)
+        folds, cv, split_state = fit_state(cfg, data, src)
+        sets = next(query_sets(cfg, folds, cv, split_state, [test_x], src))
+        assert is_subset(sets["e-cross"], sets["cross"])
+        assert is_subset(sets["eu-cross"], sets["e-cross"])
+
+    def test_fold_order_leaves_order_free_methods_unchanged(self):
+        methods = ["mod", "cross", "u-mod", "u-cross"]
+        for seed in range(10):
+            data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=100, p=5, k=10)
+            sets = fold_method_sets(cv, folds, tx, 0.1, methods, draws=draws)
+            rcv, rfolds = relabelled(cv, folds, range(folds.n_folds - 1, -1, -1))
+            assert fold_method_sets(rcv, rfolds, tx, 0.1, methods, draws=draws) == sets, seed
 
 
 class TestCrossSet:

@@ -1,5 +1,5 @@
-"""Tests for the fold p-value oracles and the dual-form fold weights: hand
-values, dominance, grids, exchangeability."""
+"""Tests for the fold p-value oracles: hand values, dominance, grids,
+exchangeability."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from crossconf import (
     compute_cv_scores,
     simulate_instance,
 )
-from crossconf.conformal_sets import _fold_weights
 from oracles import all_fold_pvalues, fold_pvalue, fold_pvalue_randomized
 
 
@@ -126,21 +125,6 @@ class TestAllFoldPvalues:
             pv = all_fold_pvalues(tx, float(gen.normal(scale=4.0)), cv, folds)
             for v in pv.values:
                 assert np.min(np.abs(grid - v)) < 1e-12
-
-
-class TestFoldWeights:
-    def test_varying_sizes_by_hand(self):
-        w = _fold_weights(np.array([21, 20, 20, 20, 20]))
-        assert np.allclose(w, [22 / 106, 21 / 106, 21 / 106, 21 / 106, 21 / 106])
-        assert w.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_equal_sizes_give_exactly_one_over_k(self):
-        for m, k in [(7, 3), (20, 5), (1, 4)]:
-            w = _fold_weights(np.array([m] * k))
-            assert np.all(w == 1.0 / k)
-
-    def test_single_fold_weight_is_one(self):
-        assert _fold_weights(np.array([9])).tolist() == [1.0]
 
 
 def sample_first_last_pvalues(trials, seed, n, k, fixed_big_fold=False):
