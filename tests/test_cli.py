@@ -277,7 +277,7 @@ def write_grid_csv(path, n=90, p=3, seed=11):
 # piece-by-piece run extraction; the vectorized kernels must reproduce them.
 GOLDEN_KNN_ROWS = """\
 method,p,reps,coverage,mean_width,sd_width,median_width,min_width,max_width,n_infinite
-mod,3,2,0.86,4.1728,0.365432784517208,4.1728,3.914399999999999,4.4312,0
+mod,3,2,0.86,4.1716,0.3671298407920556,4.1716,3.9119999999999995,4.4312,0
 e-mod,3,2,0.66,3.178,0.4451944294350506,3.178,2.8632,3.4928000000000003,0
 u-mod,3,2,0.68,3.2192,0.3133897254218779,3.2192,2.9976,3.4408,0
 eu-mod,3,2,0.46,2.2060000000000004,0.6861764204634263,2.2060000000000004,1.7207999999999999,2.6912000000000007,0
