@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combiners import alpha_prime
-from .data_model import Dataset, FoldAssignment, RandomDraws, RandomSource
+from .data_model import Dataset, FoldAssignment, RandomDraws, RandomSource, freeze_arrays
 from .errors import InvalidConfigurationError
 from .regression import FittedModel, fit
 from .scores import CvScores, ScoreFunctionSpec, fold_predictions
@@ -154,8 +154,8 @@ def empirical_quantile(z, gamma: float) -> float:
 class SplitState:
     """Frozen result of one train/calibration split.
 
-    Reusable across any number of test points. ``gamma`` is the calibration
-    quantile level (1 - alpha) * (1 + 1/n_cal).
+    Reusable across any number of test points, with read-only arrays.
+    ``gamma`` is the calibration quantile level (1 - alpha) * (1 + 1/n_cal).
     """
 
     train_idx: np.ndarray
@@ -163,6 +163,7 @@ class SplitState:
     cal_scores: np.ndarray
     gamma: float
     model: FittedModel
+    __post_init__ = freeze_arrays
 
 
 def split_conformal(

@@ -35,6 +35,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def freeze_arrays(obj) -> None:
+    """Make each array field of a frozen dataclass read-only, copying only a writable one."""
+    for name, arr in vars(obj).items():
+        if isinstance(arr, np.ndarray) and arr.flags.writeable:
+            object.__setattr__(obj, name, arr.copy())
+            getattr(obj, name).setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix (n rows, p columns) plus a response vector of length n.

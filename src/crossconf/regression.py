@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import Dataset, freeze_arrays
 from .errors import InvalidConfigurationError
 
 __all__ = [
@@ -89,9 +89,10 @@ def _as_matrix(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear predictor x -> x @ coef (no intercept term); fits freeze ``coef``."""
+    """Linear predictor x -> x @ coef (no intercept term); ``coef`` is read-only."""
 
     coef: np.ndarray
+    __post_init__ = freeze_arrays
 
     def predict(self, x) -> np.ndarray:
         return _as_matrix(x) @ self.coef
@@ -114,6 +115,7 @@ class KnnModel:
     train_features: np.ndarray
     train_responses: np.ndarray
     k: int
+    __post_init__ = freeze_arrays
 
     def predict(self, x) -> np.ndarray:
         mat = _as_matrix(x)
@@ -157,7 +159,6 @@ def fit_min_norm_ols(train: Dataset) -> LinearModel:
     returns the minimum-l2-norm solution of the underdetermined system.
     """
     coef, *_ = np.linalg.lstsq(train.features, train.responses, rcond=RCOND)
-    coef.setflags(write=False)
     return LinearModel(coef)
 
 
@@ -175,7 +176,6 @@ def fit_ridge(train: Dataset, ridge_lambda: float) -> LinearModel:
     feats = train.features
     gram = feats.T @ feats + ridge_lambda * np.eye(train.p)
     coef = np.linalg.solve(gram, feats.T @ train.responses)
-    coef.setflags(write=False)
     return LinearModel(coef)
 
 

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from crossconf import (
+    CvScores,
     Dataset,
+    FoldAssignment,
     InvalidConfigurationError,
+    KnnModel,
+    LinearModel,
     RegressorSpec,
+    SplitState,
+    cv_plus_from_scores,
     fit,
     fit_knn,
     fit_min_norm_ols,
@@ -217,6 +223,36 @@ class TestFittedModelsAreReadOnly:
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] += 1.0
+
+    def test_hand_built_types_own_read_only_copies(self):
+        coef, feats, resp, idx = np.array([1.0]), np.ones((3, 1)), np.arange(3.0), np.arange(2)
+        built = [LinearModel(coef), KnnModel(feats, resp, 2),
+                 SplitState(idx, idx, resp[:2], 0.9, LinearModel(coef))]
+        for obj in built:
+            for f in dataclasses.fields(obj):
+                arr = getattr(obj, f.name)
+                if isinstance(arr, np.ndarray):
+                    assert not any(np.shares_memory(arr, a) for a in (coef, feats, resp, idx))
+                    with pytest.raises(ValueError):
+                        arr[...] = 0
+
+    def test_a_memoized_fold_context_cannot_go_stale(self):
+        models = [LinearModel(np.array([1.0])), LinearModel(np.array([2.0]))]
+        cv = CvScores([0.5, 1.0, 1.5, 2.0], models)
+        folds = FoldAssignment(4, (np.array([0, 1]), np.array([2, 3])), np.array([], int), "equal")
+        before = cv_plus_from_scores(cv, folds, [1.0], 0.4)
+        with pytest.raises(ValueError):
+            models[0].coef[0] = 50.0
+        assert cv_plus_from_scores(cv, folds, [1.0], 0.4) == before
+
+    def test_read_only_arrays_are_not_copied(self):
+        gen = np.random.default_rng(3)
+        data = Dataset(gen.standard_normal((12, 3)), gen.standard_normal(12))
+        knn = fit_knn(data, 3)
+        assert np.shares_memory(knn.train_features, data.features)
+        assert np.shares_memory(knn.train_responses, data.responses)
+        ols = fit_min_norm_ols(data)
+        assert np.shares_memory(LinearModel(ols.coef).coef, ols.coef)
 
 
 class TestSpecParsing:
