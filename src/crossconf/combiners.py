@@ -42,11 +42,11 @@ class CoverageBounds:
 
 
 def alpha_prime(alpha: float, k: int, n: int) -> float:
-    """Inflated threshold alpha + (1 - alpha)(K - 1)/(K + n), the exact rational
-    rounded once, with alpha read as ``repr(alpha)``: the decimal the user typed
-    and the report echoes. At this threshold the mean-p-value set coincides
-    with the plain cross-validation conformal set at level alpha.
-    """
+    """Inflated threshold alpha + (1 - alpha)(K - 1)/(K + n), at which the mean-p-value
+    set coincides with the plain cross-validation conformal set at level alpha. It is
+    the exact rational rounded once, with alpha read as ``repr(alpha)``, the decimal the
+    user typed and the report echoes; for d decimals its denominator is at most
+    10^d (K + n), which bounds where the fold-method comparisons are exact."""
     if not 0.0 < alpha < 1.0:
         raise InvalidConfigurationError("alpha must lie strictly inside (0, 1)")
     if k < 1:
