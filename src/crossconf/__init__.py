@@ -10,6 +10,7 @@ improvements, plus split conformal and CV+/jackknife+ for comparison.
 from .combiners import (
     CoverageBounds,
     alpha_prime,
+    conformal_rank,
     coverage_bounds,
 )
 from .conformal_sets import (
@@ -21,7 +22,6 @@ from .conformal_sets import (
     candidate_endpoints,
     cross_membership,
     cv_plus_from_scores,
-    empirical_quantile,
     fold_method_sets,
     split_conformal,
     split_set_from_state,

@@ -26,6 +26,7 @@ from .errors import InvalidConfigurationError, NumericalError
 __all__ = [
     "CoverageBounds",
     "alpha_prime",
+    "conformal_rank",
     "coverage_bounds",
 ]
 
@@ -41,20 +42,35 @@ class CoverageBounds:
     floor: float
 
 
+def _ratio(alpha: float) -> tuple[int, int]:
+    """alpha as the integer ratio of its decimal ``repr``, the value the user typed and
+    the report echoes, once checked to lie strictly inside (0, 1). Every exact reading
+    of alpha, for the fold thresholds and for the split and CV+ ranks, goes through it."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidConfigurationError("alpha must lie strictly inside (0, 1)")
+    return Decimal(repr(float(alpha))).as_integer_ratio()
+
+
 def alpha_prime(alpha: float, k: int, n: int) -> float:
     """Inflated threshold alpha + (1 - alpha)(K - 1)/(K + n), at which the mean-p-value
     set coincides with the plain cross-validation conformal set at level alpha. It is
     the exact rational rounded once, with alpha read as ``repr(alpha)``, the decimal the
     user typed and the report echoes; for d decimals its denominator is at most
     10^d (K + n), which bounds where the fold-method comparisons are exact."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidConfigurationError("alpha must lie strictly inside (0, 1)")
+    num, den = _ratio(alpha)
     if k < 1:
         raise InvalidConfigurationError("fold count must be at least 1")
     if n < k:
         raise InvalidConfigurationError("need at least as many points as folds")
-    num, den = Decimal(repr(float(alpha))).as_integer_ratio()
     return (num * (k + n) + (den - num) * (k - 1)) / (den * (k + n))  # int / int rounds once
+
+
+def conformal_rank(alpha: float, n: int) -> int:
+    """ceil((1 - alpha)(n + 1)) in integers, with alpha read as ``repr(alpha)``: the
+    order statistic of n scores that split conformal and CV+ take. It lies in 1..n + 1,
+    and n + 1, past the largest score, makes their set the whole line."""
+    num, den = _ratio(alpha)
+    return -(-(den - num) * (n + 1) // den)
 
 
 def coverage_bounds(alpha: float, k: int, n: int) -> CoverageBounds:

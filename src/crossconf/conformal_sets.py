@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combiners import alpha_prime
+from .combiners import alpha_prime, conformal_rank
 from .data_model import Dataset, FoldAssignment, RandomDraws, RandomSource, freeze_arrays
 from .errors import InvalidConfigurationError
 from .regression import FittedModel, fit
@@ -42,7 +42,6 @@ __all__ = [
     "InformativenessWarning",
     "PredictionSet",
     "SplitState",
-    "empirical_quantile",
     "split_conformal",
     "split_set_from_state",
     "candidate_endpoints",
@@ -63,7 +62,7 @@ _EXCHANGEABLE_CROSS = frozenset({"e-cross", "eu-cross"})
 
 
 class InformativenessWarning(UserWarning):
-    """The threshold cannot exclude any response value; sets may span the line."""
+    """Raised by a set builder exactly when the set it returns is the whole line."""
 
 
 @dataclass(frozen=True)
@@ -123,27 +122,9 @@ class PredictionSet:
         return out
 
 
-def empirical_quantile(z, gamma: float) -> float:
-    """inf{a : (1/n) * #{z_i <= a} >= gamma}, i.e. the ceil(gamma*n)-th order
-    statistic; +inf when gamma exceeds one, -inf when gamma is nonpositive.
-
-    A small tolerance absorbs float rounding in gamma*n so that levels which
-    are exact in real arithmetic (like 0.8 * (1 + 1/9) on nine points) select
-    the intended order statistic.
-    """
-    arr = np.asarray(z, dtype=float)
-    if arr.size == 0:
-        raise InvalidConfigurationError("quantile of an empty vector")
-    n = arr.size
-    target = gamma * n
-    tol = 1e-9 * (1.0 + abs(target))
-    if target > n + tol:
-        return INF
-    if gamma <= 0.0:
-        return -INF
-    k = int(np.ceil(target - tol))
-    k = min(max(k, 1), n)
-    return float(np.partition(arr, k - 1)[k - 1])
+def _kth(z: np.ndarray, k: int) -> float:
+    """The k-th smallest of z, counting from 1; +inf for k = z.size + 1."""
+    return INF if k > z.size else float(np.partition(z, k - 1)[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +136,14 @@ class SplitState:
     """Frozen result of one train/calibration split.
 
     Reusable across any number of test points, with read-only arrays.
-    ``gamma`` is the calibration quantile level (1 - alpha) * (1 + 1/n_cal).
+    ``rank`` is ``conformal_rank(alpha, n_cal)``, the calibration order statistic
+    the set takes; n_cal + 1 makes the set the whole line.
     """
 
     train_idx: np.ndarray
     cal_idx: np.ndarray
     cal_scores: np.ndarray
-    gamma: float
+    rank: int
     model: FittedModel
     __post_init__ = freeze_arrays
 
@@ -175,25 +157,24 @@ def split_conformal(
     """
     if data.n < 2:
         raise InvalidConfigurationError("split conformal needs at least two points")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidConfigurationError("alpha must lie strictly inside (0, 1)")
+    rank = conformal_rank(alpha, data.n // 2)
     perm = rng.generator("split").permutation(data.n)
     n_train = (data.n + 1) // 2
     train_idx, cal_idx = perm[:n_train], perm[n_train:]
     model = fit(spec.regressor, data.subset(train_idx))
     preds = model.predict(data.features[cal_idx])
     cal_scores = np.abs(data.responses[cal_idx] - preds)
-    gamma = (1.0 - alpha) * (1.0 + 1.0 / cal_idx.size)
-    return SplitState(train_idx, cal_idx, cal_scores, gamma, model)
+    return SplitState(train_idx, cal_idx, cal_scores, rank, model)
 
 
 def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
     """Residual-score split interval mu(test_x) +/- calibration quantile."""
-    q = empirical_quantile(state.cal_scores, state.gamma)
+    q = _kth(state.cal_scores, state.rank)
     mu = float(state.model.predict(np.atleast_2d(np.asarray(test_x, float)))[0])
     if math.isinf(q):
         warnings.warn(
-            f"calibration level {state.gamma:.6g} exceeds one; the split set is the whole line",
+            f"rank {state.rank} is past the {state.cal_scores.size} calibration scores; "
+            "the split set is the whole line",
             InformativenessWarning,
             stacklevel=2,
         )
@@ -354,16 +335,15 @@ def fold_method_sets(
     per-candidate containment relations between them hold exactly. ``smoothed``
     switches the fold p-values to their tau-randomized form (requires
     ``draws``); the plain ``cross`` method always uses the pooled rank count.
-    A repeated method gives one set. Warns once, naming each method whose
-    threshold is too small for the point count behind its statistic to
-    exclude any response value.
+    A repeated method gives one set. Warns once, naming each method whose set
+    is the whole line: its statistic passes the threshold at count 0, its least
+    value, taken on the left ray.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in FOLD_METHODS]
     if unknown:
         raise InvalidConfigurationError(f"unknown fold methods: {unknown}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidConfigurationError("alpha must lie strictly inside (0, 1)")
+    ap = alpha_prime(alpha, folds.n_folds, folds.n_used)
     if draws is None and (smoothed or any(m in _DRAW_METHODS for m in methods)):
         raise InvalidConfigurationError(
             "randomized methods and smoothed p-values require a (tau, U) draw"
@@ -375,23 +355,21 @@ def fold_method_sets(
             "u-cross keeps its guarantee"
         )
     ctx = _fold_context(cv, folds, test_x)
-    ap = alpha_prime(alpha, folds.n_folds, ctx.n_used)
     bounds, ys = _pieces(_candidates(ctx))
     st = _fold_stats(ctx, ys, draws.tau if smoothed else None)
     out: dict[str, PredictionSet] = {}
     uninformative: list[str] = []
     for method in dict.fromkeys(methods):
         threshold = ap if method.endswith("-cross") else alpha
-        m = ctx.n_used if method == "cross" else sizes
-        if np.any(1.0 >= threshold * (m + 1)):
-            uninformative.append(method)
         mask = _method_mask(method, threshold, st, draws)
+        if mask[0]:
+            uninformative.append(method)
         out[method] = PredictionSet(tuple(_runs(bounds, mask)))
     if uninformative:
         warnings.warn(
-            "threshold too small for the fold sizes (1 >= threshold * (m + 1)) for "
+            "threshold too small to exclude any response for "
             + ", ".join(uninformative)
-            + "; prediction sets may span the whole line",
+            + "; their sets are the whole line",
             InformativenessWarning,
             stacklevel=2,
         )
@@ -411,20 +389,20 @@ def cross_membership(cv: CvScores, folds: FoldAssignment, test_x, alpha: float, 
 def cv_plus_from_scores(
     cv: CvScores, folds: FoldAssignment, test_x, alpha: float
 ) -> PredictionSet:
-    """Interval between the empirical quantiles of mu_k(i)(x) -/+ S_i.
+    """Interval between the ``conformal_rank``-th order statistics of mu_k(i)(x) -/+ S_i.
 
     Always a single interval (possibly empty or the whole line); contains the
     plain cross-validation conformal set under the residual score.
     """
+    rank = conformal_rank(alpha, folds.n_used)
     ctx = _fold_context(cv, folds, test_x)
     mu_i = np.repeat(ctx.mu, ctx.sizes)
     s_i = np.concatenate(ctx.sorted_scores)
-    gamma = (1.0 - alpha) * (1.0 + 1.0 / folds.n_used)
-    hi = empirical_quantile(mu_i + s_i, gamma)
-    lo = -empirical_quantile(-(mu_i - s_i), gamma)
+    hi = _kth(mu_i + s_i, rank)
+    lo = -_kth(-(mu_i - s_i), rank)
     if math.isinf(hi) or math.isinf(lo):
         warnings.warn(
-            f"quantile level {gamma:.6g} exceeds one; the CV+ set is the whole line",
+            f"rank {rank} is past the {folds.n_used} scores; the CV+ set is the whole line",
             InformativenessWarning,
             stacklevel=2,
         )

@@ -269,6 +269,9 @@ def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise InvalidDataError(f"{path}: CSV has a header but no data rows")
+    if len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[i + 1:])
+        raise InvalidDataError(f"{path}: column {name!r} appears more than once in the header")
     return header, rows
 
 

@@ -220,6 +220,18 @@ class TestPredictCommand:
         )
         assert code == 3
 
+    def test_repeated_header_name_is_data_error(self, tmp_path, capsys):
+        # with "a,a,y" the query row "5,50" would otherwise be read as [5, 5]
+        (tmp_path / "train.csv").write_text(
+            "a,a,y\n" + "".join(f"{i},{10 * i},{i % 3}\n" for i in range(20)))
+        (tmp_path / "q.csv").write_text("a,a\n5,50\n")
+        code = main(
+            ["predict", "--data", str(tmp_path / "train.csv"), "--target", "y",
+             "--query", str(tmp_path / "q.csv"), "--seed", "1"]
+        )
+        assert code == 3
+        assert "column 'a' appears more than once" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
             ["predict", "--data", str(tmp_path / "nope.csv"), "--target", "y",

@@ -14,6 +14,7 @@ from crossconf import (
     NumericalError,
     RandomDraws,
     alpha_prime,
+    conformal_rank,
     coverage_bounds,
 )
 from crossconf import combiners
@@ -121,6 +122,35 @@ class TestAlphaPrime:
             alpha_prime(0.0, 5, 100)
         with pytest.raises(InvalidConfigurationError):
             alpha_prime(0.1, 5, 4)
+
+
+# (alpha, n, rank): large-n cases where the float level (1 - alpha)(1 + 1/n)
+# times n, read with a 1e-9 * (1 + level * n) window, gives rank - 1
+WINDOW_MISSES = [
+    (0.12610401406386584, 51742, 45219),
+    (0.04465312053427284, 72200, 68978),
+    (0.1719207884603282, 33782, 27976),
+    (0.7120623682965863, 69778, 20093),
+    (0.7938873325098745, 80324, 16557),
+    (0.24564903340085975, 72684, 54831),
+]
+
+
+class TestConformalRank:
+    def test_is_the_exact_ceiling(self):
+        for alpha in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.45, 0.5, 0.9, 0.999):
+            a = Fraction(repr(alpha))
+            for n in range(1, 2000):
+                assert conformal_rank(alpha, n) == math.ceil((1 - a) * (n + 1))
+
+    @pytest.mark.parametrize("alpha,n,rank", WINDOW_MISSES)
+    def test_large_n_where_a_tolerance_window_falls_short(self, alpha, n, rank):
+        assert conformal_rank(alpha, n) == rank == math.ceil((1 - Fraction(repr(alpha))) * (n + 1))
+
+    def test_preconditions(self):
+        for alpha in (0.0, 1.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(InvalidConfigurationError):
+                conformal_rank(alpha, 10)
 
 
 class TestCoverageBounds:

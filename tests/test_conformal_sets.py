@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from crossconf import (
     assign_folds,
     candidate_endpoints,
     compute_cv_scores,
+    conformal_rank,
     cross_membership,
     cv_plus_from_scores,
-    empirical_quantile,
     fit_min_norm_ols,
     fit_state,
     fold_method_sets,
@@ -71,35 +72,63 @@ def scan_runs_oracle(los, his, mask):
 
 
 class TestEmpiricalQuantile:
+    """Split and CV+ take the conformal_rank-th order statistic of their scores,
+    ceil((1 - alpha)(n + 1)) computed in integers; past the end, the whole line."""
+
+    @staticmethod
+    def split_q(scores, alpha):
+        """Half-width of the split set of a zero model on these calibration scores."""
+        z = np.asarray(scores, dtype=float)
+        idx = np.arange(z.size)
+        state = SplitState(idx, idx, z, conformal_rank(alpha, z.size), LinearModel(np.zeros(1)))
+        return split_set_from_state(state, np.array([0.0])).intervals[0][1]
+
+    @staticmethod
+    def cv_plus_q(scores, alpha):
+        """Half-width of the CV+ set of one zero-model fold holding these scores."""
+        z = np.asarray(scores, dtype=float)
+        folds = FoldAssignment(z.size, (np.arange(z.size),), np.array([], dtype=int), "equal")
+        cv = CvScores(z, (LinearModel(np.zeros(1)),))
+        return cv_plus_from_scores(cv, folds, np.array([0.0]), alpha).intervals[0][1]
+
     def test_rank_formula_with_exact_real_level(self):
-        # gamma * 9 = 0.8 * 10 = 8 in real arithmetic; float rounding must not
-        # push the rank to 9
-        z = np.arange(1.0, 10.0)
-        gamma = 0.8 * (1 + 1 / 9)
-        assert empirical_quantile(z, gamma) == 8.0
+        # (1 - 0.2) * 25 = 20 in real arithmetic, but the float level
+        # 0.8 * (1 + 1/24) times 24 is 20.000000000000004, one rank too far
+        z = np.arange(1.0, 25.0)
+        assert conformal_rank(0.2, 24) == 20
+        assert self.split_q(z, 0.2) == self.cv_plus_q(z, 0.2) == 20.0
 
     def test_tiny_level_returns_minimum(self):
         z = np.array([5.0, 1.0, 3.0])
-        assert empirical_quantile(z, 1e-9) == 1.0
-        assert empirical_quantile(z, 1 / 3) == 1.0
+        for alpha in (0.99, 0.75):  # (1 - alpha) * 4 is 0.04 and exactly 1
+            assert conformal_rank(alpha, 3) == 1
+            assert self.split_q(z, alpha) == self.cv_plus_q(z, alpha) == 1.0
 
     def test_level_above_one_is_infinite(self):
-        # alpha = 0.1 on four points gives gamma = 0.9 * 1.25 = 1.125
-        assert empirical_quantile(np.ones(4), 1.125) == INF
+        # alpha = 0.1 on four points: (1 - alpha) * 5 = 4.5, rank 5, past the end
+        assert conformal_rank(0.1, 4) == 5
+        with pytest.warns(InformativenessWarning, match="split set is the whole line"):
+            assert self.split_q(np.ones(4), 0.1) == INF
+        with pytest.warns(InformativenessWarning, match=r"CV\+ set is the whole line"):
+            assert self.cv_plus_q(np.ones(4), 0.1) == INF
 
     def test_level_exactly_one_returns_maximum(self):
+        # (1 - 0.25) * 4 = 3 = n
         z = np.array([2.0, 9.0, 4.0])
-        assert empirical_quantile(z, 1.0) == 9.0
+        assert conformal_rank(0.25, 3) == 3
+        assert self.split_q(z, 0.25) == self.cv_plus_q(z, 0.25) == 9.0
 
+    @pytest.mark.filterwarnings("ignore::crossconf.InformativenessWarning")
     def test_matches_rank_oracle_on_random_inputs(self):
         gen = np.random.default_rng(0)
         for _ in range(300):
             n = int(gen.integers(1, 40))
-            z = gen.standard_normal(n)
-            gamma = float(gen.uniform(0.01, 1.0))
-            k = min(max(int(math.ceil(gamma * n - 1e-9)), 1), n)
-            assert empirical_quantile(z, gamma) == np.sort(z)[k - 1]
-
+            z = np.abs(gen.standard_normal(n))
+            alpha = float(gen.uniform(0.01, 1.0))
+            k = math.ceil((1 - Fraction(repr(alpha))) * (n + 1))
+            expected = np.sort(z)[k - 1] if k <= n else INF
+            assert conformal_rank(alpha, n) == k
+            assert self.split_q(z, alpha) == self.cv_plus_q(z, alpha) == expected
 
 class TestPredictionSet:
     def test_invariants_enforced(self):
@@ -329,6 +358,31 @@ class TestVariantSets:
         # the warning points at the caller of fold_method_sets
         assert caught[0].filename == __file__
 
+    def test_threshold_equal_to_the_least_statistic_keeps_sets_bounded(self):
+        # folds of 4 at alpha = 0.2: mod's least value 1/5 equals alpha and does
+        # not pass it, so the rays are excluded and nothing warns
+        data, folds, spec, cv, draws, tx, ty = make_pipeline(2, n=20, k=5)
+        methods = ["mod", "e-mod", "u-mod", "eu-mod"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sets = fold_method_sets(cv, folds, tx, 0.2, methods, draws=draws)
+        assert caught == []
+        for method in methods:
+            assert np.isfinite(sets[method].intervals).all(), method
+
+    def test_warning_names_exactly_the_whole_line_sets(self):
+        for (n, k), alpha, smoothed in itertools.product(
+            [(20, 5), (30, 10), (12, 4)], (0.05, 0.1, 0.2, 0.25, 0.3), (False, True)
+        ):
+            data, folds, spec, cv, draws, tx, ty = make_pipeline(n + k, n=n, p=2, k=k)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sets = fold_method_sets(cv, folds, tx, alpha, FOLD_METHODS,
+                                        draws=draws, smoothed=smoothed)
+            whole = [m for m, s in sets.items() if s.intervals == ((-INF, INF),)]
+            named = [str(w.message).split(" for ")[-1].split(";")[0].split(", ") for w in caught]
+            assert named == ([whole] if whole else []), (n, k, alpha, smoothed)
+
     def test_varying_sizes_refuse_exchangeable_cross_forms(self):
         data, folds, spec, cv, draws, tx, ty = make_pipeline(3, n=101, p=5, k=5, mode="varying")
         with pytest.raises(InvalidConfigurationError):
@@ -420,8 +474,7 @@ class TestCrossSet:
         test_x = gen.standard_normal(3)
         cross = fold_method_sets(cv, folds, test_x, alpha, ["cross"])["cross"]
         state = SplitState(
-            np.arange(n_train), np.arange(n_cal), cal_scores,
-            (1 - alpha) * (1 + 1 / n_cal), model,
+            np.arange(n_train), np.arange(n_cal), cal_scores, conformal_rank(alpha, n_cal), model,
         )
         split = split_set_from_state(state, test_x)
         assert cross.intervals == split.intervals
@@ -448,19 +501,18 @@ class TestCrossSet:
 
 class TestSplitConformal:
     def test_hand_calibration_example(self):
-        # zero model, calibration scores 1..10, alpha = 0.2: gamma = 0.88,
-        # ceil(8.8) = 9, q = 9, so the set is [-9, 9]
+        # zero model, calibration scores 1..10, alpha = 0.2: rank
+        # ceil(0.8 * 11) = ceil(8.8) = 9, q = 9, so the set is [-9, 9]
         state = SplitState(
-            np.arange(10), np.arange(10), np.arange(1.0, 11.0),
-            (1 - 0.2) * (1 + 1 / 10), LinearModel(np.zeros(1)),
+            np.arange(10), np.arange(10), np.arange(1.0, 11.0), 9, LinearModel(np.zeros(1)),
         )
         s = split_set_from_state(state, np.array([0.0]))
         assert s.intervals == ((-9.0, 9.0),)
 
     def test_level_above_one_gives_whole_line_with_warning(self):
+        # alpha = 0.1: rank ceil(0.9 * 5) = 5, past the four scores
         state = SplitState(
-            np.arange(4), np.arange(4), np.arange(1.0, 5.0),
-            (1 - 0.1) * (1 + 1 / 4), LinearModel(np.zeros(1)),
+            np.arange(4), np.arange(4), np.arange(1.0, 5.0), 5, LinearModel(np.zeros(1)),
         )
         with pytest.warns(InformativenessWarning):
             s = split_set_from_state(state, np.array([0.0]))
@@ -487,17 +539,22 @@ class TestSplitConformal:
 class TestCvPlus:
     def test_zero_model_collapse(self):
         # all-zero features force every fold model to the zero function, so the
-        # interval is +/- the gamma-quantile of |y|
+        # interval is +/- the rank-k order statistic of |y|
         gen = np.random.default_rng(3)
         y = gen.standard_normal(8)
         data = Dataset(np.zeros((8, 1)), y)
         folds = assign_folds(8, 4, "equal", RandomSource(4))
         alpha = 0.25
         s = cv_plus_set(data, folds, np.array([0.0]), alpha, RegressorSpec("ols"))
-        gamma = (1 - alpha) * (1 + 1 / 8)
-        k = math.ceil(gamma * 8 - 1e-9)
+        k = math.ceil((1 - Fraction(repr(alpha))) * 9)
         q = np.sort(np.abs(y))[k - 1]
         assert s.intervals == ((-q, q),)
+
+    def test_alpha_outside_the_unit_interval_rejected(self):
+        data, folds, spec, cv, draws, tx, ty = make_pipeline(1, n=30, p=4, k=3)
+        for alpha in (0.0, 1.0, 1.5, -0.5):
+            with pytest.raises(InvalidConfigurationError, match="alpha"):
+                cv_plus_from_scores(cv, folds, tx, alpha)
 
     def test_contains_cross_set(self):
         for seed in range(60):

@@ -182,6 +182,21 @@ class TestCsvIngestion:
         with pytest.raises(InvalidDataError, match="'b'"):
             load_csv(path, "y")
 
+    def test_repeated_training_column_is_named(self, tmp_path):
+        # the second "a" must not be read as the first one's data
+        path = self._write(tmp_path, "a,a,y\n1,2,3\n")
+        with pytest.raises(InvalidDataError, match="column 'a' appears more than once"):
+            load_csv(path, "y")
+        # nor may a second target column turn into a feature
+        path = self._write(tmp_path, "x,y,y\n1,2,3\n")
+        with pytest.raises(InvalidDataError, match="column 'y' appears more than once"):
+            load_csv(path, "y")
+
+    def test_repeated_query_column_is_named(self, tmp_path):
+        path = self._write(tmp_path, " b,a,b\n5,1,50\n", "q.csv")
+        with pytest.raises(InvalidDataError, match="column 'b' appears more than once"):
+            load_query_csv(path, ["a", "b"])
+
     def test_query_alignment_by_name(self, tmp_path):
         path = self._write(tmp_path, "b,a\n5,1\n6,2\n", "q.csv")
         q = load_query_csv(path, ["a", "b"])

@@ -53,6 +53,14 @@ def test_export_lists_name_only_defined_names_and_cover_the_package_imports():
     assert problems == []
 
 
+def test_alpha_has_one_exact_reader():
+    # combiners reads alpha as the decimal the user typed; a second Decimal
+    # reader elsewhere would be a second, possibly different, reading
+    readers = [path.name for path in sorted(Path(crossconf.__file__).parent.glob("*.py"))
+               if re.search(r"\bDecimal\b", path.read_text())]
+    assert readers == ["combiners.py"]
+
+
 def test_every_name_the_benchmark_rebinds_is_bound_where_it_looks():
     tracer = Tracer()
     try:

@@ -227,7 +227,7 @@ class TestFittedModelsAreReadOnly:
     def test_hand_built_types_own_read_only_copies(self):
         coef, feats, resp, idx = np.array([1.0]), np.ones((3, 1)), np.arange(3.0), np.arange(2)
         built = [LinearModel(coef), KnnModel(feats, resp, 2),
-                 SplitState(idx, idx, resp[:2], 0.9, LinearModel(coef))]
+                 SplitState(idx, idx, resp[:2], 2, LinearModel(coef))]
         for obj in built:
             for f in dataclasses.fields(obj):
                 arr = getattr(obj, f.name)
