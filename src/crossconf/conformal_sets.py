@@ -44,6 +44,7 @@ __all__ = [
     "SplitState",
     "split_conformal",
     "split_set_from_state",
+    "predict_block",
     "candidate_endpoints",
     "cross_membership",
     "fold_method_sets",
@@ -169,8 +170,11 @@ def split_conformal(
 
 def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
     """Residual-score split interval mu(test_x) +/- calibration quantile."""
+    row = _one_row(test_x)
     q = _kth(state.cal_scores, state.rank)
-    mu = float(state.model.predict(np.atleast_2d(np.asarray(test_x, float)))[0])
+    memo = getattr(_last, "split", None)
+    i = memo[1].get(row.tobytes()) if memo and memo[0]() is state else None
+    mu = float(state.model.predict(row)[0] if i is None else memo[2][i])
     if math.isinf(q):
         warnings.warn(
             f"rank {state.rank} is past the {state.cal_scores.size} calibration scores; "
@@ -226,29 +230,80 @@ class _FoldContext:
     n_used: int
 
 
+@dataclass(frozen=True)
+class _FoldBlock:
+    """The fold predictions ``mu`` (rows, K) of a block of rows, found by each
+    row's bytes in ``index``, and the sorted fold scores of the fit."""
+
+    cv: weakref.ref
+    folds: weakref.ref
+    index: dict[bytes, int]
+    mu: np.ndarray
+    sorted_scores: tuple[np.ndarray, ...]
+
+
+# Per thread: ``folds``, the _FoldBlock built last, and ``split``, the split
+# model's (weak state, row index, predictions) of the last block.
 _last = threading.local()
 
 
-def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
-    """The fold predictions mu_k(test_x) and the sorted fold scores. Each thread
-    keeps the context it built last, so the builders called in turn on one row
-    predict the K fold models once. The fit is matched by weak references, so
-    the memo keeps no fit alive and a new fit at a freed address is not taken
-    for it; the row is matched by its bytes, so a buffer changed in place is a
-    new row. Fits are read-only, so a matched fit still has the same models."""
-    row = np.asarray(test_x, dtype=float).tobytes()
-    memo = getattr(_last, "memo", None)
-    if memo and memo[0]() is cv and memo[1]() is folds and memo[2] == row:
-        return memo[3]
+def _one_row(test_x) -> np.ndarray:
+    """test_x as one feature row: a vector, or a matrix holding one row."""
+    row = np.asarray(test_x, dtype=float)
+    if row.ndim != 1 and not (row.ndim == 2 and row.shape[0] == 1):
+        raise InvalidConfigurationError(
+            f"test_x must be one feature row, not an array of shape {row.shape}"
+        )
+    return row.reshape(-1)
+
+
+def _row_index(rows: np.ndarray) -> dict[bytes, int]:
+    return {row.tobytes(): i for i, row in enumerate(rows)}
+
+
+def _fold_block(cv: CvScores, folds: FoldAssignment, rows: np.ndarray) -> _FoldBlock:
     if cv.n_folds != folds.n_folds:
         raise InvalidConfigurationError(
             f"cv scores carry {cv.n_folds} fold models but the assignment has {folds.n_folds}"
         )
-    mu = fold_predictions(cv, test_x)
     sorted_scores = tuple(np.sort(cv.scores[m]) for m in folds.fold_members)
-    ctx = _FoldContext(mu, sorted_scores, folds.fold_sizes, folds.n_used)
-    _last.memo = (weakref.ref(cv), weakref.ref(folds), row, ctx)
-    return ctx
+    _last.folds = _FoldBlock(weakref.ref(cv), weakref.ref(folds), _row_index(rows),
+                             fold_predictions(cv, rows), sorted_scores)
+    return _last.folds
+
+
+def predict_block(
+    cv: CvScores | None, folds: FoldAssignment, split_state: SplitState | None, rows
+) -> None:
+    """Predict a matrix of query rows with one call per fitted model: the K fold
+    models of ``cv`` and the split model of ``split_state``, either of which may
+    be None. The calling thread keeps the values for the per-row builders that
+    follow on these rows. Predictions are row-wise, so a row's sets are the same
+    as when it is predicted alone."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise InvalidConfigurationError(f"rows must be a matrix, not an array of shape {rows.shape}")
+    if cv is not None:
+        _fold_block(cv, folds, rows)
+    if split_state is not None:
+        _last.split = (weakref.ref(split_state), _row_index(rows), split_state.model.predict(rows))
+
+
+def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
+    """The fold predictions mu_k(test_x) and the sorted fold scores. Each thread
+    keeps the last block of rows it predicted: the rows of ``predict_block``,
+    or the one row of a miss. So the rows of a block are predicted together,
+    and the builders called in turn on one row predict the K fold models once.
+    The fit is matched by weak references, so the memo keeps no fit alive and a
+    new fit at a freed address is not taken for it; a row is matched by its
+    bytes, so a buffer changed in place is a new row. Fits are read-only, so a
+    matched fit still has the same models."""
+    row = _one_row(test_x)
+    key = row.tobytes()
+    memo = getattr(_last, "folds", None)
+    if not (memo and memo.cv() is cv and memo.folds() is folds and key in memo.index):
+        memo = _fold_block(cv, folds, row[None])
+    return _FoldContext(memo.mu[memo.index[key]], memo.sorted_scores, folds.fold_sizes, folds.n_used)
 
 
 def _candidates(ctx: _FoldContext) -> np.ndarray:
@@ -268,7 +323,7 @@ def candidate_endpoints(cv: CvScores, folds: FoldAssignment, test_x) -> np.ndarr
 class _FoldStats:
     """Every membership statistic at a vector of candidate responses."""
 
-    le: np.ndarray
+    count: np.ndarray
     pooled: np.ndarray
     first: np.ndarray
     mean: np.ndarray
@@ -278,35 +333,37 @@ class _FoldStats:
 
 def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
     """Every statistic at each candidate y, from per-fold weak counts le = #{s(y) <= S_i}
-    and, when ``tau`` is given, strict counts lt. Fold k's p-value is a numerator over
-    m_k + 1: the integer 1 + le, or tau + tau * (le - lt) + lt. Times the integer
-    L / (m_k + 1), L = lcm(m_k + 1), each running mean is one division of a prefix sum by
-    l * L, and u-cross divides the pooled numerator sum once by n_used + K. A deterministic
-    statistic and its threshold are then correctly rounded rationals in [0, 1] with
-    denominators at most K * L and 10^d * (n_used + K), d = decimals of alpha; while that
-    product is below 2^52, their gap (at least its reciprocal) exceeds both roundings and
-    ``>`` decides exactly. u-* rounds once more (by 2 - U); smoothed numerators are floats."""
+    and, when ``tau`` is given, strict counts lt, held fold-major as (K, len(ys)). Fold k's
+    p-value is a numerator over m_k + 1: the integer 1 + le, or tau + tau * (le - lt) + lt.
+    Times the integer L / (m_k + 1), L = lcm(m_k + 1), each running mean is one division of
+    a prefix sum by l * L, and u-cross divides the pooled numerator sum once by n_used + K.
+    A deterministic statistic and its threshold are then correctly rounded rationals in
+    [0, 1] with denominators at most K * L and 10^d * (n_used + K), d = decimals of alpha;
+    while that product is below 2^52, their gap (at least its reciprocal) exceeds both
+    roundings and ``>`` decides exactly. u-* rounds once more (by 2 - U); smoothed
+    numerators are floats. ``count`` is the total weak count, summed over the folds."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    le = np.empty((ys.size, len(ctx.sorted_scores)), dtype=np.int64)
+    k = len(ctx.sorted_scores)
+    le = np.empty((k, ys.size), dtype=np.int64)
     lt = None if tau is None else np.empty_like(le)
-    for k, s in enumerate(ctx.sorted_scores):
-        t = np.abs(ys - ctx.mu[k])
-        le[:, k] = s.size - np.searchsorted(s, t, side="left")
+    for j, s in enumerate(ctx.sorted_scores):
+        t = np.abs(ys - ctx.mu[j])
+        le[j] = s.size - np.searchsorted(s, t, side="left")
         if lt is not None:
-            lt[:, k] = s.size - np.searchsorted(s, t, side="right")
+            lt[j] = s.size - np.searchsorted(s, t, side="right")
     num = 1 + le if tau is None else tau + tau * (le - lt) + lt
-    pooled, first = num.sum(axis=1) / (ctx.n_used + le.shape[1]), num[:, 0] / (ctx.sizes[0] + 1)
+    pooled, first = num.sum(axis=0) / (ctx.n_used + k), num[0] / (ctx.sizes[0] + 1)
     L = np.lcm.reduce(ctx.sizes + 1)
-    num *= L // (ctx.sizes + 1)
-    cummean = np.cumsum(num, axis=1, out=num) / (L * np.arange(1, le.shape[1] + 1))
-    return _FoldStats(le, pooled, first, cummean[:, -1], cummean.min(axis=1), ctx.n_used)
+    num *= (L // (ctx.sizes + 1))[:, None]
+    cummean = np.cumsum(num, axis=0, out=num) / (L * np.arange(1, k + 1))[:, None]
+    return _FoldStats(le.sum(axis=0), pooled, first, cummean[-1], cummean.min(axis=0), ctx.n_used)
 
 
 def _method_mask(
     method: str, threshold: float, st: _FoldStats, draws: RandomDraws | None
 ) -> np.ndarray:
     if method == "cross":
-        return (1.0 + st.le.sum(axis=1)) / (st.n_used + 1.0) > threshold
+        return (1.0 + st.count) / (st.n_used + 1.0) > threshold
     if method == "mod":
         return st.mean > threshold
     if method in ("e-mod", "e-cross"):

@@ -28,6 +28,7 @@ from .conformal_sets import (
     PredictionSet,
     cv_plus_from_scores,
     fold_method_sets,
+    predict_block,
     split_conformal,
     split_set_from_state,
 )
@@ -254,12 +255,23 @@ def _point_sets(
     return sets
 
 
+# Query rows predicted per block: a block costs one predict call per model.
+_QUERY_BLOCK = 64
+
+
 def query_sets(cfg: SimulationConfig, folds, cv, split_state, queries, src: RandomSource):
     """Yield the prediction sets of every requested method for each query row
-    in turn. Row j uses the j-th (tau, U) pair of ``randomization_stream(src)``,
-    so the sets of a row do not depend on how many rows follow it."""
-    for test_x, draws in zip(queries, randomization_stream(src)):
-        yield _point_sets(cfg, folds, cv, split_state, test_x, draws)
+    in turn. The rows are predicted in blocks of ``_QUERY_BLOCK``, one call per
+    fitted model, and predictions are row-wise. Row j uses the j-th (tau, U)
+    pair of ``randomization_stream(src)``, so the sets of a row do not depend on
+    how many rows follow it or on the rows predicted with it."""
+    queries = np.asarray(queries, dtype=float)
+    draws = randomization_stream(src)
+    for start in range(0, len(queries), _QUERY_BLOCK):
+        block = queries[start : start + _QUERY_BLOCK]
+        predict_block(cv, folds, split_state, block)
+        for test_x, row_draws in zip(block, draws):
+            yield _point_sets(cfg, folds, cv, split_state, test_x, row_draws)
 
 
 Outcome = dict[str, tuple[float, float, int]]

@@ -2,7 +2,10 @@
 
 Every regressor here is invariant to permutations of its training rows.
 The coverage guarantees of all downstream prediction sets rest on that
-symmetry, so tie handling must never fall back to row order.
+symmetry, so tie handling must never fall back to row order. Predictions are
+row-wise: a row's prediction depends only on the model and the row, never on
+the rows predicted with it, so a block of rows gives the bits of one call per
+row.
 """
 
 from __future__ import annotations
@@ -81,21 +84,25 @@ def parse_regressor(text: str) -> RegressorSpec:
 
 
 def _as_matrix(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr
+    """x as a C-contiguous float matrix; a vector is one row. A row's dot
+    product then runs over the same contiguous layout wherever it sits."""
+    arr = np.ascontiguousarray(x, dtype=float)
+    return arr[None, :] if arr.ndim == 1 else arr
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear predictor x -> x @ coef (no intercept term); ``coef`` is read-only."""
+    """Linear predictor x -> x @ coef (no intercept term); ``coef`` is read-only.
+
+    Each row is one dot product, so its prediction does not depend on the rows
+    predicted with it; a matrix product would round a row differently by the
+    rows around it."""
 
     coef: np.ndarray
     __post_init__ = freeze_arrays
 
     def predict(self, x) -> np.ndarray:
-        return _as_matrix(x) @ self.coef
+        return np.vecdot(_as_matrix(x), self.coef)
 
 
 @dataclass(frozen=True)

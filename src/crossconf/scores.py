@@ -86,6 +86,6 @@ def compute_cv_scores(
 
 
 def fold_predictions(cv: CvScores, x) -> np.ndarray:
-    """Prediction of every fold model at a single feature row."""
-    row = np.atleast_2d(np.asarray(x, float))
-    return np.array([float(m.predict(row)[0]) for m in cv.fold_models])
+    """Prediction of every fold model at each feature row of ``x``, as a
+    (rows, K) array; a vector is one row. One ``predict`` call per model."""
+    return np.column_stack([m.predict(x) for m in cv.fold_models])

@@ -111,7 +111,7 @@ def all_fold_pvalues(
     Passing ``draws`` switches to randomized p-values with ``draws.tau``
     shared by every fold.
     """
-    return fold_pvalues_at(fold_predictions(cv, x), y, cv, folds, draws)
+    return fold_pvalues_at(fold_predictions(cv, x)[0], y, cv, folds, draws)
 
 
 def fold_pvalues_at(
@@ -188,7 +188,7 @@ def cross_membership_pvalue_form(
     exactly 1/K. Each count #{S_i >= |y - mu_k|} comes from comparing every y
     with every score of the fold."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    mu = fold_predictions(cv, test_x)
+    mu = fold_predictions(cv, test_x)[0]
     sizes = folds.fold_sizes
     P = np.empty((ys.size, folds.n_folds))
     for k, members in enumerate(folds.fold_members):
@@ -210,7 +210,7 @@ def exact_fold_method_masks(
     left out when ``draws`` is None. u-cross is the dual form's weighted mean
     with weights (m_k + 1)/(n + K)."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    mu = fold_predictions(cv, test_x)
+    mu = fold_predictions(cv, test_x)[0]
     k, n = folds.n_folds, folds.n_used
     sizes = [int(m) for m in folds.fold_sizes]
     counts = np.column_stack([

@@ -12,14 +12,22 @@ import pytest
 
 import crossconf
 from crossconf import (
+    FOLD_METHODS,
     RandomSource,
     ScoreFunctionSpec,
+    SimulationConfig,
     assign_folds,
     compute_cv_scores,
+    cv_plus_from_scores,
+    fit_state,
     fold_method_sets,
     load_csv,
+    parse_regressor,
+    randomization_stream,
     simulate_instance,
+    split_set_from_state,
 )
+from crossconf.experiments import _QUERY_BLOCK
 from crossconf.cli import main
 from crossconf.data_model import _open_unit
 from crossconf.data_model import RandomDraws
@@ -161,6 +169,34 @@ class TestPredictCommand:
         assert expected["mod"].contains(fitted)
         widths = [iv[1] - iv[0] for iv in got["mod"]["intervals"]]
         assert sum(widths) < np.ptp(data.responses)
+
+    @pytest.mark.parametrize("regressor", ["ols", "knn:3"])
+    def test_each_row_matches_one_library_call(self, tmp_path, regressor):
+        # the command predicts its rows in blocks; a row's sets must not depend on that
+        write_dataset_csv(tmp_path / "train.csv", n=60, p=3, seed=5)
+        queries, _ = simulate_instance(_QUERY_BLOCK + 6, 3, RandomSource(6))
+        lines = ["x0,x1,x2"] + [",".join(repr(float(v)) for v in row) for row in queries.features]
+        (tmp_path / "q.csv").write_text("\n".join(lines) + "\n")
+        argv = ["predict", "--data", str(tmp_path / "train.csv"), "--target", "y",
+                "--query", str(tmp_path / "q.csv"), "--alpha", "0.2", "--k", "4",
+                "--regressor", regressor, "--methods", ALL_METHODS_ARG, "--seed", "23",
+                "--out", str(tmp_path / "p.json")]
+        assert main(argv) == 0
+        predictions = json.loads((tmp_path / "p.json").read_text())["predictions"]
+
+        loaded, _ = load_csv(tmp_path / "train.csv", "y")
+        cfg = SimulationConfig(n=60, p_list=(3,), alpha=0.2, k=4, reps=1,
+                               regressor=parse_regressor(regressor),
+                               methods=tuple(ALL_METHODS_ARG.split(",")), seed=23)
+        src = RandomSource(23)
+        folds, cv, split_state = fit_state(cfg, loaded, src)
+        assert len(predictions) == len(queries.features)
+        for row, x, draws in zip(predictions, queries.features, randomization_stream(src)):
+            sets = fold_method_sets(cv, folds, x, 0.2, FOLD_METHODS, draws=draws)
+            sets["cv+"] = cv_plus_from_scores(cv, folds, x, 0.2)
+            sets["split"] = split_set_from_state(split_state, x)
+            expected = {m: json.loads(json.dumps(s.to_jsonable())) for m, s in sets.items()}
+            assert {m: s["intervals"] for m, s in row["sets"].items()} == expected
 
     def test_uninformative_alpha_warns_and_spans_line(self, tmp_path, capsys):
         write_dataset_csv(tmp_path / "train.csv", n=20, p=2, seed=4)

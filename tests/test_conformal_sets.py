@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -604,3 +605,24 @@ class TestCvPlus:
             data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=20, p=3, k=4)
             s = cv_plus_from_scores(cv, folds, tx, 0.95)
             assert s.n_components <= 1 and s.width >= 0.0
+
+
+class TestOneTestRow:
+    def test_every_builder_rejects_anything_but_one_row(self):
+        data, folds, spec, cv, draws, tx, _ = make_pipeline(0, n=30, p=3, k=3)
+        state = split_conformal(data, 0.2, spec, RandomSource(1))
+        builders = [
+            lambda x: fold_method_sets(cv, folds, x, 0.2, ["mod"]),
+            lambda x: cv_plus_from_scores(cv, folds, x, 0.2),
+            lambda x: split_set_from_state(state, x),
+            lambda x: candidate_endpoints(cv, folds, x),
+            lambda x: cross_membership(cv, folds, x, 0.2, [0.0, 1.0]),
+        ]
+        two = np.stack([tx, tx + 5.0])
+        for build in builders:
+            # a block used to give the set of its first row
+            for bad in (two, [tx, tx + 5.0], two[None], np.float64(tx[0])):
+                shape = np.shape(bad)
+                with pytest.raises(InvalidConfigurationError, match=re.escape(f"shape {shape}")):
+                    build(bad)
+            assert repr(build(tx[None])) == repr(build(tx)) == repr(build(list(tx)))

@@ -12,9 +12,12 @@ import pytest
 from crossconf import (
     CvScores,
     InvalidConfigurationError,
+    KnnModel,
+    LinearModel,
     RandomSource,
     RegressorSpec,
     SimulationConfig,
+    parse_regressor,
     randomization_stream,
     run_real_data,
     run_simulation,
@@ -25,6 +28,7 @@ from crossconf import conformal_sets as cs
 from crossconf import experiments as ex
 from crossconf.data_model import RandomDraws, _open_unit
 from crossconf.experiments import _simulation_trial
+from conftest import make_pipeline
 from oracles import mc_standard_error
 
 needs_openblas = pytest.mark.skipif(not _blas._openblas(), reason="no OpenBLAS loaded")
@@ -335,6 +339,64 @@ class TestQuerySets:
             expected.append(ex._point_sets(cfg, folds, cv, split_state, x, draws))
         got = list(ex.query_sets(cfg, folds, cv, split_state, queries.features, src))
         assert got == expected
+
+
+class TestBlockQueries:
+    """query_sets predicts each block of rows with one call per model, and a
+    row's sets are bitwise those of the per-row builders on that row alone."""
+
+    @pytest.fixture
+    def predict_calls(self, monkeypatch):
+        calls = []
+        for model_type in (LinearModel, KnnModel):
+            real = model_type.predict
+
+            def counted(model, x, real=real):
+                calls.append(np.atleast_2d(x).shape[0])
+                return real(model, x)
+
+            monkeypatch.setattr(model_type, "predict", counted)
+        return calls
+
+    @pytest.mark.parametrize("text", ["ols", "knn:3"])
+    def test_query_sets_match_the_per_row_builders(self, text, predict_calls):
+        cfg = base_config(n=60, methods=cs.ALL_METHODS, regressor=parse_regressor(text))
+        src = RandomSource(8)
+        data, _ = simulate_instance(cfg.n, 4, src)
+        queries, _ = simulate_instance(ex._QUERY_BLOCK + 6, 4, RandomSource(9))
+        folds, cv, split_state = ex.fit_state(cfg, data, src)
+        predict_calls.clear()
+        alone = [
+            ex._point_sets(cfg, folds, cv, split_state, x, draws)
+            for x, draws in zip(queries.features, randomization_stream(src))
+        ]
+        assert set(predict_calls) == {1}  # each row above was predicted alone
+        predict_calls.clear()
+        got = list(ex.query_sets(cfg, folds, cv, split_state, queries.features, src))
+        assert repr(got) == repr(alone)
+        # two blocks, each one call per fold model and one for the split model
+        assert predict_calls == [ex._QUERY_BLOCK] * (cfg.k + 1) + [6] * (cfg.k + 1)
+
+    @pytest.mark.parametrize("text", ["ols", "knn:3"])
+    def test_smoothed_sets_of_a_predicted_block_match_the_row_alone(self, text, predict_calls):
+        _, folds, _, cv, draws, _, _ = make_pipeline(4, n=60, p=4, k=4,
+                                                     regressor=parse_regressor(text))
+        rows = np.random.default_rng(5).standard_normal((20, 4))
+
+        def sets(x):
+            return cs.fold_method_sets(cv, folds, x, 0.2, cs.FOLD_METHODS, draws=draws,
+                                       smoothed=True)
+
+        alone = [sets(x) for x in rows]
+        predict_calls.clear()
+        cs.predict_block(cv, folds, None, rows)
+        assert repr([sets(x) for x in rows]) == repr(alone)
+        assert predict_calls == [20] * folds.n_folds
+
+    def test_a_block_must_be_a_matrix(self):
+        _, folds, _, cv, _, test_x, _ = make_pipeline(4, n=30, p=4, k=3)
+        with pytest.raises(InvalidConfigurationError, match=r"shape \(4,\)"):
+            cs.predict_block(cv, folds, None, test_x)
 
 
 class TestFitState:

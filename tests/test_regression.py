@@ -12,8 +12,12 @@ from crossconf import (
     InvalidConfigurationError,
     KnnModel,
     LinearModel,
+    RandomSource,
     RegressorSpec,
+    ScoreFunctionSpec,
     SplitState,
+    assign_folds,
+    compute_cv_scores,
     cv_plus_from_scores,
     fit,
     fit_knn,
@@ -208,6 +212,54 @@ class TestPermutationSymmetry:
         a = fit_knn(Dataset(x, y), 2).predict(np.array([[0.1]]))[0]
         b = fit_knn(Dataset(x[::-1], y[::-1]), 2).predict(np.array([[0.1]]))[0]
         assert a == b == 4.0
+
+
+class TestRowWisePredictions:
+    """A prediction depends only on the model and its row: a block of rows gives
+    the bits of one call per row, and the order in which a fold's members are
+    scored cannot move a CV score."""
+
+    SPECS = ["ols", "ridge:0.5", "knn:4"]
+
+    @staticmethod
+    def dataset(text, n, gen, p=9):
+        # integer features make many kNN distances tie
+        if text.startswith("knn"):
+            x = gen.integers(0, 3, (n, p)).astype(float)
+        else:
+            x = gen.standard_normal((n, p))
+        return Dataset(x, x @ gen.standard_normal(p) + gen.standard_normal(n))
+
+    @pytest.mark.parametrize("text", SPECS)
+    def test_a_block_gives_the_bits_of_one_call_per_row(self, text):
+        gen = np.random.default_rng(11)
+        model = fit(parse_regressor(text), self.dataset(text, 1000, gen))
+        block = self.dataset(text, 40, gen).features
+        if text.startswith("knn"):  # the block spans several distance chunks
+            assert block.shape[0] > 3 * (_KNN_BLOCK_BYTES // model.train_features.nbytes)
+        alone = np.array([model.predict(block[i : i + 1])[0] for i in range(block.shape[0])])
+        assert model.predict(block).tobytes() == alone.tobytes()
+        # the layout of the block does not matter either
+        strided = np.repeat(block, 2, axis=1)[:, ::2]
+        for layout, rows in ((strided, alone), (np.asfortranarray(block), alone),
+                             (block[::-1], alone[::-1])):
+            assert model.predict(layout).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("text", SPECS)
+    def test_cv_scores_do_not_depend_on_the_order_of_a_folds_members(self, text):
+        gen = np.random.default_rng(12)
+        data = self.dataset(text, 200, gen)
+        folds = assign_folds(200, 4, "equal", RandomSource(5))
+        spec = ScoreFunctionSpec("residual", parse_regressor(text))
+        base = compute_cv_scores(data, folds, spec).scores
+        for k, members in enumerate(folds.fold_members):
+            for _ in range(3):
+                shuffled = list(folds.fold_members)
+                shuffled[k] = gen.permutation(members)
+                relabelled = FoldAssignment(folds.n, tuple(shuffled), folds.discarded, folds.mode)
+                got = compute_cv_scores(data, relabelled, spec).scores
+                # fold k's model trains on the same rows in the same order
+                assert got[members].tobytes() == base[members].tobytes()
 
 
 class TestFittedModelsAreReadOnly:

@@ -104,4 +104,4 @@ class TestFoldPredictions:
         for _ in range(100):
             x = gen.standard_normal(3)
             oracle = [float(m.predict(x[None, :])[0]) for m in refits]
-            assert np.allclose(fold_predictions(cv, x), oracle, rtol=0, atol=1e-10)
+            assert np.allclose(fold_predictions(cv, x)[0], oracle, rtol=0, atol=1e-10)
