@@ -23,7 +23,6 @@ from .conformal_sets import (
     cross_membership,
     cv_plus_from_scores,
     fold_method_sets,
-    predict_block,
     split_conformal,
     split_set_from_state,
 )

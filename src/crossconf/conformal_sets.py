@@ -172,9 +172,9 @@ def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
     """Residual-score split interval mu(test_x) +/- calibration quantile."""
     row = _one_row(test_x)
     q = _kth(state.cal_scores, state.rank)
-    memo = getattr(_last, "split", None)
-    i = memo[1].get(row.tobytes()) if memo and memo[0]() is state else None
-    mu = float(state.model.predict(row)[0] if i is None else memo[2][i])
+    block = getattr(_last, "block", None)
+    i = block.index.get(row.tobytes()) if block and block.split() is state else None
+    mu = float(state.model.predict(row)[0] if i is None else block.split_mu[i])
     if math.isinf(q):
         warnings.warn(
             f"rank {state.rank} is past the {state.cal_scores.size} calibration scores; "
@@ -231,20 +231,28 @@ class _FoldContext:
 
 
 @dataclass(frozen=True)
-class _FoldBlock:
-    """The fold predictions ``mu`` (rows, K) of a block of rows, found by each
-    row's bytes in ``index``, and the sorted fold scores of the fit."""
+class _QueryBlock:
+    """The predictions of a block of rows, found by each row's bytes in
+    ``index``: the fold predictions ``mu`` (rows, K) of ``cv`` with the sorted
+    fold scores of the fit, and the predictions ``split_mu`` of the split model
+    of ``split``. A model left out of the block has a reference to None."""
 
+    index: dict[bytes, int]
     cv: weakref.ref
     folds: weakref.ref
-    index: dict[bytes, int]
-    mu: np.ndarray
+    mu: np.ndarray | None
     sorted_scores: tuple[np.ndarray, ...]
+    split: weakref.ref
+    split_mu: np.ndarray | None
 
 
-# Per thread: ``folds``, the _FoldBlock built last, and ``split``, the split
-# model's (weak state, row index, predictions) of the last block.
+# Per thread: ``block``, the _QueryBlock built last.
 _last = threading.local()
+
+
+def _ref(obj):
+    """A weak reference to obj; for None, a callable that returns None."""
+    return (lambda: None) if obj is None else weakref.ref(obj)
 
 
 def _one_row(test_x) -> np.ndarray:
@@ -257,36 +265,32 @@ def _one_row(test_x) -> np.ndarray:
     return row.reshape(-1)
 
 
-def _row_index(rows: np.ndarray) -> dict[bytes, int]:
-    return {row.tobytes(): i for i, row in enumerate(rows)}
-
-
-def _fold_block(cv: CvScores, folds: FoldAssignment, rows: np.ndarray) -> _FoldBlock:
-    if cv.n_folds != folds.n_folds:
-        raise InvalidConfigurationError(
-            f"cv scores carry {cv.n_folds} fold models but the assignment has {folds.n_folds}"
-        )
-    sorted_scores = tuple(np.sort(cv.scores[m]) for m in folds.fold_members)
-    _last.folds = _FoldBlock(weakref.ref(cv), weakref.ref(folds), _row_index(rows),
-                             fold_predictions(cv, rows), sorted_scores)
-    return _last.folds
-
-
 def predict_block(
     cv: CvScores | None, folds: FoldAssignment, split_state: SplitState | None, rows
-) -> None:
+) -> _QueryBlock:
     """Predict a matrix of query rows with one call per fitted model: the K fold
     models of ``cv`` and the split model of ``split_state``, either of which may
-    be None. The calling thread keeps the values for the per-row builders that
+    be None. The calling thread keeps the block for the per-row builders that
     follow on these rows. Predictions are row-wise, so a row's sets are the same
-    as when it is predicted alone."""
+    as when it is predicted alone. This is the block path of
+    ``experiments.query_sets``; the package does not export it."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise InvalidConfigurationError(f"rows must be a matrix, not an array of shape {rows.shape}")
+    mu, sorted_scores, split_mu = None, (), None
     if cv is not None:
-        _fold_block(cv, folds, rows)
+        if cv.n_folds != folds.n_folds:
+            raise InvalidConfigurationError(
+                f"cv scores carry {cv.n_folds} fold models but the assignment has {folds.n_folds}"
+            )
+        mu = fold_predictions(cv, rows)
+        sorted_scores = tuple(np.sort(cv.scores[m]) for m in folds.fold_members)
     if split_state is not None:
-        _last.split = (weakref.ref(split_state), _row_index(rows), split_state.model.predict(rows))
+        split_mu = split_state.model.predict(rows)
+    _last.block = _QueryBlock({row.tobytes(): i for i, row in enumerate(rows)},
+                              _ref(cv), _ref(folds), mu, sorted_scores,
+                              _ref(split_state), split_mu)
+    return _last.block
 
 
 def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
@@ -300,10 +304,11 @@ def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
     matched fit still has the same models."""
     row = _one_row(test_x)
     key = row.tobytes()
-    memo = getattr(_last, "folds", None)
-    if not (memo and memo.cv() is cv and memo.folds() is folds and key in memo.index):
-        memo = _fold_block(cv, folds, row[None])
-    return _FoldContext(memo.mu[memo.index[key]], memo.sorted_scores, folds.fold_sizes, folds.n_used)
+    block = getattr(_last, "block", None)
+    if not (block and block.cv() is cv and block.folds() is folds and key in block.index):
+        block = predict_block(cv, folds, None, row[None])
+    return _FoldContext(block.mu[block.index[key]], block.sorted_scores, folds.fold_sizes,
+                        folds.n_used)
 
 
 def _candidates(ctx: _FoldContext) -> np.ndarray:

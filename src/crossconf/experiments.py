@@ -255,7 +255,12 @@ def _point_sets(
     return sets
 
 
-# Query rows predicted per block: a block costs one predict call per model.
+# Query rows predicted per block: a block costs one predict call per model and
+# keeps a (rows, K + 1) array of predictions. Per-row prediction cost over 512
+# rows (2 vCPU): ols at n=5000, p=20, K=10 takes 106 us alone, 2.5 us in blocks
+# of 64 and 1.0 us in blocks of 512; knn:5 at n=3000, p=8, K=5 takes 1.29 ms
+# alone, 0.93 ms at 64 and 0.91 ms at 512. Building a row's sets takes
+# milliseconds, so larger blocks gain nothing. 64 rows hold one trial of `run`.
 _QUERY_BLOCK = 64
 
 
