@@ -256,11 +256,12 @@ def _point_sets(
 
 
 # Query rows predicted per block: a block costs one predict call per model and
-# keeps a (rows, K + 1) array of predictions. Per-row prediction cost over 512
+# keeps K + 1 predictions per row. Per-row prediction cost over 512
 # rows (2 vCPU): ols at n=5000, p=20, K=10 takes 106 us alone, 2.5 us in blocks
 # of 64 and 1.0 us in blocks of 512; knn:5 at n=3000, p=8, K=5 takes 1.29 ms
 # alone, 0.93 ms at 64 and 0.91 ms at 512. Building a row's sets takes
-# milliseconds, so larger blocks gain nothing. 64 rows hold one trial of `run`.
+# milliseconds, so larger blocks gain nothing. A block of 64 holds a whole
+# trial of the benchmark's run-knn workload (50 test rows).
 _QUERY_BLOCK = 64
 
 
