@@ -284,6 +284,15 @@ def _cell(value: str, column: str) -> float:
         ) from None
 
 
+def _floats(cells: list[str], columns: list[str]) -> list[float]:
+    """One row's cells as floats; only a row that fails is read again cell by
+    cell, so that the error names the column."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_cell(cell, column) for cell, column in zip(cells, columns)]
+
+
 def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     """Read a numeric dataset from a headered CSV file.
 
@@ -301,7 +310,7 @@ def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     for r, (line, row) in enumerate(rows):
         if len(row) != width:
             raise InvalidDataError(f"row {line} has {len(row)} cells, expected {width}")
-        values[r] = [_cell(cell, name) for cell, name in zip(row, header)]
+        values[r] = _floats(row, header)
     responses = values[:, t_col]
     features = np.delete(values, t_col, axis=1)
     return Dataset(features, responses), feature_names
@@ -322,11 +331,12 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
         )
     cols = [header.index(name) for name in feature_names]
     out = np.empty((len(rows), len(cols)))
+    last = max(cols)
     for r, (line, row) in enumerate(rows):
-        for j, c in enumerate(cols):
-            if c >= len(row):
-                raise InvalidDataError(f"row {line} is missing column {header[c]!r}")
-            out[r, j] = _cell(row[c], header[c])
+        if last >= len(row):
+            c = next(c for c in cols if c >= len(row))
+            raise InvalidDataError(f"row {line} is missing column {header[c]!r}")
+        out[r] = _floats([row[c] for c in cols], feature_names)
     if not np.isfinite(out).all():
         raise InvalidDataError("query rows must be finite")
     return out

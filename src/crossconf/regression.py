@@ -11,6 +11,7 @@ row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -36,8 +37,35 @@ REGRESSOR_KINDS = ("ols", "ridge", "knn")
 # pseudoinverse stable in the underdetermined regime (p >= training size).
 RCOND = 1e-10
 
-# Size of one query block's (rows, n, p) distance temporary in KnnModel.predict.
+# Budget for the float temporaries of one query chunk in KnnModel.predict.
 _KNN_BLOCK_BYTES = 512 * 1024
+
+# The kNN filter keeps a training row as a candidate unless its approximate
+# squared distance A = a2 + b2 - 2 y.x exceeds the query's k-th smallest A by
+# more than _KNN_MARGIN * (p + 8) * (eps * M + eta). Here x and y are the
+# training row and the query centred on the training mean (one rounding per
+# coordinate), a2 = |y|^2, b2 = |x|^2, M = a2 + max(b2) >= B = a2 + b2, and
+# eta is the smallest subnormal, the most a product can lose to underflow.
+# Sums may run in any order, with or without FMA (the product goes through
+# BLAS). With r the exact squared distance of the uncentred rows, and up to
+# terms in eps^2:
+#   1. centring moves each coordinate of y - x by eps (|x_i| + |y_i|), so
+#      |y - x|^2 is within 5 eps B of r;
+#   2. the product form: a2 + b2 and 2 y.x are each within p eps B + p eta of
+#      their exact values, and the two additions add 3 eps B, so A is within
+#      (2p + 9) eps B + 2p eta of r, counting 1;
+#   3. the reference distance rounds each difference and square once and sums
+#      p terms, so its square S is within (p + 3) eps r + p eta of r <= 2B;
+#   4. sqrt is monotone but maps squares up to 4 eps S apart to one float.
+# The k rows of smallest A have S at most (A_k + 2 + 3), so the k-th smallest
+# reference distance is at most the rounded root of that. Any row at or below
+# it has, by 4, then 3 and 2 backwards, A <= A_k + (8p + 39) eps M + 6p eta,
+# which is below 8 (p + 8) (eps M + eta). The factor 32 leaves 4 for the
+# rounding of M, the margin and the threshold. The argument needs finite
+# arithmetic: where 4M overflows or is NaN, every training row is a candidate.
+_KNN_MARGIN = 32
+_EPS = np.finfo(float).eps
+_ETA = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -83,11 +111,18 @@ def parse_regressor(text: str) -> RegressorSpec:
     raise InvalidConfigurationError(f"unknown regressor {text!r}")
 
 
-def _as_matrix(x) -> np.ndarray:
-    """x as a C-contiguous float matrix; a vector is one row. A row's dot
-    product then runs over the same contiguous layout wherever it sits."""
+def _as_matrix(x, width: int) -> np.ndarray:
+    """x as a C-contiguous float matrix of ``width`` columns; a vector is one
+    row. A row's dot product then runs over the same contiguous layout wherever
+    it sits."""
     arr = np.ascontiguousarray(x, dtype=float)
-    return arr[None, :] if arr.ndim == 1 else arr
+    arr = arr[None, :] if arr.ndim == 1 else arr
+    if arr.ndim != 2 or arr.shape[1] != width:
+        got = arr.shape[1] if arr.ndim == 2 else f"shape {arr.shape}"
+        raise InvalidConfigurationError(
+            f"query rows of width {got} do not match the model's {width} features"
+        )
+    return arr
 
 
 @dataclass(frozen=True)
@@ -102,7 +137,7 @@ class LinearModel:
     __post_init__ = freeze_arrays
 
     def predict(self, x) -> np.ndarray:
-        return np.vecdot(_as_matrix(x), self.coef)
+        return np.vecdot(_as_matrix(x, self.coef.shape[0]), self.coef)
 
 
 @dataclass(frozen=True)
@@ -115,45 +150,84 @@ class KnnModel:
     change the mean or its bits. Row indices are never consulted, so
     predictions are invariant to permutations of the training set.
 
-    Queries are processed in blocks whose distance temporary stays near
+    Distances are exact only where they can matter. A cheap filter gives each
+    query an approximate squared distance to every training row, ``a2 + b2 -
+    2 Q.F`` on features centred on the training mean, and keeps as candidates
+    the rows within a proven rounding margin of the query's k-th smallest
+    approximation (see ``_KNN_MARGIN``). Every row at or below the k-th
+    reference distance ``sqrt(((F - q) ** 2).sum())`` is a candidate, so the
+    reference distances of the candidates alone, ranked on (distance,
+    response), give the bits of a full ranking. Where the bound cannot hold (a
+    NaN or inf query, or magnitudes near overflow) every row is a candidate.
+
+    Queries go in chunks whose (rows, n) filter arrays, and the (candidates, p)
+    arrays of the exact distances, each stay near half of
     ``_KNN_BLOCK_BYTES``, so memory does not grow with the number of queries.
     """
 
     train_features: np.ndarray
     train_responses: np.ndarray
     k: int
-    __post_init__ = freeze_arrays
+
+    def __post_init__(self):
+        freeze_arrays(self)
+        shape, n = np.shape(self.train_features), np.shape(self.train_responses)
+        if len(shape) != 2 or n != shape[:1]:
+            raise InvalidConfigurationError(
+                f"kNN needs a feature matrix and one response per row, got {shape} and {n}"
+            )
+        if not 1 <= self.k <= shape[0]:
+            raise InvalidConfigurationError(
+                f"knn neighbor count {self.k} must lie between 1 and the training size {shape[0]}"
+            )
+
+    @cached_property
+    def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The training mean, the centred features transposed to (p, n), their
+        squared norms b2 and max(b2)."""
+        with np.errstate(all="ignore"):
+            centred = self.train_features.T.copy()
+            centre = centred.mean(axis=1)
+            centred -= centre[:, None]
+            b2 = np.einsum("ij,ij->j", centred, centred)
+            return centre, centred, b2, b2.max()
+
+    def _candidates(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query, training row) index pairs of the candidates, in query order."""
+        centre, centred, b2, b2_max = self._centred
+        k = self.k
+        # overflow or NaN here only widens the candidate set
+        with np.errstate(all="ignore"):
+            q = rows - centre
+            a2 = np.einsum("ij,ij->i", q, q)
+            approx = q @ centred
+            approx *= -2.0
+            approx += a2[:, None]
+            approx += b2
+            m = a2 + b2_max
+            margin = _KNN_MARGIN * (centred.shape[0] + 8) * (_EPS * m + _ETA)
+            limit = np.partition(approx, k - 1, axis=1)[:, k - 1] + margin
+            limit[~np.isfinite(4.0 * m)] = np.inf
+            return np.divmod(np.flatnonzero(~(approx > limit[:, None])), b2.size)
 
     def predict(self, x) -> np.ndarray:
-        mat = _as_matrix(x)
-        feats = self.train_features
+        feats, resp = self.train_features, self.train_responses
+        mat = _as_matrix(x, feats.shape[1])
         out = np.empty(mat.shape[0])
-        step = max(1, _KNN_BLOCK_BYTES // feats.nbytes)
+        floats = _KNN_BLOCK_BYTES // 16
+        step, cand_step = max(1, floats // resp.size), max(1, floats // feats.shape[1])
         for start in range(0, mat.shape[0], step):
             rows = mat[start : start + step]
-            dist = np.sqrt(((feats[None] - rows[:, None]) ** 2).sum(axis=2))
-            out[start : start + rows.shape[0]] = self._neighbour_means(dist)
+            row, col = self._candidates(rows)
+            dist = np.empty(row.size)
+            for c in range(0, row.size, cand_step):
+                j, r = col[c : c + cand_step], row[c : c + cand_step]
+                dist[c : c + cand_step] = np.sqrt(((feats[j] - rows[r]) ** 2).sum(axis=1))
+            ranked = col[np.lexsort((resp[col], dist, row))]
+            counts = np.bincount(row, minlength=rows.shape[0])
+            nearest = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(self.k)]
+            out[start : start + rows.shape[0]] = resp[nearest].mean(axis=1)
         return out
-
-    def _neighbour_means(self, dist: np.ndarray) -> np.ndarray:
-        """Mean response of each row's k nearest, ordered by (distance, response)."""
-        resp = self.train_responses
-        k = self.k
-        chosen = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        near = np.take_along_axis(dist, chosen, axis=1)
-        kth = near[:, -1]
-        near_resp = resp[chosen]
-        order = np.lexsort((near_resp, near), axis=1)
-        means = np.take_along_axis(near_resp, order, axis=1).mean(axis=1)
-        # Where more than k rows lie at or below the k-th distance, argpartition
-        # chose among the ties arbitrarily; rank those candidates by response.
-        # A row with NaN distances has fewer than k such rows and ranks them all.
-        n_le = np.count_nonzero(dist <= kth[:, None], axis=1)
-        for i in np.flatnonzero(n_le != k):
-            cand = np.flatnonzero(dist[i] <= kth[i]) if n_le[i] > k else np.arange(resp.size)
-            ranked = np.lexsort((resp[cand], dist[i, cand]))[:k]
-            means[i] = resp[cand[ranked]].mean()
-        return means
 
 
 FittedModel = Union[LinearModel, KnnModel]
@@ -188,12 +262,6 @@ def fit_ridge(train: Dataset, ridge_lambda: float) -> LinearModel:
 
 def fit_knn(train: Dataset, k: int) -> KnnModel:
     """k-nearest-neighbor mean with data-valued tie-breaking."""
-    if k < 1:
-        raise InvalidConfigurationError("knn neighbor count must be at least 1")
-    if k > train.n:
-        raise InvalidConfigurationError(
-            f"knn neighbor count {k} exceeds the training size {train.n}"
-        )
     return KnnModel(train.features, train.responses, k)
 
 

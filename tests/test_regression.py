@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossconf import (
     CvScores,
@@ -23,8 +25,10 @@ from crossconf import (
     fit_knn,
     fit_min_norm_ols,
     fit_ridge,
+    fold_method_sets,
     parse_regressor,
 )
+from crossconf import regression
 from crossconf.regression import _KNN_BLOCK_BYTES
 
 
@@ -156,7 +160,7 @@ class TestKnnAgainstLexsortOracle:
         x = gen.integers(-2, 3, size=(n, p)).astype(float)
         y = np.round(gen.standard_normal(n), 1)
         kk = n if k == "n" else k
-        step = max(1, _KNN_BLOCK_BYTES // x.nbytes)
+        step = max(1, _KNN_BLOCK_BYTES // 16 // n)  # query rows per chunk
         queries = gen.integers(-3, 4, size=(2 * step + 7, p)).astype(float)
         queries[::5] += 0.5
         if standardize:  # z-scored columns: non-integer features whose distances still tie
@@ -181,6 +185,133 @@ class TestKnnAgainstLexsortOracle:
         model = fit_knn(Dataset(x, y), 2)
         queries = np.array([[np.nan], [0.4]])
         assert np.array_equal(model.predict(queries), lexsort_knn_oracle(model, queries))
+
+
+class TestKnnFilterAgainstLexsortOracle:
+    """The candidate filter must keep every neighbour the full ranking would
+    pick, so each case is bit-equal to the lexsort oracle. Every case also runs
+    with a 2 KiB chunk budget, which sends one query per chunk through the
+    filter and the exact distances through many candidate slices."""
+
+    @pytest.fixture(params=[None, 2048], ids=["budget", "tiny-budget"], autouse=True)
+    def budget(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(regression, "_KNN_BLOCK_BYTES", request.param)
+
+    @staticmethod
+    def check(x, y, queries, ks=(1, 7, "n")):
+        for k in ks:
+            model = KnnModel(x, y, x.shape[0] if k == "n" else k)
+            got = model.predict(queries)
+            assert got.tobytes() == lexsort_knn_oracle(model, queries).tobytes(), k
+
+    @pytest.mark.parametrize("p", [1, 7, 8, 9, 130])
+    def test_pairwise_summation_boundaries(self, p):
+        # numpy sums 8 lanes at a time and splits blocks above 128 terms
+        gen = np.random.default_rng(200 + p)
+        x = gen.standard_normal((120, p))
+        self.check(x, gen.standard_normal(120), gen.standard_normal((25, p)))
+        grid = gen.integers(-1, 2, size=(120, p)).astype(float)
+        queries = gen.integers(-1, 2, size=(25, p)) + np.where(gen.random((25, p)) < 0.2, 0.5, 0.0)
+        self.check(grid, np.round(gen.standard_normal(120), 1), queries)
+
+    def test_duplicated_training_rows(self):
+        gen = np.random.default_rng(21)
+        base = gen.integers(-2, 3, size=(30, 3)).astype(float)
+        x = np.repeat(base, 4, axis=0)
+        y = np.round(gen.standard_normal(120), 0)
+        queries = np.vstack([base[:10], gen.standard_normal((15, 3))])
+        self.check(x, y, queries)
+
+    def test_common_offset(self):
+        gen = np.random.default_rng(22)
+        x = 1e8 + gen.standard_normal((150, 8))
+        queries = 1e8 + gen.standard_normal((30, 8))
+        self.check(x, gen.standard_normal(150), queries)
+
+    @pytest.mark.parametrize("centre", [1e150, 1e153, 3e153])
+    def test_clusters_far_from_the_mean(self, centre):
+        # two tight clusters at +-centre: a2 and b2 near (3e153: past) a
+        # quarter of the float range while distances inside a cluster stay
+        # ten orders of magnitude smaller
+        gen = np.random.default_rng(23)
+        side = np.where(np.arange(100) < 50, 1.0, -1.0)[:, None]
+        x = side * centre * (1.0 + 1e-10 * gen.standard_normal((100, 4)))
+        y = np.round(gen.standard_normal(100), 1)
+        queries = np.vstack([x[::7] * (1.0 + 1e-10 * gen.standard_normal((15, 4))), x[::11]])
+        self.check(x, y, queries)
+
+    def test_squares_that_underflow(self):
+        gen = np.random.default_rng(24)
+        x = 1e-160 * gen.standard_normal((100, 5))
+        y = np.round(gen.standard_normal(100), 1)
+        self.check(x, y, 1e-160 * gen.standard_normal((20, 5)))
+        grid = 1e-160 * gen.integers(-2, 3, size=(100, 5))
+        self.check(grid, y, 1e-160 * gen.integers(-2, 3, size=(20, 5)))
+
+    def test_nan_and_inf_queries(self):
+        gen = np.random.default_rng(25)
+        x = gen.integers(-2, 3, size=(60, 3)).astype(float)
+        y = np.round(gen.standard_normal(60), 1)
+        nan, inf = np.nan, np.inf
+        queries = np.array([[nan, 0.0, 0.0], [inf, 0.0, 0.0], [-inf, 1.0, 0.0], [inf, -inf, 0.0],
+                            [nan, inf, 0.0], [0.5, 0.0, -1.0]])
+        self.check(x, y, queries)
+
+    def test_queries_whose_squares_overflow(self):
+        gen = np.random.default_rng(26)
+        x = gen.standard_normal((50, 3))
+        queries = np.array([[1e200, 0.0, 0.0], [-1e300, 1e300, 0.0], [0.1, 0.2, 0.3]])
+        with np.errstate(over="ignore"):
+            self.check(x, np.round(gen.standard_normal(50), 1), queries)
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 25),
+        p=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_grids_with_repeated_responses(self, data, n, p):
+        ints = st.integers(-2, 2)
+        x = np.array(data.draw(st.lists(st.lists(ints, min_size=p, max_size=p),
+                                        min_size=n, max_size=n)), dtype=float)
+        y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                                        min_size=n, max_size=n)))
+        q = np.array(data.draw(st.lists(st.lists(ints, min_size=p, max_size=p),
+                                        min_size=1, max_size=6)), dtype=float) / 2
+        k = data.draw(st.integers(1, n))
+        self.check(x, y, q, ks=(k,))
+
+
+class TestKnnModelValidation:
+    def test_features_and_responses_must_align(self):
+        for feats, resp in [(np.zeros((3, 2)), np.zeros(4)), (np.zeros(3), np.zeros(3)),
+                            (np.zeros((3, 2)), np.zeros((3, 1)))]:
+            with pytest.raises(InvalidConfigurationError, match="one response per row"):
+                KnnModel(feats, resp, 1)
+
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_k_outside_one_to_n(self, k):
+        with pytest.raises(InvalidConfigurationError, match="between 1 and the training size 3"):
+            KnnModel(np.zeros((3, 2)), np.zeros(3), k)
+        with pytest.raises(InvalidConfigurationError):
+            fit_knn(Dataset(np.zeros((3, 2)), np.zeros(3)), k)
+        assert KnnModel(np.zeros((3, 2)), np.zeros(3), 3).predict(np.ones(2)) == 0.0
+
+    @pytest.mark.parametrize("text", ["ols", "knn:2"])
+    def test_query_width_must_match_the_fit(self, text):
+        gen = np.random.default_rng(27)
+        data = Dataset(gen.standard_normal((20, 3)), gen.standard_normal(20))
+        model = fit(parse_regressor(text), data)
+        for bad in (np.zeros(4), np.zeros((2, 2)), 1.0, np.zeros((1, 1, 3))):
+            with pytest.raises(InvalidConfigurationError, match="the model's 3 features"):
+                model.predict(bad)
+        with pytest.raises(InvalidConfigurationError, match="width 4 .* 3 features"):
+            model.predict(np.zeros((5, 4)))
+        folds = assign_folds(20, 4, "equal", RandomSource(8))
+        cv = compute_cv_scores(data, folds, ScoreFunctionSpec("residual", parse_regressor(text)))
+        with pytest.raises(InvalidConfigurationError, match="width 4 .* 3 features"):
+            fold_method_sets(cv, folds, np.zeros(4), 0.2, ["mod"])
 
 
 class TestPermutationSymmetry:
@@ -231,12 +362,12 @@ class TestRowWisePredictions:
         return Dataset(x, x @ gen.standard_normal(p) + gen.standard_normal(n))
 
     @pytest.mark.parametrize("text", SPECS)
-    def test_a_block_gives_the_bits_of_one_call_per_row(self, text):
+    def test_a_block_gives_the_bits_of_one_call_per_row(self, text, monkeypatch):
         gen = np.random.default_rng(11)
         model = fit(parse_regressor(text), self.dataset(text, 1000, gen))
         block = self.dataset(text, 40, gen).features
-        if text.startswith("knn"):  # the block spans several distance chunks
-            assert block.shape[0] > 3 * (_KNN_BLOCK_BYTES // model.train_features.nbytes)
+        # kNN query chunks of 8 rows over 1000 training rows: the block spans five
+        monkeypatch.setattr(regression, "_KNN_BLOCK_BYTES", 16 * 1000 * 8)
         alone = np.array([model.predict(block[i : i + 1])[0] for i in range(block.shape[0])])
         assert model.predict(block).tobytes() == alone.tobytes()
         # the layout of the block does not matter either
