@@ -11,7 +11,6 @@ row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -40,28 +39,24 @@ RCOND = 1e-10
 # Budget for the float temporaries of one query chunk in KnnModel.predict.
 _KNN_BLOCK_BYTES = 512 * 1024
 
-# The kNN filter keeps a training row as a candidate unless its approximate
-# squared distance A = a2 + b2 - 2 y.x exceeds the query's k-th smallest A by
-# more than _KNN_MARGIN * (p + 8) * (eps * M + eta). Here x and y are the
-# training row and the query centred on the training mean (one rounding per
-# coordinate), a2 = |y|^2, b2 = |x|^2, M = a2 + max(b2) >= B = a2 + b2, and
-# eta is the smallest subnormal, the most a product can lose to underflow.
-# Sums may run in any order, with or without FMA (the product goes through
-# BLAS). With r the exact squared distance of the uncentred rows, and up to
-# terms in eps^2:
-#   1. centring moves each coordinate of y - x by eps (|x_i| + |y_i|), so
-#      |y - x|^2 is within 5 eps B of r;
-#   2. the product form: a2 + b2 and 2 y.x are each within p eps B + p eta of
-#      their exact values, and the two additions add 3 eps B, so A is within
-#      (2p + 9) eps B + 2p eta of r, counting 1;
-#   3. the reference distance rounds each difference and square once and sums
-#      p terms, so its square S is within (p + 3) eps r + p eta of r <= 2B;
-#   4. sqrt is monotone but maps squares up to 4 eps S apart to one float.
-# The k rows of smallest A have S at most (A_k + 2 + 3), so the k-th smallest
-# reference distance is at most the rounded root of that. Any row at or below
-# it has, by 4, then 3 and 2 backwards, A <= A_k + (8p + 39) eps M + 6p eta,
-# which is below 8 (p + 8) (eps M + eta). The factor 32 leaves 4 for the
-# rounding of M, the margin and the threshold. The argument needs finite
+# The kNN filter keeps a training row unless its approximate squared distance
+# A = a2 + b2 - 2 y.x exceeds the query's k-th smallest A by more than
+# _KNN_MARGIN (p + 8) (eps M + eta), where x and y are the training row and the
+# query centred on the training mean, a2 = |y|^2, b2 = |x|^2, M = a2 + max b2,
+# eps = 2^-52 and eta the smallest subnormal (the most a product loses to
+# underflow). Sums may run in any order, with or without FMA (the product goes
+# through BLAS). With B = a2 + b2 <= M and r the exact squared distance of the
+# raw rows, to first order in eps:
+#   1. centring rounds each coordinate once, so |y - x|^2 is within 5 eps B of r;
+#   2. a2 + b2 and 2 y.x are each within p eps B + p eta, and the two additions
+#      add 3 eps B, so A is within E = (2p + 9) eps B + 2p eta of r (with 1);
+#   3. the reference sum rounds each difference and square once and adds p
+#      terms, so its square S is within (p + 3) eps r + p eta of r <= 2B;
+#   4. sqrt is monotone but can round squares 4 eps S apart to one float.
+# The k rows of smallest A have S <= (A_k + E)(1 + (p + 3) eps) + p eta, which
+# bounds the k-th reference distance. A row at or below it has, by 4, 3 and 2,
+# A <= A_k + (8p + 39) eps M + 6p eta < 8 (p + 8) (eps M + eta); the factor 32
+# leaves 4 for rounding M, the margin and the threshold. This needs finite
 # arithmetic: where 4M overflows or is NaN, every training row is a candidate.
 _KNN_MARGIN = 32
 _EPS = np.finfo(float).eps
@@ -150,19 +145,13 @@ class KnnModel:
     change the mean or its bits. Row indices are never consulted, so
     predictions are invariant to permutations of the training set.
 
-    Distances are exact only where they can matter. A cheap filter gives each
-    query an approximate squared distance to every training row, ``a2 + b2 -
-    2 Q.F`` on features centred on the training mean, and keeps as candidates
-    the rows within a proven rounding margin of the query's k-th smallest
-    approximation (see ``_KNN_MARGIN``). Every row at or below the k-th
-    reference distance ``sqrt(((F - q) ** 2).sum())`` is a candidate, so the
-    reference distances of the candidates alone, ranked on (distance,
-    response), give the bits of a full ranking. Where the bound cannot hold (a
-    NaN or inf query, or magnitudes near overflow) every row is a candidate.
-
-    Queries go in chunks whose (rows, n) filter arrays, and the (candidates, p)
-    arrays of the exact distances, each stay near half of
-    ``_KNN_BLOCK_BYTES``, so memory does not grow with the number of queries.
+    Distances are exact only where they can matter: a cheap filter keeps, per
+    query, the training rows whose approximate squared distance lies within a
+    proven margin of the k-th smallest (see ``_KNN_MARGIN``). Every row at or
+    below the k-th reference distance ``sqrt(((F - q) ** 2).sum())`` is kept,
+    so ranking the kept rows alone gives the bits of a full ranking. Query
+    chunks keep each temporary near half of ``_KNN_BLOCK_BYTES``, so memory
+    does not grow with the number of queries.
     """
 
     train_features: np.ndarray
@@ -181,20 +170,17 @@ class KnnModel:
                 f"knn neighbor count {self.k} must lie between 1 and the training size {shape[0]}"
             )
 
-    @cached_property
-    def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The training mean, the centred features transposed to (p, n), their
-        squared norms b2 and max(b2)."""
+    def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The training mean, the centred features transposed to (p, n) and
+        their squared norms b2."""
         with np.errstate(all="ignore"):
             centred = self.train_features.T.copy()
             centre = centred.mean(axis=1)
             centred -= centre[:, None]
-            b2 = np.einsum("ij,ij->j", centred, centred)
-            return centre, centred, b2, b2.max()
+            return centre, centred, np.einsum("ij,ij->j", centred, centred)
 
-    def _candidates(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _candidates(self, rows: np.ndarray, centre, centred, b2) -> tuple[np.ndarray, np.ndarray]:
         """(query, training row) index pairs of the candidates, in query order."""
-        centre, centred, b2, b2_max = self._centred
         k = self.k
         # overflow or NaN here only widens the candidate set
         with np.errstate(all="ignore"):
@@ -204,8 +190,8 @@ class KnnModel:
             approx *= -2.0
             approx += a2[:, None]
             approx += b2
-            m = a2 + b2_max
-            margin = _KNN_MARGIN * (centred.shape[0] + 8) * (_EPS * m + _ETA)
+            m = a2 + b2.max()
+            margin = _KNN_MARGIN * (q.shape[1] + 8) * (_EPS * m + _ETA)
             limit = np.partition(approx, k - 1, axis=1)[:, k - 1] + margin
             limit[~np.isfinite(4.0 * m)] = np.inf
             return np.divmod(np.flatnonzero(~(approx > limit[:, None])), b2.size)
@@ -214,11 +200,12 @@ class KnnModel:
         feats, resp = self.train_features, self.train_responses
         mat = _as_matrix(x, feats.shape[1])
         out = np.empty(mat.shape[0])
+        train = self._centred()
         floats = _KNN_BLOCK_BYTES // 16
         step, cand_step = max(1, floats // resp.size), max(1, floats // feats.shape[1])
         for start in range(0, mat.shape[0], step):
             rows = mat[start : start + step]
-            row, col = self._candidates(rows)
+            row, col = self._candidates(rows, *train)
             dist = np.empty(row.size)
             for c in range(0, row.size, cand_step):
                 j, r = col[c : c + cand_step], row[c : c + cand_step]

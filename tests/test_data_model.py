@@ -240,6 +240,21 @@ class TestCsvIngestion:
         with pytest.raises(InvalidDataError, match="non-numeric value 'red' in column 'b'"):
             load_query_csv(path, ["a", "b"])
 
+    def test_float_spellings_and_the_first_bad_cell(self, tmp_path):
+        # a row is read by float() as a whole; a failing row names its first bad cell
+        text = "a,b,y\n 2 ,1_000,-.5\n1e3,+4, 7\n"
+        data, _ = load_csv(self._write(tmp_path, text), "y")
+        assert np.array_equal(data.features, [[2.0, 1000.0], [1000.0, 4.0]])
+        assert np.array_equal(data.responses, [-0.5, 7.0])
+        q = load_query_csv(self._write(tmp_path, "note,b,a\nred, 2 ,1_0\n", "q.csv"), ["a", "b"])
+        assert np.array_equal(q, [[10.0, 2.0]])
+        path = self._write(tmp_path, text + "1,2,3\n4,x,y\n")
+        with pytest.raises(InvalidDataError, match="non-numeric value 'x' in column 'b'"):
+            load_csv(path, "y")
+        path = self._write(tmp_path, "a,b\n1,2\n1 2,x\n", "q.csv")
+        with pytest.raises(InvalidDataError, match="non-numeric value '1 2' in column 'a'"):
+            load_query_csv(path, ["a", "b"])
+
     def test_non_finite_query_cell(self, tmp_path):
         path = self._write(tmp_path, "a,b\n1,inf\n", "q.csv")
         with pytest.raises(InvalidDataError, match="query rows must be finite"):
