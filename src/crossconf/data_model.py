@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,22 +259,28 @@ def randomization_stream(rng: RandomSource):
         yield RandomDraws(tau=_open_unit(gen_tau), u=_open_unit(gen_u))
 
 
-def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The stripped header and the non-blank rows of a headered CSV file, each
-    with the file line it ends on; the file must hold at least one data row."""
+@contextmanager
+def _open_table(path):
+    """The stripped header of a headered CSV file and an iterator over its
+    non-blank rows, each with the file line it ends on. Rows are read one at a
+    time, so a file is never held in memory as strings."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise InvalidDataError(f"{path}: empty CSV file") from None
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
+        if len(set(header)) < len(header):
+            name = next(h for i, h in enumerate(header) if h in header[i + 1:])
+            raise InvalidDataError(f"{path}: column {name!r} appears more than once in the header")
+        yield header, ((reader.line_num, row) for row in reader if row)
+
+
+def _matrix(values: array, width: int, path) -> np.ndarray:
+    """The floats read from a table, ``width`` to a row, as a matrix."""
+    if not values:
         raise InvalidDataError(f"{path}: CSV has a header but no data rows")
-    if len(set(header)) < len(header):
-        name = next(h for i, h in enumerate(header) if h in header[i + 1:])
-        raise InvalidDataError(f"{path}: column {name!r} appears more than once in the header")
-    return header, rows
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def _cell(value: str, column: str) -> float:
@@ -300,17 +308,18 @@ def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     be numeric and becomes a feature. Returns the dataset together with the
     feature column names (in file order).
     """
-    header, rows = _read_table(path)
-    if target not in header:
-        raise InvalidDataError(f"target column {target!r} not found in CSV header")
+    values = array("d")
+    with _open_table(path) as (header, rows):
+        if target not in header:
+            raise InvalidDataError(f"target column {target!r} not found in CSV header")
+        width = len(header)
+        for line, row in rows:
+            if len(row) != width:
+                raise InvalidDataError(f"row {line} has {len(row)} cells, expected {width}")
+            values.extend(_floats(row, header))
+    values = _matrix(values, width, path)
     t_col = header.index(target)
     feature_names = [h for i, h in enumerate(header) if i != t_col]
-    width = len(header)
-    values = np.empty((len(rows), width))
-    for r, (line, row) in enumerate(rows):
-        if len(row) != width:
-            raise InvalidDataError(f"row {line} has {len(row)} cells, expected {width}")
-        values[r] = _floats(row, header)
     responses = values[:, t_col]
     features = np.delete(values, t_col, axis=1)
     return Dataset(features, responses), feature_names
@@ -322,21 +331,22 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
     Columns may appear in any order; missing or non-numeric feature columns
     raise an error naming the offending column. Extra columns are ignored.
     """
-    header, rows = _read_table(path)
-    missing = [name for name in feature_names if name not in header]
-    if missing:
-        raise InvalidDataError(
-            f"query is missing feature column {missing[0]!r} "
-            f"(train data has {len(feature_names)} features)"
-        )
-    cols = [header.index(name) for name in feature_names]
-    out = np.empty((len(rows), len(cols)))
-    last = max(cols)
-    for r, (line, row) in enumerate(rows):
-        if last >= len(row):
-            c = next(c for c in cols if c >= len(row))
-            raise InvalidDataError(f"row {line} is missing column {header[c]!r}")
-        out[r] = _floats([row[c] for c in cols], feature_names)
+    out = array("d")
+    with _open_table(path) as (header, rows):
+        missing = [name for name in feature_names if name not in header]
+        if missing:
+            raise InvalidDataError(
+                f"query is missing feature column {missing[0]!r} "
+                f"(train data has {len(feature_names)} features)"
+            )
+        cols = [header.index(name) for name in feature_names]
+        last = max(cols)
+        for line, row in rows:
+            if last >= len(row):
+                c = next(c for c in cols if c >= len(row))
+                raise InvalidDataError(f"row {line} is missing column {header[c]!r}")
+            out.extend(_floats([row[c] for c in cols], feature_names))
+    out = _matrix(out, len(cols), path)
     if not np.isfinite(out).all():
         raise InvalidDataError("query rows must be finite")
     return out

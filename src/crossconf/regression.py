@@ -113,9 +113,9 @@ def _as_matrix(x, width: int) -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=float)
     arr = arr[None, :] if arr.ndim == 1 else arr
     if arr.ndim != 2 or arr.shape[1] != width:
-        got = arr.shape[1] if arr.ndim == 2 else f"shape {arr.shape}"
+        got = f"width {arr.shape[1]}" if arr.ndim == 2 else f"shape {arr.shape}"
         raise InvalidConfigurationError(
-            f"query rows of width {got} do not match the model's {width} features"
+            f"query rows of {got} do not match the model's {width} features"
         )
     return arr
 
@@ -181,7 +181,6 @@ class KnnModel:
 
     def _candidates(self, rows: np.ndarray, centre, centred, b2) -> tuple[np.ndarray, np.ndarray]:
         """(query, training row) index pairs of the candidates, in query order."""
-        k = self.k
         # overflow or NaN here only widens the candidate set
         with np.errstate(all="ignore"):
             q = rows - centre
@@ -192,7 +191,7 @@ class KnnModel:
             approx += b2
             m = a2 + b2.max()
             margin = _KNN_MARGIN * (q.shape[1] + 8) * (_EPS * m + _ETA)
-            limit = np.partition(approx, k - 1, axis=1)[:, k - 1] + margin
+            limit = np.partition(approx, self.k - 1, axis=1)[:, self.k - 1] + margin
             limit[~np.isfinite(4.0 * m)] = np.inf
             return np.divmod(np.flatnonzero(~(approx > limit[:, None])), b2.size)
 
