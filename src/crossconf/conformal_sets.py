@@ -11,13 +11,14 @@ scores are finite.
 
 Membership uses a strict inequality against the threshold while the rank
 counts use weak inequalities, so breakpoints themselves can belong to a set;
-they are evaluated directly and intervals are closed. ``_runs`` also counts a
-breakpoint between two included gaps as included, so a set is the closure of
-its membership set. That is the exact set for deterministic fold p-values,
-whose weak counts keep every breakpoint at least as included as its
-neighbouring gaps. A tau-smoothed fold p-value at its own breakpoint lies
-between its two gap values, which keeps the set exact unless breakpoints of
-two folds coincide.
+they are evaluated directly and intervals are closed. ``_runs`` takes the masks
+of all requested methods as one (methods, pieces) matrix and finds every run
+in one pass over it. It also counts a breakpoint between two included gaps as
+included, so a set is the closure of its membership set. That is the exact
+set for deterministic fold p-values, whose weak counts keep every breakpoint
+at least as included as its neighbouring gaps. A tau-smoothed fold p-value at
+its own breakpoint lies between its two gap values, which keeps the set exact
+unless breakpoints of two folds coincide.
 """
 
 from __future__ import annotations
@@ -205,17 +206,23 @@ def _pieces(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds, ys
 
 
-def _runs(bounds: np.ndarray, mask: np.ndarray) -> list[tuple[float, float]]:
-    """(lo, hi) of every maximal run of true pieces of the closed mask, in
-    order: a false breakpoint between two true gaps is closed over, so the
-    runs come out sorted, disjoint and non-touching. Piece j spans
-    ``bounds[(j + 1) // 2]`` to ``bounds[j // 2 + 1]``."""
-    closed = mask.copy()
-    closed[1:-1:2] |= mask[:-2:2] & mask[2::2]
-    edges = np.diff(np.concatenate(([0], closed.astype(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    return list(zip(bounds[(starts + 1) // 2].tolist(), bounds[ends // 2 + 1].tolist()))
+def _runs(bounds: np.ndarray, masks: np.ndarray) -> list[list[tuple[float, float]]]:
+    """Per row of the (sets, pieces) boolean ``masks``, the (lo, hi) of every
+    maximal run of true pieces of the closed row, in order: a false breakpoint
+    between two true gaps is closed over, so the runs come out sorted, disjoint
+    and non-touching. Piece j spans ``bounds[(j + 1) // 2]`` to
+    ``bounds[j // 2 + 1]``. All rows go through one pass: pad with false
+    columns, close over, diff along the pieces, one ``nonzero`` each for the run
+    starts and for the pieces just after the run ends."""
+    padded = np.zeros((masks.shape[0], masks.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = masks
+    padded[:, 2:-2:2] |= masks[:, :-2:2] & masks[:, 2::2]
+    edges = np.diff(padded, axis=1)
+    row, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
+    pairs = list(zip(bounds[(starts + 1) // 2].tolist(), bounds[(ends + 1) // 2].tolist()))
+    cuts = np.searchsorted(row, np.arange(masks.shape[0] + 1)).tolist()
+    return [pairs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +347,10 @@ def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
     """Every statistic at each candidate y, from per-fold weak counts le = #{s(y) <= S_i}
     and, when ``tau`` is given, strict counts lt, held fold-major as (K, len(ys)). Fold k's
     p-value is a numerator over m_k + 1: the integer 1 + le, or tau + tau * (le - lt) + lt.
-    Times the integer L / (m_k + 1), L = lcm(m_k + 1), each running mean is one division of
-    a prefix sum by l * L, and u-cross divides the pooled numerator sum once by n_used + K.
+    Times the integer L / (m_k + 1), L = lcm(m_k + 1), the prefix sums are added up one fold
+    row at a time, in fold order, and each running mean is one division of its prefix sum by
+    l * L, kept in a running minimum for e-mod; u-cross divides the pooled numerator sum
+    once by n_used + K.
     A deterministic statistic and its threshold are then correctly rounded rationals in
     [0, 1] with denominators at most K * L and 10^d * (n_used + K), d = decimals of alpha;
     while that product is below 2^52, their gap (at least its reciprocal) exceeds both
@@ -360,8 +369,12 @@ def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
     pooled, first = num.sum(axis=0) / (ctx.n_used + k), num[0] / (ctx.sizes[0] + 1)
     L = np.lcm.reduce(ctx.sizes + 1)
     num *= (L // (ctx.sizes + 1))[:, None]
-    cummean = np.cumsum(num, axis=0, out=num) / (L * np.arange(1, k + 1))[:, None]
-    return _FoldStats(le.sum(axis=0), pooled, first, cummean[-1], cummean.min(axis=0), ctx.n_used)
+    emod = mean = num[0] / L
+    for j in range(1, k):
+        np.add(num[j - 1], num[j], out=num[j])
+        mean = num[j] / (L * (j + 1))
+        np.minimum(emod, mean, out=emod)
+    return _FoldStats(le.sum(axis=0), pooled, first, mean, emod, ctx.n_used)
 
 
 def _method_mask(
@@ -419,14 +432,12 @@ def fold_method_sets(
     ctx = _fold_context(cv, folds, test_x)
     bounds, ys = _pieces(_candidates(ctx))
     st = _fold_stats(ctx, ys, draws.tau if smoothed else None)
-    out: dict[str, PredictionSet] = {}
-    uninformative: list[str] = []
-    for method in dict.fromkeys(methods):
-        threshold = ap if method.endswith("-cross") else alpha
-        mask = _method_mask(method, threshold, st, draws)
-        if mask[0]:
-            uninformative.append(method)
-        out[method] = PredictionSet(tuple(_runs(bounds, mask)))
+    methods = list(dict.fromkeys(methods))
+    masks = np.empty((len(methods), ys.size), dtype=bool)
+    for i, method in enumerate(methods):
+        masks[i] = _method_mask(method, ap if method.endswith("-cross") else alpha, st, draws)
+    out = {m: PredictionSet(tuple(runs)) for m, runs in zip(methods, _runs(bounds, masks))}
+    uninformative = [m for m, whole in zip(methods, masks[:, 0].tolist()) if whole]
     if uninformative:
         warnings.warn(
             "threshold too small to exclude any response for "

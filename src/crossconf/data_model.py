@@ -113,7 +113,8 @@ class FoldAssignment:
             raise InvalidConfigurationError(f"unknown fold mode: {self.mode!r}")
         if len(members) == 0:
             raise InvalidConfigurationError("need at least one fold")
-        flat = np.sort(np.concatenate(members + (discarded,)))
+        order = np.concatenate(members + (discarded,))
+        flat = np.sort(order)
         if flat.size != self.n or not np.array_equal(flat, np.arange(self.n)):
             raise InvalidConfigurationError(
                 "folds plus discarded points must partition the indices 0..n-1"
@@ -137,6 +138,10 @@ class FoldAssignment:
                 raise InvalidConfigurationError(
                     "varying-size fold sizes may differ by at most one"
                 )
+        # The members in fold order, fold k at _offsets[k]:_offsets[k + 1].
+        offsets = _frozen_array(np.concatenate(([0], np.cumsum(sizes))), dtype=int)
+        object.__setattr__(self, "_members", _frozen_array(order[: offsets[-1]], dtype=int))
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def n_folds(self) -> int:
@@ -144,7 +149,7 @@ class FoldAssignment:
 
     @property
     def fold_sizes(self) -> np.ndarray:
-        return np.array([m.size for m in self.fold_members])
+        return np.diff(self._offsets)
 
     @property
     def n_used(self) -> int:
@@ -156,10 +161,8 @@ class FoldAssignment:
 
         Discarded points take no part in training or scoring.
         """
-        others = [m for k, m in enumerate(self.fold_members) if k != fold]
-        if not others:
-            return np.empty(0, dtype=int)
-        return np.concatenate(others)
+        return np.concatenate((self._members[: self._offsets[fold]],
+                               self._members[self._offsets[fold + 1]:]))
 
 
 @dataclass(frozen=True)

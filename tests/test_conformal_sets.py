@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pipeline, random_grid
 from crossconf import (
@@ -38,12 +40,13 @@ from crossconf import (
     split_conformal,
     split_set_from_state,
 )
-from crossconf.conformal_sets import _pieces, _runs
+from crossconf.conformal_sets import _fold_context, _fold_stats, _pieces, _runs
 from oracles import (
     all_fold_pvalues,
     cross_membership_pvalue_form,
     cv_plus_set,
     exact_fold_method_masks,
+    fold_stats_cumsum,
     is_subset,
     split_pvalue,
     stat_emod,
@@ -173,7 +176,7 @@ def scan(endpoints, membership):
     """The piece scan that ``fold_method_sets`` runs, applied to a vectorized
     predicate: evaluate it on every piece and take the runs of the closed mask."""
     bounds, ys = _pieces(np.unique(np.asarray(endpoints, dtype=float)))
-    return PredictionSet(tuple(_runs(bounds, membership(ys))))
+    return PredictionSet(tuple(_runs(bounds, membership(ys)[None])[0]))
 
 
 class TestEndpointScan:
@@ -253,22 +256,57 @@ def close_over_breakpoints(mask):
     return closed
 
 
+@st.composite
+def mask_matrices(draw):
+    """A (sets, pieces) mask matrix over 2M + 1 pieces, M >= 1: each row is
+    random, empty, the whole line, one true breakpoint, true rays, or a false
+    breakpoint between two true gaps."""
+    m = draw(st.integers(1, 20))
+    width = 2 * m + 1
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(MASK_KINDS), min_size=1, max_size=8)):
+        if kind == "random":
+            row = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        elif kind in ("empty", "whole"):
+            row = [kind == "whole"] * width
+        elif kind == "lone":
+            row = [False] * width
+            row[2 * draw(st.integers(0, m - 1)) + 1] = True
+        elif kind == "rays":
+            left = draw(st.integers(0, width - 1))
+            right = draw(st.integers(left, width - 1))
+            row = [j <= left or j >= right for j in range(width)]
+        else:
+            row = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+            i = 2 * draw(st.integers(0, m - 1)) + 1
+            row[i - 1: i + 2] = [True, False, True]
+        rows.append(row)
+    return np.array(rows, dtype=bool)
+
+
+MASK_KINDS = ("random", "empty", "whole", "lone", "rays", "closed-over")
+
+
 class TestRunsAgainstScanOracle:
-    """Run extraction must match the piece-by-piece walk of the closed mask."""
+    """Run extraction must match the piece-by-piece walk of each closed mask row."""
 
     @staticmethod
-    def check(mask):
-        # built from bounds, not _pieces, so that a one-piece mask (no breakpoint) is covered
-        mask = np.asarray(mask, dtype=bool)
-        bounds = np.arange(mask.size // 2 + 2) * 2.0 - 0.5
+    def check(masks, bounds=None):
+        # by default built from bounds, not _pieces, so that a one-piece mask
+        # (no breakpoint) and even widths are covered
+        masks = np.asarray(masks, dtype=bool)
+        if bounds is None:
+            bounds = np.arange(masks.shape[1] // 2 + 2) * 2.0 - 0.5
         los, his = piece_bounds(bounds)
-        assert _runs(bounds, mask) == scan_runs_oracle(los, his, close_over_breakpoints(mask))
+        expected = [scan_runs_oracle(los, his, close_over_breakpoints(row)) for row in masks]
+        assert _runs(bounds, masks) == expected
 
     def test_random_masks(self):
         gen = np.random.default_rng(21)
         for _ in range(300):
             size = int(gen.integers(1, 80))
-            self.check(gen.random(size) < gen.random())
+            rows = int(gen.integers(1, 6))
+            self.check(gen.random((rows, size)) < gen.random((rows, 1)))
 
     @pytest.mark.parametrize(
         "mask",
@@ -276,7 +314,42 @@ class TestRunsAgainstScanOracle:
         ids=["all-true", "all-false", "one-true", "one-false", "alt-true", "alt-false"],
     )
     def test_edge_masks(self, mask):
-        self.check(mask)
+        self.check([mask])
+
+    @given(masks=mask_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_of_a_matrix_matches_the_oracle(self, masks):
+        bounds, _ = _pieces(np.arange(masks.shape[1] // 2, dtype=float))
+        self.check(masks, bounds)
+
+    def test_rows_do_not_share_runs(self):
+        # an empty row between two full ones, and a last row with no runs
+        masks = np.array([[True] * 5, [False] * 5, [True, False, True, False, True], [False] * 5])
+        bounds, _ = _pieces(np.array([0.0, 1.0]))
+        assert _runs(bounds, masks) == [[(-INF, INF)], [], [(-INF, INF)], []]
+
+
+class TestFoldStatsBits:
+    """The running fold sums keep the bits of one cumsum over folds and one
+    division of the prefix sums, deterministic and smoothed."""
+
+    @pytest.mark.parametrize("smoothed", [False, True], ids=["deterministic", "smoothed"])
+    @pytest.mark.parametrize("mode,n", [("equal", 62), ("varying", 61)])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, "n"])
+    def test_every_statistic_has_the_bits_of_the_cumsum_formula(self, k, mode, n, smoothed):
+        for seed in range(4):
+            _, folds, _, cv, draws, tx, _ = make_pipeline(
+                seed, n=n, p=5, k=n if k == "n" else k, mode=mode
+            )
+            ctx = _fold_context(cv, folds, tx)
+            _, ys = _pieces(candidate_endpoints(cv, folds, tx))
+            tau = draws.tau if smoothed else None
+            got = _fold_stats(ctx, ys, tau)
+            want = fold_stats_cumsum(ctx.mu, ctx.sorted_scores, ys, folds.n_used, tau)
+            for name, expected in zip(("count", "pooled", "first", "mean", "emod"), want):
+                actual = getattr(got, name)
+                assert actual.dtype == expected.dtype, (seed, name)
+                assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64)), (seed, name)
 
 
 def single_fold_state(scores, coef=0.0):
@@ -423,9 +496,9 @@ class TestExactVerdicts:
             bounds, ys = _pieces(candidate_endpoints(cv, folds, tx))
             sets = fold_method_sets(cv, folds, tx, alpha, methods, draws=draws)
             exact = exact_fold_method_masks(cv, folds, tx, alpha, ys, draws)
-            for method in methods:
-                expected = tuple(_runs(bounds, exact[method]))
-                assert sets[method].intervals == expected, (seed, method)
+            runs = _runs(bounds, np.array([exact[method] for method in methods]))
+            for method, expected in zip(methods, runs):
+                assert sets[method].intervals == tuple(expected), (seed, method)
 
     @pytest.mark.parametrize("n,k,alpha", TIE_GRID)
     def test_equal_folds_match_exact_oracle_on_every_piece(self, n, k, alpha):

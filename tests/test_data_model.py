@@ -112,6 +112,23 @@ class TestAssignFolds:
             FoldAssignment(4, (np.array([0, 1, 2]), np.array([3])), np.array([]), "equal")
 
 
+    @pytest.mark.parametrize(
+        "n,k,mode",
+        [(40, 5, "equal"), (43, 5, "equal"), (43, 5, "varying"), (17, 17, "equal"), (1, 1, "equal")],
+        ids=["equal", "discarded", "varying", "k-equals-n", "one-fold"],
+    )
+    def test_complement_is_the_other_folds_in_fold_order(self, n, k, mode):
+        for seed in range(3):
+            folds = assign_folds(n, k, mode, RandomSource(seed))
+            sizes = [m.size for m in folds.fold_members]
+            assert folds.fold_sizes.tolist() == sizes
+            for j in range(k):
+                others = [m for i, m in enumerate(folds.fold_members) if i != j]
+                expected = np.concatenate(others) if others else np.empty(0, dtype=int)
+                got = folds.complement(j)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (seed, j)
+
 def draw(seed, stream_id):
     """The (tau, U) pair of the first prediction task on a stream."""
     return next(randomization_stream(RandomSource(seed, stream_id)))
