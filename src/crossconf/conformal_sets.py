@@ -211,17 +211,25 @@ def _runs(bounds: np.ndarray, masks: np.ndarray) -> list[list[tuple[float, float
     maximal run of true pieces of the closed row, in order: a false breakpoint
     between two true gaps is closed over, so the runs come out sorted, disjoint
     and non-touching. Piece j spans ``bounds[(j + 1) // 2]`` to
-    ``bounds[j // 2 + 1]``. All rows go through one pass: pad with false
-    columns, close over, diff along the pieces, one ``nonzero`` each for the run
-    starts and for the pieces just after the run ends."""
-    padded = np.zeros((masks.shape[0], masks.shape[1] + 2), dtype=np.int8)
+    ``bounds[j // 2 + 1]``. All rows go through one pass over a copy padded with
+    a false column on each side: the closure, one ``np.diff`` along the pieces,
+    and one ``flatnonzero`` each for the run starts and for the pieces just
+    after the run ends, whose flat positions give the row cuts. The closure
+    picks the breakpoints by an alternating row, not by a strided slice, and
+    the flat ``nonzero`` is used instead of the 2-D one: both are several times
+    faster on a few rows of thousands of pieces."""
+    rows, width = masks.shape[0], masks.shape[1] + 1
+    padded = np.zeros((rows, width + 1), dtype=bool)
     padded[:, 1:-1] = masks
-    padded[:, 2:-2:2] |= masks[:, :-2:2] & masks[:, 2::2]
-    edges = np.diff(padded, axis=1)
-    row, starts = np.nonzero(edges == 1)
-    ends = np.nonzero(edges == -1)[1]
-    pairs = list(zip(bounds[(starts + 1) // 2].tolist(), bounds[(ends + 1) // 2].tolist()))
-    cuts = np.searchsorted(row, np.arange(masks.shape[0] + 1)).tolist()
+    odd = np.zeros(max(width - 3, 0), dtype=bool)
+    odd[::2] = True
+    padded[:, 2:-2] |= masks[:, :-2] & masks[:, 2:] & odd
+    edges = np.diff(padded.view(np.int8), axis=1).ravel()
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    pairs = list(zip(bounds[(starts % width + 1) // 2].tolist(),
+                     bounds[(ends % width + 1) // 2].tolist()))
+    cuts = np.searchsorted(starts, np.arange(rows + 1) * width).tolist()
     return [pairs[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
