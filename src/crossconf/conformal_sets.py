@@ -211,13 +211,11 @@ def _runs(bounds: np.ndarray, masks: np.ndarray) -> list[list[tuple[float, float
     maximal run of true pieces of the closed row, in order: a false breakpoint
     between two true gaps is closed over, so the runs come out sorted, disjoint
     and non-touching. Piece j spans ``bounds[(j + 1) // 2]`` to
-    ``bounds[j // 2 + 1]``. All rows go through one pass over a copy padded with
-    a false column on each side: the closure, one ``np.diff`` along the pieces,
-    and one ``flatnonzero`` each for the run starts and for the pieces just
-    after the run ends, whose flat positions give the row cuts. The closure
-    picks the breakpoints by an alternating row, not by a strided slice, and
-    the flat ``nonzero`` is used instead of the 2-D one: both are several times
-    faster on a few rows of thousands of pieces."""
+    ``bounds[j // 2 + 1]``. One pass serves all rows: pad with false columns,
+    close over, diff along the pieces, and one flat ``nonzero`` each for the run
+    starts and ends, whose flat positions also give the row cuts. An alternating
+    row picks the breakpoints, as strided slices and the 2-D ``nonzero`` are
+    several times slower on a few rows of thousands of pieces."""
     rows, width = masks.shape[0], masks.shape[1] + 1
     padded = np.zeros((rows, width + 1), dtype=bool)
     padded[:, 1:-1] = masks

@@ -256,6 +256,9 @@ def close_over_breakpoints(mask):
     return closed
 
 
+MASK_KINDS = ("random", "empty", "whole", "lone", "rays", "closed-over")
+
+
 @st.composite
 def mask_matrices(draw):
     """A (sets, pieces) mask matrix over 2M + 1 pieces, M >= 1: each row is
@@ -282,9 +285,6 @@ def mask_matrices(draw):
             row[i - 1: i + 2] = [True, False, True]
         rows.append(row)
     return np.array(rows, dtype=bool)
-
-
-MASK_KINDS = ("random", "empty", "whole", "lone", "rays", "closed-over")
 
 
 class TestRunsAgainstScanOracle:
@@ -321,12 +321,6 @@ class TestRunsAgainstScanOracle:
     def test_every_row_of_a_matrix_matches_the_oracle(self, masks):
         bounds, _ = _pieces(np.arange(masks.shape[1] // 2, dtype=float))
         self.check(masks, bounds)
-
-    def test_rows_do_not_share_runs(self):
-        # an empty row between two full ones, and a last row with no runs
-        masks = np.array([[True] * 5, [False] * 5, [True, False, True, False, True], [False] * 5])
-        bounds, _ = _pieces(np.array([0.0, 1.0]))
-        assert _runs(bounds, masks) == [[(-INF, INF)], [], [(-INF, INF)], []]
 
 
 class TestFoldStatsBits:
