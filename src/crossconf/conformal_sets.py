@@ -420,7 +420,7 @@ def fold_method_sets(
     is the whole line: its statistic passes the threshold at count 0, its least
     value, taken on the left ray.
     """
-    methods = list(methods)
+    methods = list(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in FOLD_METHODS]
     if unknown:
         raise InvalidConfigurationError(f"unknown fold methods: {unknown}")
@@ -438,7 +438,6 @@ def fold_method_sets(
     ctx = _fold_context(cv, folds, test_x)
     bounds, ys = _pieces(_candidates(ctx))
     st = _fold_stats(ctx, ys, draws.tau if smoothed else None)
-    methods = list(dict.fromkeys(methods))
     masks = np.empty((len(methods), ys.size), dtype=bool)
     for i, method in enumerate(methods):
         masks[i] = _method_mask(method, ap if method.endswith("-cross") else alpha, st, draws)
