@@ -15,10 +15,8 @@ they are evaluated directly and intervals are closed. ``_runs`` takes the masks
 of all requested methods as one (methods, pieces) matrix and finds every run
 in one pass over it. It also counts a breakpoint between two included gaps as
 included, so a set is the closure of its membership set. That is the exact
-set for deterministic fold p-values, whose weak counts keep every breakpoint
-at least as included as its neighbouring gaps. A tau-smoothed fold p-value at
-its own breakpoint lies between its two gap values, which keeps the set exact
-unless breakpoints of two folds coincide.
+set, because the weak counts keep every breakpoint at least as included as
+its neighbouring gaps.
 """
 
 from __future__ import annotations
@@ -349,29 +347,24 @@ class _FoldStats:
     n_used: int
 
 
-def _fold_stats(ctx: _FoldContext, ys, tau: float | None = None) -> _FoldStats:
-    """Every statistic at each candidate y, from per-fold weak counts le = #{s(y) <= S_i}
-    and, when ``tau`` is given, strict counts lt, held fold-major as (K, len(ys)). Fold k's
-    p-value is a numerator over m_k + 1: the integer 1 + le, or tau + tau * (le - lt) + lt.
-    Times the integer L / (m_k + 1), L = lcm(m_k + 1), the prefix sums are added up one fold
-    row at a time, in fold order, and each running mean is one division of its prefix sum by
-    l * L, kept in a running minimum for e-mod; u-cross divides the pooled numerator sum
-    once by n_used + K.
-    A deterministic statistic and its threshold are then correctly rounded rationals in
-    [0, 1] with denominators at most K * L and 10^d * (n_used + K), d = decimals of alpha;
-    while that product is below 2^52, their gap (at least its reciprocal) exceeds both
-    roundings and ``>`` decides exactly. u-* rounds once more (by 2 - U); smoothed
-    numerators are floats. ``count`` is the total weak count, summed over the folds."""
+def _fold_stats(ctx: _FoldContext, ys) -> _FoldStats:
+    """Every statistic at each candidate y, from per-fold weak counts le = #{s(y) <= S_i},
+    held fold-major as (K, len(ys)). Fold k's p-value is the integer numerator 1 + le over
+    m_k + 1. Times the integer L / (m_k + 1), L = lcm(m_k + 1), the prefix sums are added up
+    one fold row at a time, in fold order, and each running mean is one division of its
+    prefix sum by l * L, kept in a running minimum for e-mod; u-cross divides the pooled
+    numerator sum once by n_used + K.
+    Each statistic and its threshold are then correctly rounded rationals in [0, 1] with
+    denominators at most K * L and 10^d * (n_used + K), d = decimals of alpha; while that
+    product is below 2^52, their gap (at least its reciprocal) exceeds both roundings and
+    ``>`` decides exactly. u-* rounds once more (by 2 - U). ``count`` is the total weak
+    count, summed over the folds."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     k = len(ctx.sorted_scores)
     le = np.empty((k, ys.size), dtype=np.int64)
-    lt = None if tau is None else np.empty_like(le)
     for j, s in enumerate(ctx.sorted_scores):
-        t = np.abs(ys - ctx.mu[j])
-        le[j] = s.size - np.searchsorted(s, t, side="left")
-        if lt is not None:
-            lt[j] = s.size - np.searchsorted(s, t, side="right")
-    num = 1 + le if tau is None else tau + tau * (le - lt) + lt
+        le[j] = s.size - np.searchsorted(s, np.abs(ys - ctx.mu[j]), side="left")
+    num = 1 + le
     pooled, first = num.sum(axis=0) / (ctx.n_used + k), num[0] / (ctx.sizes[0] + 1)
     L = np.lcm.reduce(ctx.sizes + 1)
     num *= (L // (ctx.sizes + 1))[:, None]
@@ -408,15 +401,13 @@ def fold_method_sets(
     alpha: float,
     methods,
     draws: RandomDraws | None = None,
-    smoothed: bool = False,
 ) -> dict[str, PredictionSet]:
     """Prediction sets of several fold-based methods from one shared scan.
 
-    All requested methods see the same fold models, scores, tau and U, so
-    per-candidate containment relations between them hold exactly. ``smoothed``
-    switches the fold p-values to their tau-randomized form (requires
-    ``draws``); the plain ``cross`` method always uses the pooled rank count.
-    A repeated method gives one set. Warns once, naming each method whose set
+    All requested methods see the same fold models, scores and U, so
+    per-candidate containment relations between them hold exactly. Every fold
+    p-value is the rank p-value (1 + le) / (m_k + 1); the plain ``cross``
+    method uses the pooled rank count. A repeated method gives one set. Warns once, naming each method whose set
     is the whole line: its statistic passes the threshold at count 0, its least
     value, taken on the left ray.
     """
@@ -425,10 +416,8 @@ def fold_method_sets(
     if unknown:
         raise InvalidConfigurationError(f"unknown fold methods: {unknown}")
     ap = alpha_prime(alpha, folds.n_folds, folds.n_used)
-    if draws is None and (smoothed or any(m in _DRAW_METHODS for m in methods)):
-        raise InvalidConfigurationError(
-            "randomized methods and smoothed p-values require a (tau, U) draw"
-        )
+    if draws is None and any(m in _DRAW_METHODS for m in methods):
+        raise InvalidConfigurationError("randomized methods require a (tau, U) draw")
     sizes = folds.fold_sizes
     if sizes.min() != sizes.max() and any(m in _EXCHANGEABLE_CROSS for m in methods):
         raise InvalidConfigurationError(
@@ -437,7 +426,7 @@ def fold_method_sets(
         )
     ctx = _fold_context(cv, folds, test_x)
     bounds, ys = _pieces(_candidates(ctx))
-    st = _fold_stats(ctx, ys, draws.tau if smoothed else None)
+    st = _fold_stats(ctx, ys)
     masks = np.empty((len(methods), ys.size), dtype=bool)
     for i, method in enumerate(methods):
         masks[i] = _method_mask(method, ap if method.endswith("-cross") else alpha, st, draws)

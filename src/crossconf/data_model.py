@@ -194,11 +194,10 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class RandomDraws:
-    """One shared tau and one U per prediction task, both uniform on (0, 1).
-
-    tau smooths the fold p-values and must be common across all folds of a
-    task; U feeds the randomized combination rules. The two draws are mutually
-    independent and independent of the data streams.
+    """One tau and one U per prediction task, both uniform on (0, 1), mutually
+    independent and independent of the data streams. U feeds the randomized
+    combination rules. No set builder reads tau; it stays so that each task
+    keeps the pair of draws it has always taken from its stream.
     """
 
     tau: float

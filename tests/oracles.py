@@ -247,19 +247,17 @@ def exact_fold_method_masks(
     return {method: np.array(v, dtype=bool) for method, v in out.items()}
 
 
-def fold_stats_cumsum(mu, fold_scores, ys, n_used: int, tau: float | None = None):
+def fold_stats_cumsum(mu, fold_scores, ys, n_used: int):
     """(count, pooled, first, mean, emod) at each y in the kernel's integer-weight
     arithmetic, with the prefix sums over folds taken by one ``np.cumsum(axis=0)``
     and divided in one (K, len(ys)) division. The weak counts #{S_i >= |y - mu_k|}
-    and strict counts #{S_i > |y - mu_k|} come from comparing every y with every
-    score of the fold."""
+    come from comparing every y with every score of the fold."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     sizes = np.array([s.size for s in fold_scores])
     k = sizes.size
     t = [np.abs(ys - m)[:, None] for m in mu]
     le = np.array([np.count_nonzero(s[None, :] >= tj, axis=1) for s, tj in zip(fold_scores, t)])
-    lt = np.array([np.count_nonzero(s[None, :] > tj, axis=1) for s, tj in zip(fold_scores, t)])
-    num = 1 + le if tau is None else tau + tau * (le - lt) + lt
+    num = 1 + le
     pooled, first = num.sum(axis=0) / (n_used + k), num[0] / (sizes[0] + 1)
     L = np.lcm.reduce(sizes + 1)
     num = num * (L // (sizes + 1))[:, None]

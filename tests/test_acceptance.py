@@ -62,9 +62,7 @@ def test_01_containment_chains():
     checked = 0
     for seed in range(200):
         data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=60, p=10, k=5)
-        smoothed = bool(seed % 2)  # exercise both p-value forms across the suite
-        sets = fold_method_sets(cv, folds, tx, 0.1, list(VARIANTS),
-                                draws=draws, smoothed=smoothed)
+        sets = fold_method_sets(cv, folds, tx, 0.1, list(VARIANTS), draws=draws)
         plus = cv_plus_from_scores(cv, folds, tx, 0.1)
         chains = [
             ("eu-mod", "e-mod"), ("e-mod", "mod"), ("u-mod", "mod"),

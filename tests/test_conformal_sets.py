@@ -325,21 +325,19 @@ class TestRunsAgainstScanOracle:
 
 class TestFoldStatsBits:
     """The running fold sums keep the bits of one cumsum over folds and one
-    division of the prefix sums, deterministic and smoothed."""
+    division of the prefix sums."""
 
-    @pytest.mark.parametrize("smoothed", [False, True], ids=["deterministic", "smoothed"])
     @pytest.mark.parametrize("mode,n", [("equal", 62), ("varying", 61)])
     @pytest.mark.parametrize("k", [2, 3, 5, 10, "n"])
-    def test_every_statistic_has_the_bits_of_the_cumsum_formula(self, k, mode, n, smoothed):
+    def test_every_statistic_has_the_bits_of_the_cumsum_formula(self, k, mode, n):
         for seed in range(4):
-            _, folds, _, cv, draws, tx, _ = make_pipeline(
+            _, folds, _, cv, _, tx, _ = make_pipeline(
                 seed, n=n, p=5, k=n if k == "n" else k, mode=mode
             )
             ctx = _fold_context(cv, folds, tx)
             _, ys = _pieces(candidate_endpoints(cv, folds, tx))
-            tau = draws.tau if smoothed else None
-            got = _fold_stats(ctx, ys, tau)
-            want = fold_stats_cumsum(ctx.mu, ctx.sorted_scores, ys, folds.n_used, tau)
+            got = _fold_stats(ctx, ys)
+            want = fold_stats_cumsum(ctx.mu, ctx.sorted_scores, ys, folds.n_used)
             for name, expected in zip(("count", "pooled", "first", "mean", "emod"), want):
                 actual = getattr(got, name)
                 assert actual.dtype == expected.dtype, (seed, name)
@@ -381,13 +379,13 @@ class TestVariantSets:
     def test_containment_chains(self):
         # the last three configurations have threshold ties (see TIE_GRID)
         for n, k, alpha in [(60, 5, 0.1), (100, 3, 0.1), (100, 10, 0.1), (60, 5, 0.2)]:
-            for seed, smoothed in itertools.product(range(30), (False, True)):
+            for seed in range(30):
                 data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=n, p=10, k=k)
                 sets = fold_method_sets(
                     cv, folds, tx, alpha,
                     ["mod", "e-mod", "u-mod", "eu-mod", "cross",
                      "e-cross", "u-cross", "eu-cross"],
-                    draws=draws, smoothed=smoothed,
+                    draws=draws,
                 )
                 assert is_subset(sets["eu-mod"], sets["e-mod"])
                 assert is_subset(sets["e-mod"], sets["mod"])
@@ -439,17 +437,16 @@ class TestVariantSets:
             assert np.isfinite(sets[method].intervals).all(), method
 
     def test_warning_names_exactly_the_whole_line_sets(self):
-        for (n, k), alpha, smoothed in itertools.product(
-            [(20, 5), (30, 10), (12, 4)], (0.05, 0.1, 0.2, 0.25, 0.3), (False, True)
+        for (n, k), alpha in itertools.product(
+            [(20, 5), (30, 10), (12, 4)], (0.05, 0.1, 0.2, 0.25, 0.3)
         ):
             data, folds, spec, cv, draws, tx, ty = make_pipeline(n + k, n=n, p=2, k=k)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                sets = fold_method_sets(cv, folds, tx, alpha, FOLD_METHODS,
-                                        draws=draws, smoothed=smoothed)
+                sets = fold_method_sets(cv, folds, tx, alpha, FOLD_METHODS, draws=draws)
             whole = [m for m, s in sets.items() if s.intervals == ((-INF, INF),)]
             named = [str(w.message).split(" for ")[-1].split(";")[0].split(", ") for w in caught]
-            assert named == ([whole] if whole else []), (n, k, alpha, smoothed)
+            assert named == ([whole] if whole else []), (n, k, alpha)
 
     def test_varying_sizes_refuse_exchangeable_cross_forms(self):
         data, folds, spec, cv, draws, tx, ty = make_pipeline(3, n=101, p=5, k=5, mode="varying")
@@ -462,8 +459,6 @@ class TestVariantSets:
         data, folds, spec, cv, draws, tx, ty = make_pipeline(4, n=30, p=4, k=3)
         with pytest.raises(InvalidConfigurationError):
             fold_method_sets(cv, folds, tx, 0.1, ["u-mod"])
-        with pytest.raises(InvalidConfigurationError):
-            fold_method_sets(cv, folds, tx, 0.1, ["mod"], smoothed=True)
 
 
 # (n, K, alpha) with threshold ties: alpha * (n_used + 1) = 10 at n=100/K=3, and
