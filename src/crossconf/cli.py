@@ -13,7 +13,9 @@ import math
 import os
 import secrets
 import sys
+import threading
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -152,16 +154,10 @@ def cmd_predict(args) -> int:
     src = RandomSource(seed)
     folds, cv, split_state = fit_state(cfg, data, src)
     predictions = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for j, sets in enumerate(query_sets(cfg, folds, cv, split_state, query, src)):
-            if args.hull:
-                sets = {m: s.hull() for m, s in sets.items()}
-            predictions.append(
-                {"row": j, "sets": {m: _jsonable_set(s) for m, s in sets.items()}}
-            )
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
+    for j, sets in enumerate(query_sets(cfg, folds, cv, split_state, query, src)):
+        if args.hull:
+            sets = {m: s.hull() for m, s in sets.items()}
+        predictions.append({"row": j, "sets": {m: _jsonable_set(s) for m, s in sets.items()}})
     payload = {
         "config": {"command": "predict", "alpha": args.alpha, "k": args.k,
                    "methods": list(cfg.methods), "seed": seed, "fold_mode": args.fold_mode,
@@ -265,6 +261,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _counted_warnings():
+    """Print each distinct warning message raised in the block, and from its worker
+    threads, to stderr once, in first-seen order, with how many times it fired.
+    Warnings are counted, not kept, so memory does not grow with the trials."""
+    counts: dict[str, int] = {}
+    lock = threading.Lock()
+
+    def count(message, *_):
+        with lock:
+            counts[str(message)] = counts.get(str(message), 0) + 1
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = count
+            yield
+    finally:
+        for message, times in counts.items():
+            print(f"warning: {message} ({times} time{'s' if times > 1 else ''})",
+                  file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -272,7 +291,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with _counted_warnings():
+            return args.func(args)
     except InvalidConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

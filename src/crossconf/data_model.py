@@ -278,11 +278,19 @@ def _open_table(path):
         yield header, ((reader.line_num, row) for row in reader if row)
 
 
-def _matrix(values: array, width: int, path) -> np.ndarray:
-    """The floats read from a table, ``width`` to a row, as a matrix."""
+def _matrix(values: array, columns: list[str], path) -> np.ndarray:
+    """The floats read from a table, one per column to a row, as a matrix. The
+    first cell that is inf or nan is named by its column."""
     if not values:
         raise InvalidDataError(f"{path}: CSV has a header but no data rows")
-    return np.frombuffer(values).reshape(-1, width)
+    out = np.frombuffer(values).reshape(-1, len(columns))
+    finite = np.isfinite(out)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), len(columns))
+        raise InvalidDataError(
+            f"{path}: non-finite value {out[row, col]} in column {columns[col]!r}"
+        )
+    return out
 
 
 def _cell(value: str, column: str) -> float:
@@ -319,7 +327,7 @@ def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
             if len(row) != width:
                 raise InvalidDataError(f"row {line} has {len(row)} cells, expected {width}")
             values.extend(_floats(row, header))
-    values = _matrix(values, width, path)
+    values = _matrix(values, header, path)
     t_col = header.index(target)
     feature_names = [h for i, h in enumerate(header) if i != t_col]
     responses = values[:, t_col]
@@ -348,7 +356,4 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
                 c = next(c for c in cols if c >= len(row))
                 raise InvalidDataError(f"row {line} is missing column {header[c]!r}")
             out.extend(_floats([row[c] for c in cols], feature_names))
-    out = _matrix(out, len(cols), path)
-    if not np.isfinite(out).all():
-        raise InvalidDataError("query rows must be finite")
-    return out
+    return _matrix(out, feature_names, path)

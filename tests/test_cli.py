@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import types
@@ -112,6 +113,18 @@ class TestSimulateCommand:
                      "--methods", "split", "--seed", "1", "--out", str(out), "--threads", "1"])
         assert code == 0
         assert [line.split(",")[0] for line in out.read_text().splitlines()[2:]] == ["split"]
+
+    def test_each_warning_prints_once_with_its_count(self, tmp_path, capsys):
+        # folds of 4 at alpha = 0.1: mod's set is the whole line in every trial,
+        # and the warnings of both worker threads reach one counter
+        argv = ["simulate", "--n", "20", "--p", "2", "--reps", "3", "--k", "5",
+                "--alpha", "0.1", "--methods", "mod", "--seed", "1", "--threads", "2",
+                "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: threshold too small to exclude any response for mod; "
+            "their sets are the whole line (3 times)"
+        ]
 
     def test_usage_error_exit_code(self):
         assert main(["simulate", "--n", "20"]) == 2  # --p missing
@@ -301,6 +314,19 @@ class TestRunCommand:
         assert len(lines) == 4  # config, columns, two method rows
         assert lines[2].split(",")[2] == "2"
 
+    def test_warnings_print_without_source_lines(self, tmp_path, capsys):
+        write_dataset_csv(tmp_path / "d.csv", n=30, p=2, seed=9)
+        argv = ["run", "--data", str(tmp_path / "d.csv"), "--target", "y",
+                "--train-size", "20", "--test-size", "3", "--trials", "2", "--k", "5",
+                "--alpha", "0.1", "--methods", "mod,cross", "--seed", "1",
+                "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: threshold too small to exclude any response for mod; "
+            "their sets are the whole line (6 times)"
+        ]
+
     def test_missing_target_column_is_named(self, tmp_path, capsys):
         write_dataset_csv(tmp_path / "d.csv", n=30, p=2, seed=9)
         code = main(
@@ -415,6 +441,18 @@ class TestBoundsCommand:
     def test_stdout_output(self, capsys):
         assert main(["bounds", "--alpha", "0.1", "--k-list", "2", "--n", "50"]) == 0
         assert "bound_small_k" in capsys.readouterr().out
+
+    def test_out_file_has_the_mode_of_a_plainly_opened_file(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            assert main(["bounds", "--k-list", "2", "--n", "50",
+                         "--out", str(tmp_path / "b.csv")]) == 0
+        finally:
+            os.umask(umask)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain.txt", "b.csv")]
+        assert modes == [0o644, 0o644]
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -273,6 +273,15 @@ class TestCsvIngestion:
             load_query_csv(path, ["a", "b"])
 
     def test_non_finite_query_cell(self, tmp_path):
-        path = self._write(tmp_path, "a,b\n1,inf\n", "q.csv")
-        with pytest.raises(InvalidDataError, match="query rows must be finite"):
+        path = self._write(tmp_path, "a,b\n1,2\n1,inf\n", "q.csv")
+        with pytest.raises(InvalidDataError, match=r"q\.csv: non-finite value inf in column 'b'"):
             load_query_csv(path, ["a", "b"])
+
+    def test_first_non_finite_training_cell_is_named(self, tmp_path):
+        # the first bad cell in file order; the target column is named as well
+        path = self._write(tmp_path, "a,b,y\n1,2,3\n4,5,nan\n-inf,6,7\n")
+        with pytest.raises(InvalidDataError, match=r"data\.csv: non-finite value nan in column 'y'"):
+            load_csv(path, "y")
+        path = self._write(tmp_path, "a,b,y\n1,2,3\n4,-inf,nan\n")
+        with pytest.raises(InvalidDataError, match="non-finite value -inf in column 'b'"):
+            load_csv(path, "y")

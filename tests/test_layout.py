@@ -6,7 +6,10 @@ import dataclasses
 import importlib
 import re
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 import crossconf
 from crossconf import RegressorSpec, SimulationConfig, parse_regressor
@@ -105,3 +108,56 @@ def test_every_exported_name_is_used_outside_the_tests():
     texts += [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     used |= {word for text in texts for word in re.findall(r"\w+", text)}
     assert sorted(exported - used) == []
+
+
+def _defaulted_parameters(fn: ast.FunctionDef):
+    """(position or None, name) of each parameter of fn that has a default; a
+    keyword-only parameter has no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_default_of_an_exported_function_is_overridden_by_the_program():
+    # a default that no call in src/ or perfbench/ overrides is an option that
+    # only tests reach; spread calls (*args, **kwargs) do not count as passing it
+    package = Path(crossconf.__file__).parent
+    calls = {}
+    for path in sorted(package.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+                calls.setdefault(name, []).append(
+                    (len(positional), {kw.arg for kw in node.keywords if kw.arg}))
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        exported = set(getattr(importlib.import_module(f"crossconf.{path.stem}"), "__all__", ()))
+        for fn in ast.parse(path.read_text()).body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in exported):
+                continue
+            unused += [
+                f"{path.stem}.{fn.name}({name}=)"
+                for position, name in _defaulted_parameters(fn)
+                if not any(name in keywords or (position is not None and position < count)
+                           for count, keywords in calls.get(fn.name, ()))
+            ]
+    assert unused == []
+
+
+def test_the_readme_quickstart_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    gen = np.random.default_rng(0)
+    features = gen.standard_normal((60, 3))
+    names = {"features": features, "responses": features.sum(axis=1) + gen.standard_normal(60),
+             "x_new": gen.standard_normal(3), "x_rows": gen.standard_normal((4, 3))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(blocks[0], "README.md", "exec"), names)
+    assert set(names["sets"]) == {"mod", "eu-mod", "cross"}
+    assert names["cv_plus"].n_components == 1
