@@ -35,6 +35,7 @@ from crossconf import (
     fit_min_norm_ols,
     fit_state,
     fold_method_sets,
+    parse_regressor,
     query_sets,
     simulate_instance,
     split_conformal,
@@ -330,9 +331,22 @@ class TestFoldStatsBits:
     @pytest.mark.parametrize("mode,n", [("equal", 62), ("varying", 61)])
     @pytest.mark.parametrize("k", [2, 3, 5, 10, "n"])
     def test_every_statistic_has_the_bits_of_the_cumsum_formula(self, k, mode, n):
+        self.check(k, mode, n, RegressorSpec("ols"))
+
+    @pytest.mark.parametrize("mode,n", [("equal", 62), ("varying", 61)])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, "n"])
+    def test_knn_folds_sharing_a_prediction_keep_the_bits(self, k, mode, n):
+        # a 3-NN fold model whose held-out fold misses the query's neighbours
+        # predicts what the full fit would, so from K = 5 on folds share a mu_k
+        shared = self.check(k, mode, n, parse_regressor("knn:3"))
+        assert shared or k in (2, 3)
+
+    def check(self, k, mode, n, regressor):
+        """Whether some seed's query had two folds with one prediction."""
+        shared = False
         for seed in range(4):
             _, folds, _, cv, _, tx, _ = make_pipeline(
-                seed, n=n, p=5, k=n if k == "n" else k, mode=mode
+                seed, n=n, p=5, k=n if k == "n" else k, mode=mode, regressor=regressor
             )
             ctx = _fold_context(cv, folds, tx)
             _, ys = _pieces(candidate_endpoints(cv, folds, tx))
@@ -342,6 +356,8 @@ class TestFoldStatsBits:
                 actual = getattr(got, name)
                 assert actual.dtype == expected.dtype, (seed, name)
                 assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64)), (seed, name)
+            shared |= np.unique(ctx.mu).size < ctx.mu.size
+        return shared
 
 
 def single_fold_state(scores, coef=0.0):

@@ -377,6 +377,21 @@ class TestBlockQueries:
         # two blocks, each one call per fold model and one for the split model
         assert predict_calls == [ex._QUERY_BLOCK] * (cfg.k + 1) + [6] * (cfg.k + 1)
 
+    @pytest.mark.parametrize("text", ["ols", "knn:3"])
+    def test_sets_of_a_predicted_block_match_the_row_alone(self, text, predict_calls):
+        _, folds, _, cv, draws, _, _ = make_pipeline(4, n=60, p=4, k=4,
+                                                     regressor=parse_regressor(text))
+        rows = np.random.default_rng(5).standard_normal((20, 4))
+
+        def sets(x):
+            return cs.fold_method_sets(cv, folds, x, 0.2, cs.FOLD_METHODS, draws=draws)
+
+        alone = [sets(x) for x in rows]
+        predict_calls.clear()
+        cs.predict_block(cv, folds, None, rows)
+        assert repr([sets(x) for x in rows]) == repr(alone)
+        assert predict_calls == [20] * folds.n_folds
+
     def test_a_block_must_be_a_matrix(self):
         _, folds, _, cv, _, test_x, _ = make_pipeline(4, n=30, p=4, k=3)
         with pytest.raises(InvalidConfigurationError, match=r"shape \(4,\)"):
