@@ -13,7 +13,6 @@ import math
 import os
 import secrets
 import sys
-import threading
 import warnings
 from contextlib import contextmanager
 
@@ -226,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=1000, help="replications per p")
     p_sim.add_argument("--out", default="simulation.csv")
     _add_model_flags(p_sim)
-    p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads")
+    p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="workers: this process and N-1 forked copies")
     _add_seed_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trials", type=int, default=20)
     p_run.add_argument("--out", default="realdata.csv")
     _add_model_flags(p_run)
-    p_run.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads")
+    p_run.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="workers: this process and N-1 forked copies")
     _add_seed_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -263,15 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _counted_warnings():
-    """Print each distinct warning message raised in the block, and from its worker
-    threads, to stderr once, in first-seen order, with how many times it fired.
+    """Print each distinct warning message raised in the block, and in its worker
+    processes, to stderr once, in first-seen order, with how many times it fired.
     Warnings are counted, not kept, so memory does not grow with the trials."""
     counts: dict[str, int] = {}
-    lock = threading.Lock()
 
     def count(message, *_):
-        with lock:
-            counts[str(message)] = counts.get(str(message), 0) + 1
+        counts[str(message)] = counts.get(str(message), 0) + 1
 
     try:
         with warnings.catch_warnings():

@@ -59,17 +59,7 @@ class Dataset:
     def __post_init__(self):
         features = _frozen_array(self.features)
         responses = _frozen_array(self.responses)
-        if features.ndim != 2:
-            raise InvalidDataError("features must be a 2-D array")
-        if responses.ndim != 1:
-            raise InvalidDataError("responses must be a 1-D vector")
-        if features.shape[0] != responses.shape[0]:
-            raise InvalidDataError(
-                f"features have {features.shape[0]} rows but responses have "
-                f"length {responses.shape[0]}"
-            )
-        if features.shape[0] < 1 or features.shape[1] < 1:
-            raise InvalidDataError("need at least one row and one feature column")
+        _check_shapes(features, responses)
         if not np.isfinite(features).all() or not np.isfinite(responses).all():
             raise InvalidDataError("all feature and response entries must be finite")
         object.__setattr__(self, "features", features)
@@ -84,8 +74,31 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
+        """The rows at ``indices``, in that order. Fancy indexing gives fresh
+        arrays and the rows of a checked Dataset are finite, so the arrays are
+        frozen in place, not copied and checked again."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.responses[idx])
+        features, responses = self.features[idx], self.responses[idx]
+        _check_shapes(features, responses)
+        out = object.__new__(Dataset)
+        for name, arr in (("features", features), ("responses", responses)):
+            arr.setflags(write=False)
+            object.__setattr__(out, name, arr)
+        return out
+
+
+def _check_shapes(features: np.ndarray, responses: np.ndarray) -> None:
+    if features.ndim != 2:
+        raise InvalidDataError("features must be a 2-D array")
+    if responses.ndim != 1:
+        raise InvalidDataError("responses must be a 1-D vector")
+    if features.shape[0] != responses.shape[0]:
+        raise InvalidDataError(
+            f"features have {features.shape[0]} rows but responses have "
+            f"length {responses.shape[0]}"
+        )
+    if features.shape[0] < 1 or features.shape[1] < 1:
+        raise InvalidDataError("need at least one row and one feature column")
 
 
 @dataclass(frozen=True)
@@ -293,22 +306,22 @@ def _matrix(values: array, columns: list[str], path) -> np.ndarray:
     return out
 
 
-def _cell(value: str, column: str) -> float:
+def _cell(value: str, column: str, path) -> float:
     try:
         return float(value)
     except ValueError:
         raise InvalidDataError(
-            f"non-numeric value {value.strip()!r} in column {column!r}"
+            f"{path}: non-numeric value {value.strip()!r} in column {column!r}"
         ) from None
 
 
-def _floats(cells: list[str], columns: list[str]) -> list[float]:
+def _floats(cells: list[str], columns: list[str], path) -> list[float]:
     """One row's cells as floats; only a row that fails is read again cell by
-    cell, so that the error names the column."""
+    cell, so that the error names the file and the column."""
     try:
         return list(map(float, cells))
     except ValueError:
-        return [_cell(cell, column) for cell, column in zip(cells, columns)]
+        return [_cell(cell, column, path) for cell, column in zip(cells, columns)]
 
 
 def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
@@ -321,12 +334,14 @@ def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     values = array("d")
     with _open_table(path) as (header, rows):
         if target not in header:
-            raise InvalidDataError(f"target column {target!r} not found in CSV header")
+            raise InvalidDataError(f"{path}: target column {target!r} not found in CSV header")
         width = len(header)
         for line, row in rows:
             if len(row) != width:
-                raise InvalidDataError(f"row {line} has {len(row)} cells, expected {width}")
-            values.extend(_floats(row, header))
+                raise InvalidDataError(
+                    f"{path}: row {line} has {len(row)} cells, expected {width}"
+                )
+            values.extend(_floats(row, header, path))
     values = _matrix(values, header, path)
     t_col = header.index(target)
     feature_names = [h for i, h in enumerate(header) if i != t_col]
@@ -346,7 +361,7 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
         missing = [name for name in feature_names if name not in header]
         if missing:
             raise InvalidDataError(
-                f"query is missing feature column {missing[0]!r} "
+                f"{path}: query is missing feature column {missing[0]!r} "
                 f"(train data has {len(feature_names)} features)"
             )
         cols = [header.index(name) for name in feature_names]
@@ -354,6 +369,6 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
         for line, row in rows:
             if last >= len(row):
                 c = next(c for c in cols if c >= len(row))
-                raise InvalidDataError(f"row {line} is missing column {header[c]!r}")
-            out.extend(_floats([row[c] for c in cols], feature_names))
+                raise InvalidDataError(f"{path}: row {line} is missing column {header[c]!r}")
+            out.extend(_floats([row[c] for c in cols], feature_names, path))
     return _matrix(out, feature_names, path)

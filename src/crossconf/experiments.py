@@ -15,8 +15,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
+import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -323,28 +326,137 @@ def _real_data_trial(cfg: SimulationConfig, data: Dataset, test_size: int, trial
     return _trial(cfg, data.subset(idx[: cfg.n]), test.features, test.responses, src)
 
 
-def _run_jobs(jobs, worker, threads: int) -> tuple[list, tuple[TrialFailure, ...]]:
-    """Run jobs preserving order. A job that fails numerically yields None,
-    and its cause is returned alongside the outcomes, in job order.
-
-    With several workers BLAS is held to one thread for the run: the workers
-    supply the parallelism, and BLAS threads on top of them only contend for
-    the same cores. One worker keeps BLAS's own threads.
-    """
-
-    def guarded(indexed):
-        index, job = indexed
+def _share(worker, jobs, first: int, step: int) -> list:
+    """``(index, outcome, failure)`` for jobs ``first``, ``first + step``, ... A
+    job that fails numerically has outcome None and its cause as ``failure``."""
+    out = []
+    for index in range(first, len(jobs), step):
         try:
-            return worker(job), None
+            out.append((index, worker(jobs[index]), None))
         except (np.linalg.LinAlgError, NumericalError, FloatingPointError) as exc:
-            return None, TrialFailure(index, type(exc).__name__, str(exc))
+            out.append((index, None, TrialFailure(index, type(exc).__name__, str(exc))))
+    return out
 
-    if threads > 1:
-        with single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(guarded, enumerate(jobs)))
+
+def _trials(first: int, step: int, total: int) -> str:
+    shown = [str(i) for i in range(first, total, step)]
+    if len(shown) > 4:
+        shown[3:-1] = ["..."]
+    return "trials " + ", ".join(shown)
+
+
+def _child(worker, jobs, first: int, step: int, fd: int):
+    """Run one share in a forked worker and send its results and warning counts,
+    or its exception, to the parent as one pickle. Never returns: ``os._exit``
+    skips the caller's code and the inherited stdio buffers."""
+    code = 1
+    try:
+        counts: dict[tuple, int] = {}
+
+        def count(message, category, filename, lineno, *_):
+            key = (category, str(message), filename, lineno)
+            counts[key] = counts.get(key, 0) + 1
+
+        try:
+            with warnings.catch_warnings():
+                warnings.showwarning = count
+                payload = pickle.dumps((_share(worker, jobs, first, step), counts))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps(exc)
+            except Exception:
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _result(data: bytes, status: int, trials: str):
+    """The results of a worker process from the bytes it sent; or raise its
+    exception, or say that it ended without a readable result."""
+    try:
+        payload = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(
+            f"the worker process for {trials} ended without a readable result ({how})"
+        ) from None
+    if isinstance(payload, BaseException):
+        payload.add_note(f"raised in the worker process for {trials}")
+        raise payload
+    results, counts = payload
+    for (category, message, filename, lineno), times in counts.items():
+        for _ in range(times):
+            warnings.showwarning(category(message), category, filename, lineno)
+    return results
+
+
+def _forked(worker, jobs, workers: int) -> list:
+    """The ``(index, outcome, failure)`` triples of every job, job i run by worker
+    i mod ``workers``: worker 0 is this process, the others forked copies of it.
+    Every child is killed if need be and reaped on every way out."""
+    children: dict[int, tuple] = {}  # pid -> (read end, first job)
+    try:
+        for first in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                for fh, _ in children.values():
+                    fh.close()
+                _child(worker, jobs, first, workers, write_end)
+            os.close(write_end)
+            children[pid] = (open(read_end, "rb"), first)
+        results = _share(worker, jobs, 0, workers)
+        for pid, (fh, first) in list(children.items()):
+            data = fh.read()  # before waitpid: a child blocks until its pipe is read
+            fh.close()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            results += _result(data, status, _trials(first, workers, len(jobs)))
+        return results
+    finally:
+        for pid, (fh, _) in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+# Windows has no fork, and macOS's system libraries are not safe to use in a
+# forked child; outside Linux every share runs here, one after another.
+_FORK = sys.platform.startswith("linux")
+
+
+def _run_jobs(jobs, worker, workers: int) -> tuple[list, tuple[TrialFailure, ...]]:
+    """Run jobs, returning their outcomes in job order. A job that fails
+    numerically yields None, and its cause is returned alongside the outcomes,
+    in job order.
+
+    Job i runs on worker i mod N, N the worker count clamped to the job count.
+    Worker 0 is this process and workers 1..N-1 are forked copies of it, each
+    returning its results and warning counts over a pipe; a worker's
+    non-numerical exception is raised here. With several workers BLAS is held
+    to one thread in every process: the workers supply the parallelism, and
+    BLAS threads on top of them only contend for the same cores. One worker,
+    or a platform without a safe fork, runs every job here and keeps BLAS's
+    own threads.
+    """
+    jobs = list(jobs)
+    workers = min(workers, len(jobs)) if _FORK else 1
+    if workers > 1:
+        with single_threaded_blas():
+            triples = sorted(_forked(worker, jobs, workers), key=lambda t: t[0])
     else:
-        pairs = [guarded(indexed) for indexed in enumerate(jobs)]
-    return [o for o, _ in pairs], tuple(f for _, f in pairs if f is not None)
+        triples = _share(worker, jobs, 0, 1)
+    return [o for _, o, _ in triples], tuple(f for _, _, f in triples if f is not None)
 
 
 def _width_stats(widths: np.ndarray) -> tuple[float, float, float, float, float]:

@@ -116,15 +116,17 @@ class TestSimulateCommand:
 
     def test_each_warning_prints_once_with_its_count(self, tmp_path, capsys):
         # folds of 4 at alpha = 0.1: mod's set is the whole line in every trial,
-        # and the warnings of both worker threads reach one counter
-        argv = ["simulate", "--n", "20", "--p", "2", "--reps", "3", "--k", "5",
-                "--alpha", "0.1", "--methods", "mod", "--seed", "1", "--threads", "2",
-                "--out", str(tmp_path / "s.csv")]
-        assert main(argv) == 0
-        assert capsys.readouterr().err.splitlines() == [
-            "warning: threshold too small to exclude any response for mod; "
-            "their sets are the whole line (3 times)"
-        ]
+        # and the warnings of every worker process reach one counter; 7 trials
+        # on 3 workers are shares of 3, 2 and 2
+        for workers, reps in (2, 3), (3, 7):
+            argv = ["simulate", "--n", "20", "--p", "2", "--reps", str(reps), "--k", "5",
+                    "--alpha", "0.1", "--methods", "mod", "--seed", "1",
+                    "--threads", str(workers), "--out", str(tmp_path / "s.csv")]
+            assert main(argv) == 0
+            assert capsys.readouterr().err.splitlines() == [
+                "warning: threshold too small to exclude any response for mod; "
+                f"their sets are the whole line ({reps} times)"
+            ]
 
     def test_usage_error_exit_code(self):
         assert main(["simulate", "--n", "20"]) == 2  # --p missing
@@ -336,6 +338,14 @@ class TestRunCommand:
         assert code == 3
         assert "price" in capsys.readouterr().err
 
+    def test_non_numeric_cell_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,y\n1,2,3\n4,x,6\n")
+        code = main(["run", "--data", str(path), "--target", "y", "--train-size", "1",
+                     "--test-size", "1", "--seed", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}: non-numeric value 'x' in column 'b'\n"
+
 
 def write_grid_csv(path, n=90, p=3, seed=11):
     """Integer-grid features and one-decimal responses: many kNN ties."""
@@ -389,13 +399,15 @@ class TestReportBytes:
             write_dataset_csv(tmp_path / "d.csv", n=60, p=3, seed=8)
             argv = ["run", "--data", str(tmp_path / "d.csv"), "--target", "y",
                     "--regressor", "knn:3", "--train-size", "40", "--test-size", "10",
-                    "--trials", "3", "--methods", "mod,e-mod,cross,split", "--k", "4",
+                    "--trials", "5", "--methods", "mod,e-mod,cross,split", "--k", "4",
                     "--seed", "3"]
-        for threads in ("1", "2"):
+        # 8 simulate and 5 run trials give uneven shares on 2 and 3 workers
+        for threads in ("1", "2", "3"):
             assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
         for suffix in (".csv", ".json"):
             one = (tmp_path / ("1" + suffix)).read_bytes()
             assert one == (tmp_path / ("2" + suffix)).read_bytes()
+            assert one == (tmp_path / ("3" + suffix)).read_bytes()
 
 
 class TestExitCodes:

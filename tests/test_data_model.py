@@ -40,6 +40,19 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.features[0, 0] = 5.0
 
+    def test_subset_is_a_read_only_copy_of_its_rows(self):
+        d = Dataset(np.arange(12.0).reshape(4, 3), np.arange(4.0) - 1.5)
+        sub = d.subset([3, 1, 3])
+        assert isinstance(sub, Dataset) and (sub.n, sub.p) == (3, 3)
+        assert np.array_equal(sub.features, d.features[[3, 1, 3]])
+        assert np.array_equal(sub.responses, [1.5, -0.5, 1.5])
+        for mine, parent in ((sub.features, d.features), (sub.responses, d.responses)):
+            assert not mine.flags.writeable and not np.shares_memory(mine, parent)
+            with pytest.raises(ValueError):
+                mine[0] = 0.0
+        with pytest.raises(InvalidDataError, match="at least one row"):
+            d.subset([])
+
 
 class TestAssignFolds:
     def test_divisible_case_has_no_discards(self):
@@ -276,6 +289,28 @@ class TestCsvIngestion:
         path = self._write(tmp_path, "a,b\n1,2\n1,inf\n", "q.csv")
         with pytest.raises(InvalidDataError, match=r"q\.csv: non-finite value inf in column 'b'"):
             load_query_csv(path, ["a", "b"])
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,y\n1,2,3\n4,x,6\n", "non-numeric value 'x' in column 'b'"),
+        ("a,b,y\n1,2,3\n4,5\n", "row 3 has 2 cells, expected 3"),
+        ("a,b\n1,2\n", "target column 'y' not found in CSV header"),
+    ])
+    def test_training_errors_name_the_file(self, tmp_path, text, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(InvalidDataError) as info:
+            load_csv(path, "y")
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3, x\n", "non-numeric value 'x' in column 'b'"),
+        ("a,b\n1,2\n3\n", "row 3 is missing column 'b'"),
+        ("a\n1\n", "query is missing feature column 'b' (train data has 2 features)"),
+    ])
+    def test_query_errors_name_the_file(self, tmp_path, text, message):
+        path = self._write(tmp_path, text, "q.csv")
+        with pytest.raises(InvalidDataError) as info:
+            load_query_csv(path, ["a", "b"])
+        assert str(info.value) == f"{path}: {message}"
 
     def test_first_non_finite_training_cell_is_named(self, tmp_path):
         # the first bad cell in file order; the target column is named as well

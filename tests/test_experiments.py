@@ -3,7 +3,10 @@
 import gc
 import json
 import math
+import os
+import signal
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -243,6 +246,28 @@ class TestBlasPin:
         finally:
             put(before)
 
+    @needs_openblas
+    def test_every_trial_in_every_worker_sees_one_blas_thread(self, monkeypatch, tmp_path):
+        get, put = _blas._openblas()
+        before = get()
+        put(2)
+        try:
+            real = ex._simulation_trial
+
+            def trial(cfg, p, stream):
+                (tmp_path / f"{stream}-{os.getpid()}").write_text(str(get()))
+                return real(cfg, p, stream)
+
+            monkeypatch.setattr(ex, "_simulation_trial", trial)
+            run_simulation(base_config(reps=7, threads=3))
+            files = sorted(tmp_path.iterdir(), key=lambda f: int(f.name.split("-")[0]))
+            assert [f.name.split("-")[0] for f in files] == [str(i) for i in range(7)]
+            assert len({f.name.split("-")[1] for f in files}) == 3
+            assert {f.read_text() for f in files} == {"1"}
+            assert get() == 2
+        finally:
+            put(before)
+
     def test_results_do_not_depend_on_finding_blas(self, monkeypatch):
         jobs = [(4, stream) for stream in range(6)]
         cfg = base_config()
@@ -254,6 +279,76 @@ class TestBlasPin:
         pinned = repr(run())
         monkeypatch.setattr(_blas, "_openblas", lambda: ())
         assert repr(run()) == pinned
+
+
+def assert_no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    """Trials run on this process (worker 0) and forked copies of it."""
+
+    def failing_in(self, monkeypatch, stream_id, fail):
+        real = ex._simulation_trial
+
+        def trial(cfg, p, stream):
+            if stream == stream_id:
+                fail()
+            return real(cfg, p, stream)
+
+        monkeypatch.setattr(ex, "_simulation_trial", trial)
+
+    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+        def fail():
+            raise RuntimeError(f"trial 3 failed in process {os.getpid()}")
+
+        self.failing_in(monkeypatch, 3, fail)
+        with pytest.raises(RuntimeError, match="^trial 3 failed in process ") as info:
+            run_simulation(base_config(reps=5, threads=2))
+        assert not str(info.value).endswith(str(os.getpid()))
+        assert info.value.__notes__ == ["raised in the worker process for trials 1, 3"]
+        assert_no_child_remains()
+
+    @pytest.mark.parametrize("die, how", [
+        (lambda: os._exit(7), "exit status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=["exit", "kill"])
+    def test_a_worker_that_dies_without_a_result(self, monkeypatch, die, how):
+        self.failing_in(monkeypatch, 3, die)
+        with pytest.raises(RuntimeError) as info:
+            run_simulation(base_config(reps=5, threads=2))
+        assert str(info.value) == (
+            f"the worker process for trials 1, 3 ended without a readable result ({how})"
+        )
+        assert_no_child_remains()
+
+    def test_a_result_that_cannot_be_pickled(self):
+        with pytest.raises(Exception, match="pickle") as info:
+            ex._run_jobs(range(15), lambda job: lambda: job, 3)
+        assert info.value.__notes__ == ["raised in the worker process for trials 1, 4, 7, ..., 13"]
+        assert_no_child_remains()
+
+    @pytest.mark.parametrize("exc", [KeyError, KeyboardInterrupt])
+    def test_an_exception_in_this_process_kills_the_workers(self, exc):
+        parent = os.getpid()
+
+        def worker(job):
+            if os.getpid() == parent:
+                raise exc(job)
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with pytest.raises(exc):
+            ex._run_jobs(range(4), worker, 2)
+        assert time.perf_counter() - start < 30
+        assert_no_child_remains()
+
+    def test_without_fork_every_share_runs_here(self, monkeypatch):
+        monkeypatch.setattr(ex, "_FORK", False)
+        parent = os.getpid()
+        outcomes, failures = ex._run_jobs(range(5), lambda job: (job, os.getpid()), 3)
+        assert outcomes == [(job, parent) for job in range(5)] and failures == ()
 
 
 class TestSharedFoldPredictions:
