@@ -51,18 +51,24 @@ def _ratio(alpha: float) -> tuple[int, int]:
     return Decimal(repr(float(alpha))).as_integer_ratio()
 
 
-def alpha_prime(alpha: float, k: int, n: int) -> float:
-    """Inflated threshold alpha + (1 - alpha)(K - 1)/(K + n), at which the mean-p-value
-    set coincides with the plain cross-validation conformal set at level alpha. It is
-    the exact rational rounded once, with alpha read as ``repr(alpha)``, the decimal the
-    user typed and the report echoes; for d decimals its denominator is at most
-    10^d (K + n), which bounds where the fold-method comparisons are exact."""
+def fold_thresholds(alpha: float, k: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The fold methods' thresholds as exact (numerator, denominator) pairs: alpha, read as
+    ``repr(alpha)``, the decimal the user typed and the report echoes, and the inflated
+    alpha' = alpha + (1 - alpha)(K - 1)/(K + n) of the -cross forms."""
     num, den = _ratio(alpha)
     if k < 1:
         raise InvalidConfigurationError("fold count must be at least 1")
     if n < k:
         raise InvalidConfigurationError("need at least as many points as folds")
-    return (num * (k + n) + (den - num) * (k - 1)) / (den * (k + n))  # int / int rounds once
+    return (num, den), (num * (k + n) + (den - num) * (k - 1), den * (k + n))
+
+
+def alpha_prime(alpha: float, k: int, n: int) -> float:
+    """Inflated threshold alpha + (1 - alpha)(K - 1)/(K + n), at which the mean-p-value
+    set coincides with the plain cross-validation conformal set at level alpha: the
+    exact ratio of ``fold_thresholds`` rounded once."""
+    num, den = fold_thresholds(alpha, k, n)[1]
+    return num / den  # int / int rounds once
 
 
 def conformal_rank(alpha: float, n: int) -> int:

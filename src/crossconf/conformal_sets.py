@@ -11,12 +11,14 @@ scores are finite.
 
 Membership uses a strict inequality against the threshold while the rank
 counts use weak inequalities, so breakpoints themselves can belong to a set;
-they are evaluated directly and intervals are closed. ``_runs`` takes the masks
-of all requested methods as one (methods, pieces) matrix and finds every run
-in one pass over it. It also counts a breakpoint between two included gaps as
-included, so a set is the closure of its membership set. That is the exact
-set, because the weak counts keep every breakpoint at least as included as
-its neighbouring gaps.
+they are evaluated directly and intervals are closed. Every verdict compares
+an integer count sum with an integer bound computed once per call from the
+exact ratios of alpha, alpha' and U, so no rounding enters a set. ``_runs``
+takes the masks of all requested methods as one (methods, pieces) matrix and
+finds every run in one pass over it. It also counts a breakpoint between two
+included gaps as included, so a set is the closure of its membership set.
+That is the exact set, because the weak counts keep every breakpoint at least
+as included as its neighbouring gaps.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combiners import alpha_prime, conformal_rank
+from .combiners import conformal_rank, fold_thresholds
 from .data_model import Dataset, FoldAssignment, RandomDraws, RandomSource, freeze_arrays
 from .errors import InvalidConfigurationError
 from .regression import FittedModel, fit
@@ -335,63 +337,59 @@ def candidate_endpoints(cv: CvScores, folds: FoldAssignment, test_x) -> np.ndarr
     return _candidates(_fold_context(cv, folds, test_x))
 
 
-@dataclass(frozen=True)
-class _FoldStats:
-    """Every membership statistic at a vector of candidate responses."""
+def _fold_masks(ctx: _FoldContext, ys, alpha: float, methods, draws: RandomDraws | None) -> np.ndarray:
+    """The (methods, len(ys)) verdicts of the fold ``methods`` at each candidate y, each an
+    integer comparison. Fold k's p-value is (1 + le_k) / (m_k + 1), le_k the weak count
+    #{S_i >= |y - mu_k|}. With the integer weights L / (m_k + 1), L = lcm(m_k + 1), the
+    prefix sums P_l of the first l p-values times L are integers, added one fold row at a
+    time. With c = sum_k le_k, n = n_used, a and a' the ratios of ``fold_thresholds`` and
+    U its binary value, a statistic exceeds its threshold t (a for the -mod forms, a' for
+    the -cross forms) exactly when
 
-    count: np.ndarray
-    pooled: np.ndarray
-    first: np.ndarray
-    mean: np.ndarray
-    emod: np.ndarray
-    n_used: int
+        mod      P_K > floor(K L a)        u-mod     P_K > floor(K L a (2 - U))
+        cross    1 + c > floor((n + 1) a)  u-cross   c + K > floor((n + K) a' (2 - U))
+        e-*      P_l > floor(l L t) for every l
+        eu-*     P_1 > floor(L t (2 - U)) and the e-* verdict
 
-
-def _fold_stats(ctx: _FoldContext, ys) -> _FoldStats:
-    """Every statistic at each candidate y, from per-fold weak counts le = #{s(y) <= S_i},
-    held fold-major as (K, len(ys)). Fold k's p-value is the integer numerator 1 + le over
-    m_k + 1. Times the integer L / (m_k + 1), L = lcm(m_k + 1), the prefix sums are added up
-    one fold row at a time, in fold order, and each running mean is one division of its
-    prefix sum by l * L, kept in a running minimum for e-mod; u-cross divides the pooled
-    numerator sum once by n_used + K.
-    Each statistic and its threshold are then correctly rounded rationals in [0, 1] with
-    denominators at most K * L and 10^d * (n_used + K), d = decimals of alpha; while that
-    product is below 2^52, their gap (at least its reciprocal) exceeds both roundings and
-    ``>`` decides exactly. u-* rounds once more (by 2 - U). ``count`` is the total weak
-    count, summed over the folds."""
+    Each bound is below twice the largest sum it is compared with, so int64 holds it."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    k = len(ctx.sorted_scores)
+    k, n = len(ctx.sorted_scores), ctx.n_used
+    plain = fold_thresholds(alpha, k, n)  # indexed by whether a method is a -cross form
+    if draws is not None:
+        u_num, u_den = float(draws.u).as_integer_ratio()
+        scaled = tuple((num * (2 * u_den - u_num), den * u_den) for num, den in plain)
     le = np.empty((k, ys.size), dtype=np.int64)
     for j, s in enumerate(ctx.sorted_scores):
         le[j] = s.size - np.searchsorted(s, np.abs(ys - ctx.mu[j]), side="left")
-    num = 1 + le
-    pooled, first = num.sum(axis=0) / (ctx.n_used + k), num[0] / (ctx.sizes[0] + 1)
-    L = np.lcm.reduce(ctx.sizes + 1)
-    num *= (L // (ctx.sizes + 1))[:, None]
-    emod = mean = num[0] / L
+    count = le.sum(axis=0)
+    L = int(np.lcm.reduce(ctx.sizes + 1))
+    le += 1  # in place, as the counts are not read again
+    prefix = np.multiply(le, (L // (ctx.sizes + 1))[:, None], out=le)
     for j in range(1, k):
-        np.add(num[j - 1], num[j], out=num[j])
-        mean = num[j] / (L * (j + 1))
-        np.minimum(emod, mean, out=emod)
-    return _FoldStats(le.sum(axis=0), pooled, first, mean, emod, ctx.n_used)
+        np.add(prefix[j - 1], prefix[j], out=prefix[j])
 
+    def floor(ratio: tuple[int, int], m: int) -> int:
+        return m * ratio[0] // ratio[1]
 
-def _method_mask(
-    method: str, threshold: float, st: _FoldStats, draws: RandomDraws | None
-) -> np.ndarray:
-    if method == "cross":
-        return (1.0 + st.count) / (st.n_used + 1.0) > threshold
-    if method == "mod":
-        return st.mean > threshold
-    if method in ("e-mod", "e-cross"):
-        return st.emod > threshold
-    if method == "u-mod":
-        return st.mean / (2.0 - draws.u) > threshold
-    if method == "u-cross":
-        return st.pooled / (2.0 - draws.u) > threshold
-    if method in ("eu-mod", "eu-cross"):
-        return np.minimum(st.first / (2.0 - draws.u), st.emod) > threshold
-    raise InvalidConfigurationError(f"unknown method {method!r}")
+    exchangeable = {}
+    for cross in {m.endswith("-cross") for m in methods if m[0] == "e"}:
+        bounds = np.array([floor(plain[cross], l * L) for l in range(1, k + 1)])
+        exchangeable[cross] = (prefix > bounds[:, None]).all(axis=0)
+    masks = np.empty((len(methods), ys.size), dtype=bool)
+    for i, m in enumerate(methods):
+        cross = m.endswith("-cross")
+        t = (scaled if "u" in m else plain)[cross]
+        if m in ("mod", "u-mod"):
+            masks[i] = prefix[-1] > floor(t, k * L)
+        elif m == "cross":
+            masks[i] = count > floor(t, n + 1) - 1
+        elif m == "u-cross":
+            masks[i] = count > floor(t, n + k) - k
+        elif m in ("e-mod", "e-cross"):
+            masks[i] = exchangeable[cross]
+        else:
+            np.logical_and(prefix[0] > floor(t, L), exchangeable[cross], out=masks[i])
+    return masks
 
 
 def fold_method_sets(
@@ -415,7 +413,6 @@ def fold_method_sets(
     unknown = [m for m in methods if m not in FOLD_METHODS]
     if unknown:
         raise InvalidConfigurationError(f"unknown fold methods: {unknown}")
-    ap = alpha_prime(alpha, folds.n_folds, folds.n_used)
     if draws is None and any(m in _DRAW_METHODS for m in methods):
         raise InvalidConfigurationError("randomized methods require a (tau, U) draw")
     sizes = folds.fold_sizes
@@ -426,10 +423,7 @@ def fold_method_sets(
         )
     ctx = _fold_context(cv, folds, test_x)
     bounds, ys = _pieces(_candidates(ctx))
-    st = _fold_stats(ctx, ys)
-    masks = np.empty((len(methods), ys.size), dtype=bool)
-    for i, method in enumerate(methods):
-        masks[i] = _method_mask(method, ap if method.endswith("-cross") else alpha, st, draws)
+    masks = _fold_masks(ctx, ys, alpha, methods, draws)
     out = {m: PredictionSet(tuple(runs)) for m, runs in zip(methods, _runs(bounds, masks))}
     uninformative = [m for m, whole in zip(methods, masks[:, 0].tolist()) if whole]
     if uninformative:
@@ -445,8 +439,7 @@ def fold_method_sets(
 
 def cross_membership(cv: CvScores, folds: FoldAssignment, test_x, alpha: float, ys) -> np.ndarray:
     """Pooled rank-count membership of each y: (1 + total count) / (n + 1) > alpha."""
-    st = _fold_stats(_fold_context(cv, folds, test_x), ys)
-    return _method_mask("cross", alpha, st, None)
+    return _fold_masks(_fold_context(cv, folds, test_x), ys, alpha, ["cross"], None)[0]
 
 
 # ---------------------------------------------------------------------------

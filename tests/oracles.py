@@ -4,8 +4,7 @@ The package evaluates every membership rule in one vectorized kernel over
 all candidate responses. The functions here restate the definitions one
 candidate at a time: the fold p-values (deterministic and tau-randomized),
 the four combination statistics, the weighted-mean dual form of the plain
-cross set, the exact verdict of every fold method, the fold statistics in
-the prefix-sum formula whose bits the kernel keeps, the split p-value and
+cross set, the exact verdict of every fold method, the split p-value and
 the CV+ set from raw data, plus two test helpers (set containment and the
 Monte-Carlo standard error). They use only the public API of ``crossconf``.
 """
@@ -245,24 +244,6 @@ def exact_fold_method_masks(
         for method, verdict in verdicts.items():
             out.setdefault(method, []).append(verdict)
     return {method: np.array(v, dtype=bool) for method, v in out.items()}
-
-
-def fold_stats_cumsum(mu, fold_scores, ys, n_used: int):
-    """(count, pooled, first, mean, emod) at each y in the kernel's integer-weight
-    arithmetic, with the prefix sums over folds taken by one ``np.cumsum(axis=0)``
-    and divided in one (K, len(ys)) division. The weak counts #{S_i >= |y - mu_k|}
-    come from comparing every y with every score of the fold."""
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    sizes = np.array([s.size for s in fold_scores])
-    k = sizes.size
-    t = [np.abs(ys - m)[:, None] for m in mu]
-    le = np.array([np.count_nonzero(s[None, :] >= tj, axis=1) for s, tj in zip(fold_scores, t)])
-    num = 1 + le
-    pooled, first = num.sum(axis=0) / (n_used + k), num[0] / (sizes[0] + 1)
-    L = np.lcm.reduce(sizes + 1)
-    num = num * (L // (sizes + 1))[:, None]
-    cummean = np.cumsum(num, axis=0) / (L * np.arange(1, k + 1))[:, None]
-    return le.sum(axis=0), pooled, first, cummean[-1], cummean.min(axis=0)
 
 
 def split_pvalue(state: SplitState, test_x, y: float) -> float:

@@ -117,6 +117,15 @@ class TestAlphaPrime:
                 for n in range(k, 400):
                     assert alpha_prime(alpha, k, n) == float(a + (1 - a) * Fraction(k - 1, k + n))
 
+    def test_fold_thresholds_are_the_exact_ratios(self):
+        # the fold kernel bounds its integer sums with these ratios, never a float
+        for alpha in (1 / 3, 0.1, 0.09924242424242424, 0.7):
+            a = Fraction(repr(alpha))
+            for k, n in ((1, 1), (2, 4), (10, 101), (500, 500)):
+                plain, inflated = combiners.fold_thresholds(alpha, k, n)
+                assert Fraction(*plain) == a
+                assert Fraction(*inflated) == a + (1 - a) * Fraction(k - 1, k + n)
+
     def test_preconditions(self):
         with pytest.raises(InvalidConfigurationError):
             alpha_prime(0.0, 5, 100)

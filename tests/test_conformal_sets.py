@@ -21,6 +21,7 @@ from crossconf import (
     InvalidConfigurationError,
     LinearModel,
     PredictionSet,
+    RandomDraws,
     RandomSource,
     RegressorSpec,
     ScoreFunctionSpec,
@@ -41,13 +42,12 @@ from crossconf import (
     split_conformal,
     split_set_from_state,
 )
-from crossconf.conformal_sets import _fold_context, _fold_stats, _pieces, _runs
+from crossconf.conformal_sets import _fold_context, _fold_masks, _pieces, _runs
 from oracles import (
     all_fold_pvalues,
     cross_membership_pvalue_form,
     cv_plus_set,
     exact_fold_method_masks,
-    fold_stats_cumsum,
     is_subset,
     split_pvalue,
     stat_emod,
@@ -324,18 +324,18 @@ class TestRunsAgainstScanOracle:
         self.check(masks, bounds)
 
 
-class TestFoldStatsBits:
-    """The running fold sums keep the bits of one cumsum over folds and one
-    division of the prefix sums."""
+class TestKernelMasks:
+    """The kernel's integer verdicts of every fold method equal the exact rational
+    ones on every piece of the scan."""
 
     @pytest.mark.parametrize("mode,n", [("equal", 62), ("varying", 61)])
     @pytest.mark.parametrize("k", [2, 3, 5, 10, "n"])
-    def test_every_statistic_has_the_bits_of_the_cumsum_formula(self, k, mode, n):
+    def test_every_method_matches_the_exact_oracle(self, k, mode, n):
         self.check(k, mode, n, RegressorSpec("ols"))
 
     @pytest.mark.parametrize("mode,n", [("equal", 62), ("varying", 61)])
     @pytest.mark.parametrize("k", [2, 3, 5, 10, "n"])
-    def test_knn_folds_sharing_a_prediction_keep_the_bits(self, k, mode, n):
+    def test_knn_folds_sharing_a_prediction_match_the_exact_oracle(self, k, mode, n):
         # a 3-NN fold model whose held-out fold misses the query's neighbours
         # predicts what the full fit would, so from K = 5 on folds share a mu_k
         shared = self.check(k, mode, n, parse_regressor("knn:3"))
@@ -345,17 +345,16 @@ class TestFoldStatsBits:
         """Whether some seed's query had two folds with one prediction."""
         shared = False
         for seed in range(4):
-            _, folds, _, cv, _, tx, _ = make_pipeline(
+            _, folds, _, cv, draws, tx, _ = make_pipeline(
                 seed, n=n, p=5, k=n if k == "n" else k, mode=mode, regressor=regressor
             )
             ctx = _fold_context(cv, folds, tx)
             _, ys = _pieces(candidate_endpoints(cv, folds, tx))
-            got = _fold_stats(ctx, ys)
-            want = fold_stats_cumsum(ctx.mu, ctx.sorted_scores, ys, folds.n_used)
-            for name, expected in zip(("count", "pooled", "first", "mean", "emod"), want):
-                actual = getattr(got, name)
-                assert actual.dtype == expected.dtype, (seed, name)
-                assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64)), (seed, name)
+            for alpha in (0.1, 1 / 3):
+                got = _fold_masks(ctx, ys, alpha, FOLD_METHODS, draws)
+                want = exact_fold_method_masks(cv, folds, tx, alpha, ys, draws)
+                for method, mask in zip(FOLD_METHODS, got):
+                    assert np.array_equal(mask, want[method]), (seed, alpha, method)
             shared |= np.unique(ctx.mu).size < ctx.mu.size
         return shared
 
@@ -514,6 +513,29 @@ class TestExactVerdicts:
         # n + 1 points, so that the folds differ in size
         methods = ["mod", "u-mod", "cross", "u-cross"]
         self.check_against_oracle(range(6), n + 1, k, alpha, "varying", methods)
+
+    def test_varying_folds_with_a_long_alpha_match_exact_oracle_on_every_piece(self):
+        # folds of 10 and 11 points at K=10, so L = 132. alpha is the repr of the float
+        # nearest 131/1320, a mod statistic every seed reaches, and lies just below it:
+        # the statistic passes, though its float equals the float of alpha
+        alpha = 0.09924242424242424
+        assert Fraction(repr(alpha)) < Fraction(131, 1320) and float(Fraction(131, 1320)) == alpha
+        self.check_against_oracle(range(3), 101, 10, alpha, "varying",
+                                  ["mod", "u-mod", "cross", "u-cross"])
+
+    def test_a_third_on_the_rays_is_above_the_decimal_it_prints_as(self):
+        # two folds of 2 points: on the rays every p-value is 1/3, above
+        # 0.3333333333333333 though it has the same float, so mod and e-mod hold everywhere
+        data = Dataset(np.column_stack([np.ones(4), np.arange(4.0)]), np.array([0.3, 1.1, 2.4, 2.9]))
+        folds = assign_folds(4, 2, "equal", RandomSource(0))
+        cv = compute_cv_scores(data, folds, ScoreFunctionSpec("residual", RegressorSpec("ols")))
+        tx, draws = np.array([1.0, 0.2]), RandomDraws(0.5, 0.5)
+        with pytest.warns(InformativenessWarning, match="for mod, e-mod;"):
+            sets = fold_method_sets(cv, folds, tx, 1 / 3, ["mod", "e-mod", "u-mod"], draws=draws)
+        assert sets["mod"].intervals == sets["e-mod"].intervals == ((-INF, INF),)
+        bounds, ys = _pieces(candidate_endpoints(cv, folds, tx))
+        exact = exact_fold_method_masks(cv, folds, tx, 1 / 3, ys, draws)
+        assert sets["u-mod"].intervals == tuple(_runs(bounds, exact["u-mod"][None])[0])
 
     def test_exchangeable_cross_inside_cross_at_a_tie(self):
         # on the extra piece the counts are (5, 3, 1) over folds of 33 points:
