@@ -40,7 +40,7 @@ from .errors import InvalidConfigurationError, InvalidDataError, NumericalError
 from .experiments import (
     AggregateReport,
     AggregateRow,
-    SimulationConfig,
+    MethodConfig,
     fit_state,
     query_sets,
     run_real_data,

@@ -24,7 +24,7 @@ from .conformal_sets import ALL_METHODS, split_conformal
 from .data_model import RandomSource, assign_folds, load_csv, load_query_csv
 from .errors import InvalidConfigurationError, InvalidDataError, NumericalError
 from .experiments import (
-    SimulationConfig,
+    MethodConfig,
     atomic_write_text,
     fit_state,
     query_sets,
@@ -91,8 +91,8 @@ def _write_report(report, out: str) -> int:
         message = " ".join(failure.message.split())
         print(f"skipped trial {failure.trial}: {failure.kind}: {message}", file=sys.stderr)
     csv_path, json_path = _out_paths(out)
-    report.write_csv(csv_path)
-    report.write_json(json_path)
+    atomic_write_text(csv_path, report.to_csv_text())
+    atomic_write_text(json_path, report.to_json_text())
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -107,32 +107,33 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def _config(args, n: int, p_list, reps: int, seed: int) -> SimulationConfig:
-    """The run configuration from the model flags every command shares."""
-    return SimulationConfig(
-        n=n,
-        p_list=p_list,
+def _config(args) -> MethodConfig:
+    """The model from the flags every command shares."""
+    return MethodConfig(
         alpha=args.alpha,
         k=args.k,
-        reps=reps,
         regressor=parse_regressor(args.regressor),
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        seed=seed,
         fold_mode=args.fold_mode,
-        threads=getattr(args, "threads", 1),  # predict has no trials to spread
     )
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config(args, args.n, _parse_int_list(args.p), args.reps, _resolve_seed(args))
-    return _write_report(run_simulation(cfg), args.out)
+    report = run_simulation(
+        _config(args), n=args.n, p_list=_parse_int_list(args.p), reps=args.reps,
+        seed=_resolve_seed(args), threads=args.threads,
+    )
+    return _write_report(report, args.out)
 
 
 def cmd_run(args) -> int:
     seed = _resolve_seed(args)
     data, _ = load_csv(args.data, args.target)
-    cfg = _config(args, args.train_size, (data.p,), args.trials, seed)
-    return _write_report(run_real_data(data, args.test_size, cfg), args.out)
+    report = run_real_data(
+        data, _config(args), train_size=args.train_size, test_size=args.test_size,
+        trials=args.trials, seed=seed, threads=args.threads,
+    )
+    return _write_report(report, args.out)
 
 
 def _jsonable_set(pset) -> dict:
@@ -149,7 +150,7 @@ def cmd_predict(args) -> int:
     seed = _resolve_seed(args)
     data, feature_names = load_csv(args.data, args.target)
     query = load_query_csv(args.query, feature_names)
-    cfg = _config(args, data.n, (data.p,), 1, seed)
+    cfg = _config(args)
     src = RandomSource(seed)
     folds, cv, split_state = fit_state(cfg, data, src)
     predictions = []

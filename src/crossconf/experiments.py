@@ -48,7 +48,7 @@ from .scores import ScoreFunctionSpec, compute_cv_scores
 
 __all__ = [
     "REPORT_COLUMNS",
-    "SimulationConfig",
+    "MethodConfig",
     "TrialFailure",
     "AggregateRow",
     "AggregateReport",
@@ -62,25 +62,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    """Parameters of one simulation (or real-data) campaign."""
+class MethodConfig:
+    """The model that defines the prediction sets: miscoverage rate, fold
+    count, regressor, methods and fold mode. The sizes and seed of a campaign
+    are arguments of the function that runs it."""
 
-    n: int
-    p_list: tuple[int, ...]
     alpha: float
     k: int
-    reps: int
     regressor: RegressorSpec
     methods: tuple[str, ...]
-    seed: int
     fold_mode: str = "equal"
-    threads: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if self.reps < 1:
-            raise InvalidConfigurationError("need at least one replication")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfigurationError("alpha must lie strictly inside (0, 1)")
         if not self.methods:
@@ -90,23 +84,8 @@ class SimulationConfig:
             raise InvalidConfigurationError(
                 f"unknown methods {unknown}; choose from {list(ALL_METHODS)}"
             )
-        if self.threads < 1:
-            raise InvalidConfigurationError("threads must be at least 1")
-        if len(set(self.p_list)) < len(self.p_list):
-            raise InvalidConfigurationError("each covariate count may be listed only once")
-        if not self.p_list:
-            raise InvalidConfigurationError("need at least one covariate count")
         if len(set(self.methods)) < len(self.methods):
             raise InvalidConfigurationError("each method may be listed only once")
-
-    def to_jsonable(self) -> dict:
-        """The report configuration. ``threads`` is left out: it cannot change
-        the results, and reports must be byte-identical across thread counts."""
-        out = asdict(self)
-        del out["threads"]
-        out["p_list"] = list(self.p_list)
-        out["methods"] = list(self.methods)
-        return out
 
 
 @dataclass(frozen=True)
@@ -180,12 +159,6 @@ class AggregateReport:
         payload = {"config": self.config, "n_failed": self.n_failed, "rows": rows}
         return json.dumps(payload, indent=2) + "\n"
 
-    def write_csv(self, path) -> None:
-        atomic_write_text(path, self.to_csv_text())
-
-    def write_json(self, path) -> None:
-        atomic_write_text(path, self.to_json_text())
-
     def row(self, method: str, p: int) -> AggregateRow:
         for r in self.rows:
             if r.method == method and r.p == p:
@@ -230,7 +203,7 @@ def simulate_instance(n: int, p: int, rng: RandomSource):
     return data, (x_all[n], float(y_all[n]))
 
 
-def fit_state(cfg: SimulationConfig, data: Dataset, src: RandomSource):
+def fit_state(cfg: MethodConfig, data: Dataset, src: RandomSource):
     """Fit what the requested methods need from the training data.
 
     Returns ``(folds, cv, split_state)``: the fold assignment, the K fold
@@ -249,7 +222,7 @@ def fit_state(cfg: SimulationConfig, data: Dataset, src: RandomSource):
 
 
 def _point_sets(
-    cfg: SimulationConfig, folds, cv, split_state, test_x, draws: RandomDraws
+    cfg: MethodConfig, folds, cv, split_state, test_x, draws: RandomDraws
 ) -> dict[str, PredictionSet]:
     sets: dict[str, PredictionSet] = {}
     fold_ms = [m for m in cfg.methods if m in FOLD_METHODS]
@@ -272,7 +245,7 @@ def _point_sets(
 _QUERY_BLOCK = 64
 
 
-def query_sets(cfg: SimulationConfig, folds, cv, split_state, queries, src: RandomSource):
+def query_sets(cfg: MethodConfig, folds, cv, split_state, queries, src: RandomSource):
     """Yield the prediction sets of every requested method for each query row
     in turn. The rows are predicted in blocks of ``_QUERY_BLOCK``, one call per
     fitted model, and predictions are row-wise. Row j uses the j-th (tau, U)
@@ -290,7 +263,7 @@ def query_sets(cfg: SimulationConfig, folds, cv, split_state, queries, src: Rand
 Outcome = dict[str, tuple[float, float, int]]
 
 
-def _trial(cfg: SimulationConfig, train: Dataset, test_x, test_y, src: RandomSource) -> Outcome:
+def _trial(cfg: MethodConfig, train: Dataset, test_x, test_y, src: RandomSource) -> Outcome:
     """Fit on ``train``, then build every method's sets at the test rows.
     Returns per-method (coverage, mean finite width, infinite count) over the
     test rows; the mean width is NaN when no set is finite."""
@@ -310,20 +283,22 @@ def _trial(cfg: SimulationConfig, train: Dataset, test_x, test_y, src: RandomSou
     return out
 
 
-def _simulation_trial(cfg: SimulationConfig, p: int, stream_id: int) -> Outcome:
+def _simulation_trial(cfg: MethodConfig, n: int, seed: int, p: int, stream_id: int) -> Outcome:
     """One Monte-Carlo trial: a fresh Gaussian instance and its one test row."""
-    src = RandomSource(cfg.seed, stream_id)
-    data, (test_x, test_y) = simulate_instance(cfg.n, p, src)
+    src = RandomSource(seed, stream_id)
+    data, (test_x, test_y) = simulate_instance(n, p, src)
     return _trial(cfg, data, [test_x], [test_y], src)
 
 
-def _real_data_trial(cfg: SimulationConfig, data: Dataset, test_size: int, trial: int) -> Outcome:
-    """One subsample trial: ``cfg.n`` train rows and ``test_size`` disjoint
-    test rows drawn from ``data``."""
-    src = RandomSource(cfg.seed, trial)
-    idx = src.generator("subsample").choice(data.n, cfg.n + test_size, replace=False)
-    test = data.subset(idx[cfg.n:])
-    return _trial(cfg, data.subset(idx[: cfg.n]), test.features, test.responses, src)
+def _real_data_trial(
+    cfg: MethodConfig, data: Dataset, train_size: int, test_size: int, seed: int, trial: int
+) -> Outcome:
+    """One subsample trial: ``train_size`` train rows and ``test_size``
+    disjoint test rows drawn from ``data``."""
+    src = RandomSource(seed, trial)
+    idx = src.generator("subsample").choice(data.n, train_size + test_size, replace=False)
+    test = data.subset(idx[train_size:])
+    return _trial(cfg, data.subset(idx[:train_size]), test.features, test.responses, src)
 
 
 def _share(worker, jobs, first: int, step: int) -> list:
@@ -493,56 +468,76 @@ def _rows(methods, groups) -> tuple[AggregateRow, ...]:
     return tuple(rows)
 
 
-def run_simulation(cfg: SimulationConfig) -> AggregateReport:
-    """Run ``reps`` independent trials per covariate count and aggregate.
+def _check_campaign(reps: int, threads: int) -> None:
+    if reps < 1:
+        raise InvalidConfigurationError("need at least one replication")
+    if threads < 1:
+        raise InvalidConfigurationError("threads must be at least 1")
+
+
+def _report_config(cfg: MethodConfig, n: int, p_list, reps: int, seed: int) -> dict:
+    """The report's configuration keys, in their published order. The worker
+    count is left out: it cannot change the results, and reports must be
+    byte-identical across worker counts."""
+    return {
+        "n": n, "p_list": list(p_list), "alpha": cfg.alpha, "k": cfg.k, "reps": reps,
+        "regressor": asdict(cfg.regressor), "methods": list(cfg.methods), "seed": seed,
+        "fold_mode": cfg.fold_mode,
+    }
+
+
+def run_simulation(
+    cfg: MethodConfig, *, n: int, p_list, reps: int, seed: int, threads: int = 1
+) -> AggregateReport:
+    """Run ``reps`` independent trials of ``n`` training points per covariate
+    count in ``p_list`` and aggregate, on ``threads`` workers.
 
     Every trial draws a fresh coefficient vector, dataset, fold assignment,
     tau and U on its own random stream keyed by (seed, trial index).
     """
-    jobs = [
-        (p, p_idx * cfg.reps + rep)
-        for p_idx, p in enumerate(cfg.p_list)
-        for rep in range(cfg.reps)
-    ]
+    p_list = tuple(int(p) for p in p_list)
+    _check_campaign(reps, threads)
+    if len(set(p_list)) < len(p_list):
+        raise InvalidConfigurationError("each covariate count may be listed only once")
+    if not p_list:
+        raise InvalidConfigurationError("need at least one covariate count")
+    jobs = [(p, p_idx * reps + rep) for p_idx, p in enumerate(p_list) for rep in range(reps)]
     outcomes, failures = _run_jobs(
-        jobs, lambda job: _simulation_trial(cfg, *job), cfg.threads
+        jobs, lambda job: _simulation_trial(cfg, n, seed, *job), threads
     )
     groups = [
-        (p, outcomes[p_idx * cfg.reps : (p_idx + 1) * cfg.reps])
-        for p_idx, p in enumerate(cfg.p_list)
+        (p, outcomes[p_idx * reps : (p_idx + 1) * reps]) for p_idx, p in enumerate(p_list)
     ]
-    config = {"command": "simulate", **cfg.to_jsonable()}
+    config = {"command": "simulate", **_report_config(cfg, n, p_list, reps, seed)}
     return AggregateReport(_rows(cfg.methods, groups), config, failures)
 
 
-def run_real_data(data: Dataset, test_size: int, cfg: SimulationConfig) -> AggregateReport:
-    """Repeated subsampling protocol on a fixed dataset.
+def run_real_data(
+    data: Dataset, cfg: MethodConfig, *, train_size: int, test_size: int, trials: int,
+    seed: int, threads: int = 1,
+) -> AggregateReport:
+    """Repeated subsampling protocol on a fixed dataset, on ``threads`` workers.
 
-    Each of the ``cfg.reps`` trials samples ``cfg.n`` train rows and
+    Each of the ``trials`` trials samples ``train_size`` train rows and
     ``test_size`` disjoint test rows without replacement, builds every method
     once on the training part, and evaluates coverage and width over the
-    whole test part. Rows aggregate the per-trial means across trials;
-    ``reps`` reports the number of trials. ``cfg.p_list`` must be
-    ``(data.p,)``.
+    whole test part. Rows aggregate the per-trial means across trials, with
+    p the data's covariate count and ``reps`` the number of trials.
     """
-    if cfg.p_list != (data.p,):
-        raise InvalidConfigurationError(
-            f"p_list {list(cfg.p_list)} does not match the data's {data.p} covariates"
-        )
-    if cfg.n < 2 or test_size < 1:
+    _check_campaign(trials, threads)
+    if train_size < 2 or test_size < 1:
         raise InvalidConfigurationError("need train_size >= 2 and test_size >= 1")
-    if cfg.n + test_size > data.n:
+    if train_size + test_size > data.n:
         raise InvalidConfigurationError(
-            f"train_size + test_size = {cfg.n + test_size} exceeds n = {data.n}"
+            f"train_size + test_size = {train_size + test_size} exceeds n = {data.n}"
         )
     outcomes, failures = _run_jobs(
-        range(cfg.reps), lambda t: _real_data_trial(cfg, data, test_size, t), cfg.threads
+        range(trials),
+        lambda t: _real_data_trial(cfg, data, train_size, test_size, seed, t),
+        threads,
     )
     config = {
-        "command": "run",
-        "train_size": cfg.n,
-        "test_size": test_size,
-        "trials": cfg.reps,
-        **cfg.to_jsonable(),
+        "command": "run", "train_size": train_size, "test_size": test_size, "trials": trials,
+        **_report_config(cfg, train_size, [data.p], trials, seed),
     }
     return AggregateReport(_rows(cfg.methods, [(data.p, outcomes)]), config, failures)

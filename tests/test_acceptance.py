@@ -14,10 +14,10 @@ from scipy import stats
 from conftest import make_pipeline
 from crossconf import (
     FoldAssignment,
+    MethodConfig,
     RandomSource,
     RegressorSpec,
     ScoreFunctionSpec,
-    SimulationConfig,
     assign_folds,
     candidate_endpoints,
     compute_cv_scores,
@@ -140,11 +140,8 @@ def test_03_endpoint_scan_vs_dense_grid():
 def test_04_coverage_suite():
     t0 = time.monotonic()
     reps = 5000
-    cfg = SimulationConfig(
-        n=100, p_list=(20,), alpha=0.1, k=5, reps=reps,
-        regressor=RegressorSpec("ols"), methods=VARIANTS, seed=20250, threads=4,
-    )
-    rep = run_simulation(cfg)
+    cfg = MethodConfig(alpha=0.1, k=5, regressor=RegressorSpec("ols"), methods=VARIANTS)
+    rep = run_simulation(cfg, n=100, p_list=(20,), reps=reps, seed=20250, threads=4)
     floor_all = 0.8 - 3 * mc_standard_error(0.8, reps)
     floor_tight = 0.9 - 3 * mc_standard_error(0.9, reps)
     cov = {m: rep.row(m, 20).coverage for m in VARIANTS}
@@ -159,12 +156,11 @@ def test_04_coverage_suite():
 
 def test_05_instability_spike():
     t0 = time.monotonic()
-    cfg = SimulationConfig(
-        n=100, p_list=(40, 80, 120), alpha=0.1, k=5, reps=500,
-        regressor=RegressorSpec("ols"),
-        methods=("mod", "e-mod", "u-mod", "eu-mod", "cross"), seed=31337, threads=4,
+    cfg = MethodConfig(
+        alpha=0.1, k=5, regressor=RegressorSpec("ols"),
+        methods=("mod", "e-mod", "u-mod", "eu-mod", "cross"),
     )
-    rep = run_simulation(cfg)
+    rep = run_simulation(cfg, n=100, p_list=(40, 80, 120), reps=500, seed=31337, threads=4)
     w = {(m, p): rep.row(m, p).mean_width for m in cfg.methods for p in (40, 80, 120)}
     spike = w[("mod", 80)] > w[("mod", 40)] and w[("mod", 80)] > w[("mod", 120)]
     ordering = (
@@ -184,11 +180,9 @@ def test_06_split_conformal_band():
     n_cal = 1000
     results = {}
     for alpha in (0.1, 0.2):
-        cfg = SimulationConfig(
-            n=2000, p_list=(10,), alpha=alpha, k=5, reps=reps,
-            regressor=RegressorSpec("ols"), methods=("split",), seed=4242, threads=4,
-        )
-        results[alpha] = run_simulation(cfg).row("split", 10).coverage
+        cfg = MethodConfig(alpha=alpha, k=5, regressor=RegressorSpec("ols"), methods=("split",))
+        rep = run_simulation(cfg, n=2000, p_list=(10,), reps=reps, seed=4242, threads=4)
+        results[alpha] = rep.row("split", 10).coverage
     se1 = mc_standard_error(0.9, reps)
     lo1, hi1 = 0.9 - 3 * se1, 0.9 + 1 / (n_cal + 1) + 3 * se1
     in_band = lo1 <= results[0.1] <= hi1

@@ -14,9 +14,9 @@ import pytest
 import crossconf
 from crossconf import (
     FOLD_METHODS,
+    MethodConfig,
     RandomSource,
     ScoreFunctionSpec,
-    SimulationConfig,
     assign_folds,
     compute_cv_scores,
     cv_plus_from_scores,
@@ -200,9 +200,8 @@ class TestPredictCommand:
         predictions = json.loads((tmp_path / "p.json").read_text())["predictions"]
 
         loaded, _ = load_csv(tmp_path / "train.csv", "y")
-        cfg = SimulationConfig(n=60, p_list=(3,), alpha=0.2, k=4, reps=1,
-                               regressor=parse_regressor(regressor),
-                               methods=tuple(ALL_METHODS_ARG.split(",")), seed=23)
+        cfg = MethodConfig(alpha=0.2, k=4, regressor=parse_regressor(regressor),
+                           methods=tuple(ALL_METHODS_ARG.split(",")))
         src = RandomSource(23)
         folds, cv, split_state = fit_state(cfg, loaded, src)
         assert len(predictions) == len(queries.features)
@@ -390,6 +389,26 @@ class TestReportBytes:
         assert lines[0].startswith("# config: ")
         assert "".join(lines[1:]) == GOLDEN_KNN_ROWS
 
+    def test_run_report_config_keys_order_and_values(self, tmp_path):
+        # no golden file holds a run report's config line, so pin it here
+        write_dataset_csv(tmp_path / "d.csv", n=50, p=3, seed=8)
+        out = tmp_path / "r.csv"
+        assert main(["run", "--data", str(tmp_path / "d.csv"), "--target", "y",
+                     "--regressor", "ridge:0.5", "--train-size", "30", "--test-size", "7",
+                     "--trials", "2", "--alpha", "0.2", "--k", "3", "--fold-mode", "varying",
+                     "--methods", "cross,split", "--seed", "9", "--threads", "2",
+                     "--out", str(out)]) == 0
+        expected = [
+            ("command", "run"), ("train_size", 30), ("test_size", 7), ("trials", 2),
+            ("n", 30), ("p_list", [3]), ("alpha", 0.2), ("k", 3), ("reps", 2),
+            ("regressor", {"kind": "ridge", "ridge_lambda": 0.5, "knn_k": 1}),
+            ("methods", ["cross", "split"]), ("seed", 9), ("fold_mode", "varying"),
+        ]
+        config = json.loads((tmp_path / "r.json").read_text())["config"]
+        assert list(config.items()) == expected
+        header = out.read_text().splitlines()[0]
+        assert header == "# config: " + json.dumps(dict(expected), sort_keys=True)
+
     @pytest.mark.parametrize("command", ["simulate", "run"])
     def test_files_identical_across_thread_counts(self, tmp_path, command):
         if command == "simulate":
@@ -414,7 +433,7 @@ class TestExitCodes:
     def test_numerical_failure_maps_to_exit_4(self, tmp_path, monkeypatch):
         import crossconf.cli as cli
 
-        def boom(cfg):
+        def boom(cfg, **campaign):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(cli, "run_simulation", boom)

@@ -20,12 +20,12 @@ from crossconf import (
     InformativenessWarning,
     InvalidConfigurationError,
     LinearModel,
+    MethodConfig,
     PredictionSet,
     RandomDraws,
     RandomSource,
     RegressorSpec,
     ScoreFunctionSpec,
-    SimulationConfig,
     SplitState,
     assign_folds,
     candidate_endpoints,
@@ -542,8 +542,7 @@ class TestExactVerdicts:
         # cross (1 + 9)/100 and e-cross 2/17 both equal their thresholds
         src = RandomSource(5, 5000)
         data, (test_x, _) = simulate_instance(100, 5, src)
-        cfg = SimulationConfig(n=100, p_list=(5,), alpha=0.1, k=3, reps=1, seed=5,
-                               regressor=RegressorSpec("ols"), methods=FOLD_METHODS)
+        cfg = MethodConfig(alpha=0.1, k=3, regressor=RegressorSpec("ols"), methods=FOLD_METHODS)
         folds, cv, split_state = fit_state(cfg, data, src)
         sets = next(query_sets(cfg, folds, cv, split_state, [test_x], src))
         assert is_subset(sets["e-cross"], sets["cross"])

@@ -19,7 +19,7 @@ from crossconf import (
     LinearModel,
     RandomSource,
     RegressorSpec,
-    SimulationConfig,
+    MethodConfig,
     parse_regressor,
     randomization_stream,
     run_real_data,
@@ -30,6 +30,7 @@ from crossconf import _blas
 from crossconf import conformal_sets as cs
 from crossconf import experiments as ex
 from crossconf.data_model import RandomDraws, _open_unit
+from crossconf.cli import _write_report
 from crossconf.experiments import _simulation_trial
 from conftest import make_pipeline
 from oracles import mc_standard_error
@@ -39,13 +40,27 @@ needs_openblas = pytest.mark.skipif(not _blas._openblas(), reason="no OpenBLAS l
 
 def base_config(**overrides):
     defaults = dict(
-        n=40, p_list=(4,), alpha=0.1, k=4, reps=5,
-        regressor=RegressorSpec("ols"),
+        alpha=0.1, k=4, regressor=RegressorSpec("ols"),
         methods=("mod", "e-mod", "u-mod", "eu-mod", "cross"),
-        seed=1234,
     )
     defaults.update(overrides)
-    return SimulationConfig(**defaults)
+    return MethodConfig(**defaults)
+
+
+def simulate(cfg=None, **campaign):
+    """``run_simulation`` of ``cfg`` (default ``base_config()``) with the
+    campaign arguments given, the rest from a 5-trial n=40, p=4 campaign."""
+    defaults = dict(n=40, p_list=(4,), reps=5, seed=1234)
+    defaults.update(campaign)
+    return run_simulation(cfg or base_config(), **defaults)
+
+
+def run_real(data, cfg=None, **campaign):
+    """``run_real_data`` of ``cfg`` (default ``base_config()``) with the
+    campaign arguments given, the rest from 5 trials of 40 train rows."""
+    defaults = dict(train_size=40, test_size=5, trials=5, seed=1234)
+    defaults.update(campaign)
+    return run_real_data(data, cfg or base_config(), **defaults)
 
 
 class TestSimulateInstance:
@@ -83,7 +98,7 @@ class TestSimulateInstance:
 
 class TestRunSimulation:
     def test_report_structure(self):
-        report = run_simulation(base_config())
+        report = simulate()
         assert len(report.rows) == 5  # one row per method at the single p
         for row in report.rows:
             assert row.reps == 5
@@ -92,19 +107,19 @@ class TestRunSimulation:
         assert report.config["seed"] == 1234
 
     def test_rerun_is_identical(self):
-        a = run_simulation(base_config())
-        b = run_simulation(base_config())
+        a = simulate()
+        b = simulate()
         assert a.rows == b.rows
 
     def test_thread_count_does_not_change_results(self):
-        a = run_simulation(base_config(reps=8, threads=1))
-        b = run_simulation(base_config(reps=8, threads=4))
+        a = simulate(reps=8, threads=1)
+        b = simulate(reps=8, threads=4)
         assert a.rows == b.rows
 
     def test_paired_trials_order_widths(self):
         # within one trial every method shares data, folds, tau and U, so the
         # set containments show up as deterministic width orderings
-        cfg = base_config(n=60, p_list=(10,), k=5, reps=1)
+        cfg = base_config(k=5)
 
         def width(outcome):
             # one test row: the mean finite width is NaN when the set is infinite
@@ -112,23 +127,22 @@ class TestRunSimulation:
             return math.inf if n_infinite else mean_width
 
         for trial in range(25):
-            widths = {m: width(o) for m, o in _simulation_trial(cfg, 10, trial).items()}
+            widths = {m: width(o) for m, o in _simulation_trial(cfg, 60, 1234, 10, trial).items()}
             assert widths["eu-mod"] <= widths["e-mod"] <= widths["mod"]
             assert widths["u-mod"] <= widths["mod"]
 
     def test_vacuous_coverage_floor_at_half(self):
         # at alpha = 0.5 the 1 - 2*alpha guarantee is vacuous; the harness
         # still runs and reports a proper fraction
-        cfg = base_config(n=40, p_list=(2,), alpha=0.5, k=2, reps=2000, methods=("mod",))
-        row = run_simulation(cfg).row("mod", 2)
+        cfg = base_config(alpha=0.5, k=2, methods=("mod",))
+        row = simulate(cfg, n=40, p_list=(2,), reps=2000).row("mod", 2)
         assert 0.0 <= row.coverage <= 1.0
 
     def test_csv_and_json_outputs(self, tmp_path):
-        report = run_simulation(base_config(reps=2))
+        report = simulate(reps=2)
         csv_path = tmp_path / "r.csv"
         json_path = tmp_path / "r.json"
-        report.write_csv(csv_path)
-        report.write_json(json_path)
+        _write_report(report, str(csv_path))
         text = csv_path.read_text()
         header, columns = text.splitlines()[:2]
         assert header.startswith("# config: ") and '"seed": 1234' in header
@@ -147,7 +161,7 @@ class TestRunSimulation:
     def test_repeated_covariate_count_rejected(self):
         # AggregateReport.row finds a row by (method, p), so each p gets one row
         with pytest.raises(InvalidConfigurationError, match="listed only once"):
-            base_config(p_list=(3, 5, 3))
+            simulate(p_list=(3, 5, 3))
 
     def test_repeated_method_rejected(self):
         # AggregateReport.row finds a row by (method, p), so each method gets one row
@@ -157,26 +171,26 @@ class TestRunSimulation:
     def test_empty_covariate_list_rejected(self):
         # a campaign with nothing to run; checked after the earlier checks
         with pytest.raises(InvalidConfigurationError, match="at least one covariate count"):
-            base_config(p_list=())
+            simulate(p_list=())
         with pytest.raises(InvalidConfigurationError, match="replication"):
-            base_config(p_list=(), reps=0)
+            simulate(p_list=(), reps=0)
 
 
 class TestFailedTrials:
     def failing_on(self, monkeypatch, stream_id):
         real = ex._simulation_trial
 
-        def trial(cfg, p, stream):
+        def trial(cfg, n, seed, p, stream):
             if stream == stream_id:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return real(cfg, p, stream)
+            return real(cfg, n, seed, p, stream)
 
         monkeypatch.setattr(ex, "_simulation_trial", trial)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cause_is_kept_out_of_the_report_text(self, monkeypatch, threads):
         self.failing_on(monkeypatch, 2)
-        report = run_simulation(base_config(reps=4, threads=threads))
+        report = simulate(reps=4, threads=threads)
         assert report.n_failed == 1
         assert report.failures == (ex.TrialFailure(2, "LinAlgError", "SVD did not converge"),)
         assert all(row.reps == 3 for row in report.rows)
@@ -196,14 +210,14 @@ class TestFailedTrials:
     def test_run_counts_the_trials_that_finished(self, monkeypatch, threads):
         real = ex._real_data_trial
 
-        def trial(cfg, data, test_size, t):
+        def trial(cfg, data, train_size, test_size, seed, t):
             if t == 2:
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return real(cfg, data, test_size, t)
+            return real(cfg, data, train_size, test_size, seed, t)
 
         monkeypatch.setattr(ex, "_real_data_trial", trial)
         data, _ = simulate_instance(60, 4, RandomSource(0))
-        report = run_real_data(data, 5, base_config(reps=4, threads=threads))
+        report = run_real(data, trials=4, threads=threads)
         assert report.failures == (ex.TrialFailure(2, "LinAlgError", "SVD did not converge"),)
         assert len(report.rows) == 5 and all(row.reps == 3 for row in report.rows)
 
@@ -218,15 +232,15 @@ class TestBlasPin:
             seen = []
             real = ex._simulation_trial
 
-            def trial(cfg, p, stream):
+            def trial(cfg, n, seed, p, stream):
                 seen.append(get())
-                return real(cfg, p, stream)
+                return real(cfg, n, seed, p, stream)
 
             monkeypatch.setattr(ex, "_simulation_trial", trial)
-            run_simulation(base_config(threads=2))
+            simulate(threads=2)
             assert seen and set(seen) == {1}
             assert get() == 2
-            run_simulation(base_config(reps=1, threads=1))
+            simulate(reps=1)
             assert seen[-1] == 2
         finally:
             put(before)
@@ -254,12 +268,12 @@ class TestBlasPin:
         try:
             real = ex._simulation_trial
 
-            def trial(cfg, p, stream):
+            def trial(cfg, n, seed, p, stream):
                 (tmp_path / f"{stream}-{os.getpid()}").write_text(str(get()))
-                return real(cfg, p, stream)
+                return real(cfg, n, seed, p, stream)
 
             monkeypatch.setattr(ex, "_simulation_trial", trial)
-            run_simulation(base_config(reps=7, threads=3))
+            simulate(reps=7, threads=3)
             files = sorted(tmp_path.iterdir(), key=lambda f: int(f.name.split("-")[0]))
             assert [f.name.split("-")[0] for f in files] == [str(i) for i in range(7)]
             assert len({f.name.split("-")[1] for f in files}) == 3
@@ -273,7 +287,7 @@ class TestBlasPin:
         cfg = base_config()
 
         def run():
-            return ex._run_jobs(jobs, lambda job: _simulation_trial(cfg, *job), 2)
+            return ex._run_jobs(jobs, lambda job: _simulation_trial(cfg, 40, 1234, *job), 2)
 
         # compared by repr: outcomes may hold NaN, which == finds unequal to itself
         pinned = repr(run())
@@ -292,10 +306,10 @@ class TestWorkerProcesses:
     def failing_in(self, monkeypatch, stream_id, fail):
         real = ex._simulation_trial
 
-        def trial(cfg, p, stream):
+        def trial(cfg, n, seed, p, stream):
             if stream == stream_id:
                 fail()
-            return real(cfg, p, stream)
+            return real(cfg, n, seed, p, stream)
 
         monkeypatch.setattr(ex, "_simulation_trial", trial)
 
@@ -305,7 +319,7 @@ class TestWorkerProcesses:
 
         self.failing_in(monkeypatch, 3, fail)
         with pytest.raises(RuntimeError, match="^trial 3 failed in process ") as info:
-            run_simulation(base_config(reps=5, threads=2))
+            simulate(reps=5, threads=2)
         assert not str(info.value).endswith(str(os.getpid()))
         assert info.value.__notes__ == ["raised in the worker process for trials 1, 3"]
         assert_no_child_remains()
@@ -317,7 +331,7 @@ class TestWorkerProcesses:
     def test_a_worker_that_dies_without_a_result(self, monkeypatch, die, how):
         self.failing_in(monkeypatch, 3, die)
         with pytest.raises(RuntimeError) as info:
-            run_simulation(base_config(reps=5, threads=2))
+            simulate(reps=5, threads=2)
         assert str(info.value) == (
             f"the worker process for trials 1, 3 ended without a readable result ({how})"
         )
@@ -359,7 +373,7 @@ class TestSharedFoldPredictions:
     def fitted():
         cfg = base_config(methods=("mod", "cross", "cv+"))
         src = RandomSource(3)
-        data, (test_x, _) = simulate_instance(cfg.n, 4, src)
+        data, (test_x, _) = simulate_instance(40, 4, src)
         folds, cv, split_state = ex.fit_state(cfg, data, src)
         return cfg, folds, cv, split_state, test_x, next(randomization_stream(src))
 
@@ -424,7 +438,7 @@ class TestQuerySets:
     def test_row_j_uses_the_jth_draw_pair(self):
         cfg = base_config(methods=cs.ALL_METHODS)
         src = RandomSource(8)
-        data, _ = simulate_instance(cfg.n, 4, src)
+        data, _ = simulate_instance(40, 4, src)
         queries, _ = simulate_instance(6, 4, RandomSource(9))
         folds, cv, split_state = ex.fit_state(cfg, data, src)
         gen_tau, gen_u = src.generator("tau"), src.generator("u")
@@ -455,9 +469,9 @@ class TestBlockQueries:
 
     @pytest.mark.parametrize("text", ["ols", "knn:3"])
     def test_query_sets_match_the_per_row_builders(self, text, predict_calls):
-        cfg = base_config(n=60, methods=cs.ALL_METHODS, regressor=parse_regressor(text))
+        cfg = base_config(methods=cs.ALL_METHODS, regressor=parse_regressor(text))
         src = RandomSource(8)
-        data, _ = simulate_instance(cfg.n, 4, src)
+        data, _ = simulate_instance(60, 4, src)
         queries, _ = simulate_instance(ex._QUERY_BLOCK + 6, 4, RandomSource(9))
         folds, cv, split_state = ex.fit_state(cfg, data, src)
         predict_calls.clear()
@@ -503,12 +517,12 @@ class TestFitState:
             return real(*args)
 
         monkeypatch.setattr(ex, "compute_cv_scores", counted)
-        report = run_simulation(base_config(methods=("split",), reps=10))
+        report = simulate(base_config(methods=("split",)), reps=10)
         assert calls == [] and report.row("split", 4).reps == 10
 
     def test_split_rows_do_not_depend_on_the_fold_models(self):
-        alone = run_simulation(base_config(methods=("split",)))
-        shared = run_simulation(base_config(methods=("mod", "split")))
+        alone = simulate(base_config(methods=("split",)))
+        shared = simulate(base_config(methods=("mod", "split")))
         assert alone.rows == tuple(r for r in shared.rows if r.method == "split")
 
     def test_states_follow_the_requested_methods(self):
@@ -528,8 +542,8 @@ class TestRunRealData:
 
     def test_degenerate_single_trial_single_point(self):
         data = self.synthetic(50, 3)
-        cfg = base_config(n=30, p_list=(3,), reps=1, methods=("mod",), k=3, seed=5)
-        report = run_real_data(data, 1, cfg)
+        cfg = base_config(methods=("mod",), k=3)
+        report = run_real(data, cfg, train_size=30, test_size=1, trials=1, seed=5)
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row.reps == 1 and row.coverage in (0.0, 1.0) and row.p == 3
@@ -538,39 +552,33 @@ class TestRunRealData:
         # synthetic stand-in for the published real-data row: split conformal
         # trained at 2 * 0.1 should cover about 0.80
         data = self.synthetic(20_000, 10, seed=42)
-        cfg = base_config(
-            n=15_000, p_list=(10,), alpha=0.2, k=5, reps=1, methods=("split",), seed=99,
-        )
-        report = run_real_data(data, 5000, cfg)
+        cfg = base_config(alpha=0.2, k=5, methods=("split",))
+        report = run_real(data, cfg, train_size=15_000, test_size=5000, trials=1, seed=99)
         assert report.rows[0].coverage == pytest.approx(0.80, abs=0.02)
 
     def test_mod_and_cross_agree_for_large_training_sets(self):
         data = self.synthetic(2600, 5, seed=3)
-        cfg = base_config(
-            n=2000, p_list=(5,), alpha=0.1, k=5, reps=1, methods=("mod", "cross"), seed=11,
-        )
-        report = run_real_data(data, 500, cfg)
+        cfg = base_config(alpha=0.1, k=5, methods=("mod", "cross"))
+        report = run_real(data, cfg, train_size=2000, test_size=500, trials=1, seed=11)
         mod = report.row("mod", 5)
         cross = report.row("cross", 5)
         assert abs(mod.coverage - cross.coverage) <= 0.01
 
     def test_size_preconditions(self):
         data = self.synthetic(30, 3)
-        cfg = base_config(n=25, p_list=(3,), reps=1, methods=("mod",))
+        cfg = base_config(methods=("mod",))
         with pytest.raises(InvalidConfigurationError):
-            run_real_data(data, 10, cfg)
+            run_real(data, cfg, train_size=25, test_size=10, trials=1)
 
     def test_train_size_trials_and_p_come_from_the_config(self):
         # the report config and the rows must describe the same run
         data = self.synthetic(60, 3)
-        cfg = base_config(n=30, p_list=(3,), reps=2, k=3, methods=("mod",))
-        report = run_real_data(data, 5, cfg)
+        cfg = base_config(k=3, methods=("mod",))
+        report = run_real(data, cfg, train_size=30, test_size=5, trials=2)
         c = report.config
         assert (c["train_size"], c["test_size"], c["trials"]) == (30, 5, 2)
         assert (c["n"], c["reps"], c["p_list"]) == (30, 2, [3])
         assert [(row.p, row.reps) for row in report.rows] == [(3, 2)]
-        with pytest.raises(InvalidConfigurationError, match="p_list"):
-            run_real_data(data, 5, base_config(n=30, p_list=(77,), reps=2, k=3, methods=("mod",)))
 
 
 class TestHelpers:

@@ -4,6 +4,7 @@ exports the program itself uses."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import re
 import sys
 import warnings
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 import crossconf
-from crossconf import RegressorSpec, SimulationConfig, parse_regressor
+from crossconf import (
+    MethodConfig, RegressorSpec, parse_regressor, run_real_data, run_simulation,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
@@ -72,15 +75,24 @@ def test_every_name_the_benchmark_rebinds_is_bound_where_it_looks():
         tracer.restore()
 
 
-def test_cli_sets_every_simulation_config_field():
-    # a field the CLI never passes is an option no command can change
+def keywords_passed(function: str, callee: str) -> set:
+    """The keyword names that ``cli.function`` passes in its calls of ``callee``."""
     tree = ast.parse((Path(crossconf.__file__).parent / "cli.py").read_text())
-    builder = next(n for n in ast.walk(tree)
-                   if isinstance(n, ast.FunctionDef) and n.name == "_config")
-    passed = {kw.arg for n in ast.walk(builder)
-              if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "SimulationConfig"
-              for kw in n.keywords}
-    assert {f.name for f in dataclasses.fields(SimulationConfig)} - passed == set()
+    body = next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {kw.arg for n in ast.walk(body)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == callee
+            for kw in n.keywords}
+
+
+def test_cli_sets_every_model_field_and_campaign_argument():
+    # a field or argument the CLI never passes is an option no command can change
+    fields = {f.name for f in dataclasses.fields(MethodConfig)}
+    assert fields - keywords_passed("_config", "MethodConfig") == set()
+    for command, campaign in (("cmd_simulate", run_simulation), ("cmd_run", run_real_data)):
+        params = inspect.signature(campaign).parameters.values()
+        keyword_only = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert keyword_only and keyword_only - keywords_passed(command, campaign.__name__) == set()
 
 
 def test_every_regressor_field_is_set_by_some_cli_string():
