@@ -32,9 +32,21 @@ __all__ = [
 
 REGRESSOR_KINDS = ("ols", "ridge", "knn")
 
-# Singular values below RCOND * sigma_max are treated as zero, which keeps the
-# pseudoinverse stable in the underdetermined regime (p >= training size).
+# Where a linear fit falls back to LAPACK lstsq, singular values below
+# RCOND * sigma_max are treated as zero, which keeps the pseudoinverse stable in
+# the underdetermined regime (p >= training size).
 RCOND = 1e-10
+
+# Linear fits solve through the Cholesky factor L of the smaller Gram matrix
+# (X'X or XX', lambda on its diagonal) and keep that solve only where
+# ||L||_F ||L^-1||_F < _GRAM_COND_MAX. L has the singular values of X, so the
+# product bounds cond_2(X) from above; the Gram solve loses about
+# cond_2(X)^2 eps, so a kept fit is within about 1e8 eps of lstsq, and lstsq
+# would truncate nothing there (its cut sits at cond_2(X) = 1 / RCOND). The
+# bound is taken on the squared norms, so a finite one also keeps
+# lambda_min(G) >= 1 / ||L^-1||_F^2 above 1 / DBL_MAX: products that underflow
+# lose at most eta/2 each, under rows * cols * 4.4e-16 of lambda_min(G) in all.
+_GRAM_COND_MAX = 1e4
 
 # Budget for the float temporaries of one query chunk in KnnModel.predict.
 _KNN_BLOCK_BYTES = 512 * 1024
@@ -219,31 +231,75 @@ class KnnModel:
 FittedModel = Union[LinearModel, KnnModel]
 
 
-def fit_min_norm_ols(train: Dataset) -> LinearModel:
-    """Least squares via the Moore-Penrose pseudoinverse.
+def _gram_solve(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 0.0) -> np.ndarray:
+    """The least-norm minimiser of ||X b - y||^2 + lambda ||b||^2.
 
-    For full-column-rank features this is ordinary least squares; otherwise it
-    returns the minimum-l2-norm solution of the underdetermined system.
+    With more rows than columns this is b = G^-1 X'y for G = X'X + lambda I,
+    otherwise b = X'G^-1 y for G = XX' + lambda I, each solved through the
+    Cholesky factor L of G. The solve is kept only where the bound
+    ||L||_F^2 ||L^-1||_F^2 on cond_2(X)^2 (of [X; sqrt(lambda) I] when
+    lambda > 0) is below ``_GRAM_COND_MAX ** 2`` and every coefficient is
+    finite. Otherwise (rank-deficient, near-singular, overflowing or
+    underflowing designs, or a failed factorisation) the fit is lstsq with
+    ``RCOND``, on [X; sqrt(lambda) I] and [y; 0] when lambda > 0. y is scaled
+    by a power of two to a largest magnitude in [1/2, 1), which changes no bit
+    in the normal range and keeps X'y from underflowing when X and y are both
+    tiny.
     """
-    coef, *_ = np.linalg.lstsq(train.features, train.responses, rcond=RCOND)
-    return LinearModel(coef)
+    rows, cols = x.shape
+    wide = rows <= cols
+    exponent = int(np.frexp(np.abs(y).max(initial=0.0))[1])
+    with np.errstate(all="ignore"):
+        gram = x @ x.T if wide else x.T @ x
+        if ridge_lambda:
+            gram.flat[:: gram.shape[0] + 1] += ridge_lambda
+        try:
+            factor = np.linalg.cholesky(gram)
+            inverse = np.linalg.inv(factor)
+        except np.linalg.LinAlgError:
+            inverse = None
+        if inverse is not None:
+            bound = np.vdot(factor, factor) * np.vdot(inverse, inverse)
+            if bound < _GRAM_COND_MAX**2:
+                scaled = np.ldexp(y, -exponent)
+                if wide:
+                    coef = x.T @ (inverse.T @ (inverse @ scaled))
+                else:
+                    coef = inverse.T @ (inverse @ (x.T @ scaled))
+                coef = np.ldexp(coef, exponent)
+                if np.isfinite(coef).all():
+                    return coef
+    if ridge_lambda:
+        x = np.vstack([x, np.sqrt(ridge_lambda) * np.eye(cols)])
+        y = np.concatenate([y, np.zeros(cols)])
+    return np.linalg.lstsq(x, y, rcond=RCOND)[0]
+
+
+def fit_min_norm_ols(train: Dataset) -> LinearModel:
+    """Least squares of minimum l2 norm: ordinary least squares for
+    full-column-rank features, the Moore-Penrose solution otherwise.
+
+    The fit is a Cholesky solve on the smaller Gram matrix, kept only where
+    ||L||_F ||L^-1||_F, an upper bound on cond_2(X), is below
+    ``_GRAM_COND_MAX`` (1e4), with the squared norms finite, so that the
+    Gram neither overflows nor underflows; every other design goes to lstsq
+    with ``RCOND`` (see ``_gram_solve``).
+    """
+    return LinearModel(_gram_solve(train.features, train.responses))
 
 
 def fit_ridge(train: Dataset, ridge_lambda: float) -> LinearModel:
-    """Ridge regression coef = (X'X + lambda I)^-1 X'y.
+    """Ridge regression coef = (X'X + lambda I)^-1 X'y = X'(XX' + lambda I)^-1 y.
 
-    At lambda = 0 this falls back to the minimum-norm least squares solution,
-    which coincides with the normal-equation solve whenever X has full column
-    rank.
+    The smaller of the two Gram matrices is solved, under the same guard as
+    ``fit_min_norm_ols`` (the bound ||L||_F ||L^-1||_F < ``_GRAM_COND_MAX`` on
+    the factor of the penalised Gram); a design that fails it goes to lstsq
+    with ``RCOND`` on the augmented system [X; sqrt(lambda) I], [y; 0]. At
+    lambda = 0 this is the minimum-norm least squares solution.
     """
     if ridge_lambda < 0:
         raise InvalidConfigurationError("ridge penalty must be nonnegative")
-    if ridge_lambda == 0.0:
-        return fit_min_norm_ols(train)
-    feats = train.features
-    gram = feats.T @ feats + ridge_lambda * np.eye(train.p)
-    coef = np.linalg.solve(gram, feats.T @ train.responses)
-    return LinearModel(coef)
+    return LinearModel(_gram_solve(train.features, train.responses, ridge_lambda))
 
 
 def fit_knn(train: Dataset, k: int) -> KnnModel:

@@ -4,8 +4,9 @@ The package evaluates every membership rule in one vectorized kernel over
 all candidate responses. The functions here restate the definitions one
 candidate at a time: the fold p-values (deterministic and tau-randomized),
 the four combination statistics, the weighted-mean dual form of the plain
-cross set, the exact verdict of every fold method, the split p-value and
-the CV+ set from raw data, plus two test helpers (set containment and the
+cross set, the exact verdict of every fold method, the split p-value,
+the CV+ set from raw data and the minimum-norm least squares fit through
+LAPACK lstsq, plus two test helpers (set containment and the
 Monte-Carlo standard error). They use only the public API of ``crossconf``.
 """
 
@@ -31,6 +32,7 @@ from crossconf import (
     compute_cv_scores,
     cv_plus_from_scores,
 )
+from crossconf.regression import RCOND
 from crossconf.scores import fold_predictions
 
 
@@ -264,6 +266,13 @@ def cv_plus_set(
     """The CV+ set from raw data: fit the fold models, then build the set."""
     cv = compute_cv_scores(data, folds, ScoreFunctionSpec("residual", regressor))
     return cv_plus_from_scores(cv, folds, test_x, alpha)
+
+
+def lstsq_min_norm_oracle(features, responses) -> np.ndarray:
+    """Minimum-norm least squares coefficients by LAPACK's SVD solve (gelsd),
+    singular values below RCOND * sigma_max treated as zero."""
+    return np.linalg.lstsq(np.asarray(features, float), np.asarray(responses, float),
+                           rcond=RCOND)[0]
 
 
 def is_subset(inner: PredictionSet, outer: PredictionSet) -> bool:

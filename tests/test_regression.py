@@ -29,7 +29,8 @@ from crossconf import (
     parse_regressor,
 )
 from crossconf import regression
-from crossconf.regression import _KNN_BLOCK_BYTES
+from crossconf.regression import _KNN_BLOCK_BYTES, RCOND
+from oracles import lstsq_min_norm_oracle
 
 
 def lexsort_knn_oracle(model, queries):
@@ -67,16 +68,113 @@ class TestMinNormOls:
         assert np.linalg.norm(model.coef - oracle) / np.linalg.norm(oracle) < 1e-8
 
     def test_pseudoinverse_consistency(self):
-        # X X^+ X = X on random shapes up to 100 x 150
+        # the fit is the pseudoinverse solution X^+ y: it solves the normal
+        # equations X'(X b - y) = 0 and has no part along the null space of X,
+        # on random shapes up to 100 x 150
         gen = np.random.default_rng(1)
         for n, p in [(10, 3), (3, 10), (40, 40), (100, 150), (150, 100)]:
             x = gen.standard_normal((n, p))
-            pinv = np.linalg.pinv(x, rcond=1e-10)
-            assert np.allclose(x @ pinv @ x, x, atol=1e-8)
+            y = gen.standard_normal(n)
+            coef = fit_min_norm_ols(Dataset(x, y)).coef
+            assert np.allclose(x.T @ (x @ coef - y), 0.0, atol=1e-8)
+            _, sing, vt = np.linalg.svd(x)
+            null_space = vt[np.count_nonzero(sing > RCOND * sing[0]) :]
+            assert np.allclose(null_space @ coef, 0.0, atol=1e-8)
 
     def test_prediction_shape(self):
         model = fit_min_norm_ols(Dataset(np.eye(3), np.ones(3)))
         assert model.predict(np.ones((4, 3))).shape == (4,)
+
+
+# Designs for the lstsq oracle: Gaussian tall, wide and square ones;
+# rank-deficient ones (a duplicated column with no more columns than rows, or a
+# duplicated row with more columns than rows); features whose Gram overflows
+# (x 1e160) or underflows (x 1e-160); and small features with tiny responses
+# (x 1e-150, y x 1e-300), whose X'y underflows unless y is scaled first.
+DESIGNS = ("tall", "wide", "square", "duplicated-column", "duplicated-row",
+           "huge", "tiny", "tiny-responses")
+RANK_DEFICIENT = ("duplicated-column", "duplicated-row")
+# A Cholesky fit is kept only where cond_2(X) < _GRAM_COND_MAX = 1e4; there the
+# Gram solve and lstsq each lose at most about cond^2 eps = 2.2e-8 times a small
+# factor of the dimension, so they agree to 1e-6 relative to the largest
+# coefficient. Over 30,000 Gaussian designs up to 40 x 60 the largest gap was 7e-10.
+ORACLE_RTOL = 1e-6
+
+
+@st.composite
+def oracle_designs(draw):
+    kind = draw(st.sampled_from(DESIGNS))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(2, 40))
+    if kind == "tall":
+        cols = draw(st.integers(1, rows - 1))
+    elif kind == "duplicated-column":
+        cols = draw(st.integers(2, rows))
+    elif kind in ("wide", "duplicated-row"):
+        cols = draw(st.integers(rows + 1, 60))
+    elif kind == "square":
+        cols = rows
+    else:
+        cols = draw(st.integers(2, 60))
+    x = gen.standard_normal((rows, cols))
+    y = gen.standard_normal(rows)
+    if kind == "duplicated-column":
+        x[:, -1] = x[:, 0]
+    elif kind == "duplicated-row":
+        x[-1] = x[0]
+    elif kind == "huge":
+        x *= 1e160
+    elif kind == "tiny":
+        x *= 1e-160
+    elif kind == "tiny-responses":
+        x *= 1e-150
+        y *= 1e-300
+    return kind, x, y
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """(design shape, rcond) of every lstsq call made through the name
+    regression uses."""
+    calls, real = [], np.linalg.lstsq
+
+    def counting(a, b, rcond=None):
+        calls.append((a.shape, rcond))
+        return real(a, b, rcond=rcond)
+
+    monkeypatch.setattr(regression.np.linalg, "lstsq", counting)
+    return calls
+
+
+class TestMinNormOlsAgainstLstsq:
+    @given(design=oracle_designs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_lstsq_oracle(self, design):
+        kind, x, y = design
+        coef = fit_min_norm_ols(Dataset(x, y)).coef
+        want = lstsq_min_norm_oracle(x, y)
+        assert np.isfinite(coef).all()
+        # max norms: the 2-norm of a 1e160-sized vector overflows
+        assert np.abs(coef - want).max() <= ORACLE_RTOL * np.abs(want).max()
+        if kind in RANK_DEFICIENT:
+            # the Gram of a rank-deficient design fails the bound, so the fit
+            # is the lstsq call itself
+            assert coef.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(80, 150), (80, 50)])
+    def test_a_well_conditioned_fit_makes_no_lstsq_call(self, lstsq_calls, shape):
+        gen = np.random.default_rng(40)
+        fit_min_norm_ols(Dataset(gen.standard_normal(shape), gen.standard_normal(shape[0])))
+        assert lstsq_calls == []
+
+    def test_a_duplicated_column_falls_back_to_lstsq_with_rcond(self, lstsq_calls):
+        gen = np.random.default_rng(41)
+        x = gen.standard_normal((80, 50))
+        x[:, 1] = x[:, 0]
+        model = fit_min_norm_ols(Dataset(x, gen.standard_normal(80)))
+        assert lstsq_calls == [((80, 50), RCOND)]
+        # the min-norm solution splits the weight evenly over the two copies
+        assert model.coef[0] == pytest.approx(model.coef[1], rel=1e-9)
 
 
 class TestRidge:
@@ -110,6 +208,28 @@ class TestRidge:
     def test_negative_penalty_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             fit_ridge(Dataset(np.eye(2), np.ones(2)), -0.1)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 40.0])
+    @pytest.mark.parametrize("shape", [(30, 4), (80, 50), (80, 150), (50, 100)])
+    def test_matches_the_primal_solve(self, shape, lam):
+        # the former formula (X'X + lambda I)^-1 X'y on p x p, to 1e-9 relative:
+        # every system here has cond_2 below about 1e4
+        gen = np.random.default_rng(43)
+        x, y = gen.standard_normal(shape), gen.standard_normal(shape[0])
+        want = np.linalg.solve(x.T @ x + lam * np.eye(shape[1]), x.T @ y)
+        got = fit_ridge(Dataset(x, y), lam).coef
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_an_overflowing_gram_falls_back_to_augmented_lstsq(self, lstsq_calls):
+        # features near 1e160 overflow X'X, so the fit is lstsq on
+        # [X; sqrt(lambda) I] and [y; 0]; lambda = 1 is negligible beside
+        # X'X, so it gives the least squares fit
+        gen = np.random.default_rng(44)
+        x, y = 1e160 * gen.standard_normal((30, 6)), gen.standard_normal(30)
+        got = fit_ridge(Dataset(x, y), 1.0).coef
+        assert lstsq_calls == [((36, 6), RCOND)]
+        want = lstsq_min_norm_oracle(x, y)
+        assert np.abs(got - want).max() <= ORACLE_RTOL * np.abs(want).max()
 
 
 class TestKnn:
