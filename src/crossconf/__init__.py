@@ -9,7 +9,6 @@ improvements, plus split conformal and CV+/jackknife+ for comparison.
 
 from .combiners import (
     CoverageBounds,
-    alpha_prime,
     conformal_rank,
     coverage_bounds,
 )

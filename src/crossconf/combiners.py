@@ -25,7 +25,6 @@ from .errors import InvalidConfigurationError, NumericalError
 
 __all__ = [
     "CoverageBounds",
-    "alpha_prime",
     "conformal_rank",
     "coverage_bounds",
 ]
@@ -61,14 +60,6 @@ def fold_thresholds(alpha: float, k: int, n: int) -> tuple[tuple[int, int], tupl
     if n < k:
         raise InvalidConfigurationError("need at least as many points as folds")
     return (num, den), (num * (k + n) + (den - num) * (k - 1), den * (k + n))
-
-
-def alpha_prime(alpha: float, k: int, n: int) -> float:
-    """Inflated threshold alpha + (1 - alpha)(K - 1)/(K + n), at which the mean-p-value
-    set coincides with the plain cross-validation conformal set at level alpha: the
-    exact ratio of ``fold_thresholds`` rounded once."""
-    num, den = fold_thresholds(alpha, k, n)[1]
-    return num / den  # int / int rounds once
 
 
 def conformal_rank(alpha: float, n: int) -> int:

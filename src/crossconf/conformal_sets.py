@@ -24,10 +24,8 @@ as included as its neighbouring gaps.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,7 +137,9 @@ class SplitState:
 
     Reusable across any number of test points, with read-only arrays.
     ``rank`` is ``conformal_rank(alpha, n_cal)``, the calibration order statistic
-    the set takes; n_cal + 1 makes the set the whole line.
+    the set takes; n_cal + 1 makes the set the whole line. ``last_block`` is the
+    block of query rows that ``predict_block`` predicted last, replaced whole:
+    (row index by bytes, predictions).
     """
 
     train_idx: np.ndarray
@@ -147,6 +147,7 @@ class SplitState:
     cal_scores: np.ndarray
     rank: int
     model: FittedModel
+    last_block: tuple | None = field(default=None, init=False, repr=False, compare=False)
     __post_init__ = freeze_arrays
 
 
@@ -170,12 +171,14 @@ def split_conformal(
 
 
 def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
-    """Residual-score split interval mu(test_x) +/- calibration quantile."""
+    """Residual-score split interval mu(test_x) +/- calibration quantile. The
+    prediction is read from the state's last block when it holds the row, else
+    predicted alone. The slot is read once, as another thread may replace it."""
     row = _one_row(test_x)
     q = _kth(state.cal_scores, state.rank)
-    block = getattr(_last, "block", None)
-    i = block.index.get(row.tobytes()) if block and block.split() is state else None
-    mu = float(state.model.predict(row)[0] if i is None else block.split_mu[i])
+    block = state.last_block
+    i = block[0].get(row.tobytes()) if block else None
+    mu = float(state.model.predict(row)[0] if i is None else block[1][i])
     if math.isinf(q):
         warnings.warn(
             f"rank {state.rank} is past the {state.cal_scores.size} calibration scores; "
@@ -243,31 +246,6 @@ class _FoldContext:
     n_used: int
 
 
-@dataclass(frozen=True)
-class _QueryBlock:
-    """The predictions of a block of rows, found by each row's bytes in
-    ``index``: the fold predictions ``mu`` (rows, K) of ``cv`` with the sorted
-    fold scores of the fit, and the predictions ``split_mu`` of the split model
-    of ``split``. A model left out of the block has a reference to None."""
-
-    index: dict[bytes, int]
-    cv: weakref.ref
-    folds: weakref.ref
-    mu: np.ndarray | None
-    sorted_scores: tuple[np.ndarray, ...]
-    split: weakref.ref
-    split_mu: np.ndarray | None
-
-
-# Per thread: ``block``, the _QueryBlock built last.
-_last = threading.local()
-
-
-def _ref(obj):
-    """A weak reference to obj; for None, a callable that returns None."""
-    return (lambda: None) if obj is None else weakref.ref(obj)
-
-
 def _one_row(test_x) -> np.ndarray:
     """test_x as one feature row: a vector, or a matrix holding one row."""
     row = np.asarray(test_x, dtype=float)
@@ -280,48 +258,48 @@ def _one_row(test_x) -> np.ndarray:
 
 def predict_block(
     cv: CvScores | None, folds: FoldAssignment, split_state: SplitState | None, rows
-) -> _QueryBlock:
+) -> tuple | None:
     """Predict a matrix of query rows with one call per fitted model: the K fold
     models of ``cv`` and the split model of ``split_state``, either of which may
-    be None. The calling thread keeps the block for the per-row builders that
-    follow on these rows. Predictions are row-wise, so a row's sets are the same
-    as when it is predicted alone. This is the block path of
-    ``experiments.query_sets``; the package does not export it."""
+    be None. Each fit keeps the block in its ``last_block``, replacing the one
+    before, for the per-row builders that follow on these rows; returns the
+    block stored on ``cv`` (None without it). Predictions are row-wise, so a
+    row's sets are the same as when it is predicted alone. This is the block
+    path of ``experiments.query_sets``; the package does not export it."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise InvalidConfigurationError(f"rows must be a matrix, not an array of shape {rows.shape}")
-    mu, sorted_scores, split_mu = None, (), None
+    index = {row.tobytes(): i for i, row in enumerate(rows)}
+    block = None
     if cv is not None:
         if cv.n_folds != folds.n_folds:
             raise InvalidConfigurationError(
                 f"cv scores carry {cv.n_folds} fold models but the assignment has {folds.n_folds}"
             )
-        mu = fold_predictions(cv, rows)
-        sorted_scores = tuple(np.sort(cv.scores[m]) for m in folds.fold_members)
+        block = (folds, index, fold_predictions(cv, rows),
+                 tuple(np.sort(cv.scores[m]) for m in folds.fold_members))
+        object.__setattr__(cv, "last_block", block)
     if split_state is not None:
-        split_mu = split_state.model.predict(rows)
-    _last.block = _QueryBlock({row.tobytes(): i for i, row in enumerate(rows)},
-                              _ref(cv), _ref(folds), mu, sorted_scores,
-                              _ref(split_state), split_mu)
-    return _last.block
+        object.__setattr__(split_state, "last_block", (index, split_state.model.predict(rows)))
+    return block
 
 
 def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
-    """The fold predictions mu_k(test_x) and the sorted fold scores. Each thread
-    keeps the last block of rows it predicted: the rows of ``predict_block``,
-    or the one row of a miss. So the rows of a block are predicted together,
-    and the builders called in turn on one row predict the K fold models once.
-    The fit is matched by weak references, so the memo keeps no fit alive and a
-    new fit at a freed address is not taken for it; a row is matched by its
-    bytes, so a buffer changed in place is a new row. Fits are read-only, so a
-    matched fit still has the same models."""
+    """The fold predictions mu_k(test_x) and the sorted fold scores, from the
+    fit's last block when it was predicted with ``folds`` and holds the row,
+    else from a new block of this one row. So the rows of a block are predicted
+    together, and the builders called in turn on one row predict the K fold
+    models once. A row is matched by its bytes, so a buffer changed in place is
+    a new row; fits are read-only, so a block stays true to its fit. The slot is
+    read once: another thread may replace it, and threads that share a fit share
+    its block."""
     row = _one_row(test_x)
     key = row.tobytes()
-    block = getattr(_last, "block", None)
-    if not (block and block.cv() is cv and block.folds() is folds and key in block.index):
+    block = cv.last_block
+    if not (block and block[0] is folds and key in block[1]):
         block = predict_block(cv, folds, None, row[None])
-    return _FoldContext(block.mu[block.index[key]], block.sorted_scores, folds.fold_sizes,
-                        folds.n_used)
+    _, index, mu, sorted_scores = block
+    return _FoldContext(mu[index[key]], sorted_scores, folds.fold_sizes, folds.n_used)
 
 
 def _candidates(ctx: _FoldContext) -> np.ndarray:

@@ -45,11 +45,14 @@ class CvScores:
     """Per-point cross-validation scores plus the K cached fold models.
 
     ``scores`` has one entry per original data point; discarded points hold
-    NaN and take no part in training or scoring.
+    NaN and take no part in training or scoring. ``last_block`` is the block of
+    query rows that ``conformal_sets.predict_block`` predicted last, replaced
+    whole: (folds, row index by bytes, fold predictions, sorted fold scores).
     """
 
     scores: np.ndarray
     fold_models: tuple[FittedModel, ...]
+    last_block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scores = np.array(self.scores, dtype=float)

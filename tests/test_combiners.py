@@ -13,7 +13,6 @@ from crossconf import (
     InvalidConfigurationError,
     NumericalError,
     RandomDraws,
-    alpha_prime,
     conformal_rank,
     coverage_bounds,
 )
@@ -89,6 +88,12 @@ class TestStatisticOrdering:
         # doubles, so equality is exact
         brute = min(sum(values[:l]) / l for l in range(1, len(values) + 1))
         assert stat_emod(np.array(values)) == brute
+
+
+def alpha_prime(alpha, k, n):
+    """The inflated threshold alpha' of ``fold_thresholds`` as one rounded float."""
+    num, den = combiners.fold_thresholds(alpha, k, n)[1]
+    return num / den
 
 
 class TestAlphaPrime:

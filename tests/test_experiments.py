@@ -5,6 +5,7 @@ import json
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import weakref
@@ -366,8 +367,8 @@ class TestWorkerProcesses:
 
 
 class TestSharedFoldPredictions:
-    """Each thread keeps the fold context it built last: the set builders called
-    in turn on one row predict the K fold models once."""
+    """Each fit keeps the block of rows it predicted last: the set builders
+    called in turn on one row predict the K fold models once."""
 
     @staticmethod
     def fitted():
@@ -409,7 +410,7 @@ class TestSharedFoldPredictions:
         after = cs.cv_plus_from_scores(cv, folds, row, cfg.alpha)
         assert len(calls) == 2 and after != before
 
-    def test_another_fit_or_thread_builds_its_own(self, calls):
+    def test_a_thread_shares_the_fit_and_another_fit_builds_its_own(self, calls):
         cfg, folds, cv, _, test_x, _ = self.fitted()
         here = cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
         there = []
@@ -418,12 +419,47 @@ class TestSharedFoldPredictions:
         )
         worker.start()
         worker.join()
-        assert there == [here] and len(calls) == 2
-        cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)  # this thread still holds it
-        assert len(calls) == 2
+        assert there == [here] and len(calls) == 1
         refit = CvScores(cv.scores, cv.fold_models)
-        cs.cv_plus_from_scores(refit, folds, test_x, cfg.alpha)
-        assert len(calls) == 3
+        assert cs.cv_plus_from_scores(refit, folds, test_x, cfg.alpha) == here
+        assert len(calls) == 2
+        cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)  # the first fit still holds it
+        assert len(calls) == 2
+
+    def test_threads_that_share_a_fit_get_the_sets_of_their_rows(self):
+        # each thread replaces the fit's block with its own rows while the
+        # others read theirs; a builder that read the slot twice could see two
+        # different blocks
+        cfg = base_config(methods=("mod", "cross", "cv+", "split"))
+        src = RandomSource(3)
+        data, _ = simulate_instance(40, 4, src)
+        folds, cv, split_state = ex.fit_state(cfg, data, src)
+        blocks = np.random.default_rng(6).standard_normal((4, 8, 4))
+        expected = [[ex._point_sets(cfg, folds, cv, split_state, x, None) for x in rows]
+                    for rows in blocks]
+        wrong, errors = [], []
+
+        def work(t):
+            try:
+                for r in range(800):
+                    cs.predict_block(cv, folds, split_state, blocks[t])
+                    x, sets = blocks[t][r % 8], expected[t][r % 8]
+                    if ex._point_sets(cfg, folds, cv, split_state, x, None) != sets:
+                        wrong.append(t)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
 
     def test_the_memo_keeps_no_fit_alive(self):
         cfg, folds, cv, split_state, test_x, draws = self.fitted()
