@@ -152,9 +152,9 @@ def cmd_predict(args) -> int:
     query = load_query_csv(args.query, feature_names)
     cfg = _config(args)
     src = RandomSource(seed)
-    folds, cv, split_state = fit_state(cfg, data, src)
+    cv, split_state = fit_state(cfg, data, src)
     predictions = []
-    for j, sets in enumerate(query_sets(cfg, folds, cv, split_state, query, src)):
+    for j, sets in enumerate(query_sets(cfg, cv, split_state, query, src)):
         if args.hull:
             sets = {m: s.hull() for m, s in sets.items()}
         predictions.append({"row": j, "sets": {m: _jsonable_set(s) for m, s in sets.items()}})

@@ -171,14 +171,10 @@ def split_conformal(
 
 
 def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
-    """Residual-score split interval mu(test_x) +/- calibration quantile. The
-    prediction is read from the state's last block when it holds the row, else
-    predicted alone. The slot is read once, as another thread may replace it."""
-    row = _one_row(test_x)
+    """Residual-score split interval mu(test_x) +/- calibration quantile, with
+    mu(test_x) read through the state's last block."""
+    mu = float(_predicted(state, test_x))
     q = _kth(state.cal_scores, state.rank)
-    block = state.last_block
-    i = block[0].get(row.tobytes()) if block else None
-    mu = float(state.model.predict(row)[0] if i is None else block[1][i])
     if math.isinf(q):
         warnings.warn(
             f"rank {state.rank} is past the {state.cal_scores.size} calibration scores; "
@@ -238,14 +234,6 @@ def _runs(bounds: np.ndarray, masks: np.ndarray) -> list[list[tuple[float, float
 # Fold-based membership machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _FoldContext:
-    mu: np.ndarray
-    sorted_scores: tuple[np.ndarray, ...]
-    sizes: np.ndarray
-    n_used: int
-
-
 def _one_row(test_x) -> np.ndarray:
     """test_x as one feature row: a vector, or a matrix holding one row."""
     row = np.asarray(test_x, dtype=float)
@@ -256,73 +244,70 @@ def _one_row(test_x) -> np.ndarray:
     return row.reshape(-1)
 
 
-def predict_block(
-    cv: CvScores | None, folds: FoldAssignment, split_state: SplitState | None, rows
-) -> tuple | None:
+def predict_block(cv: CvScores | None, split_state: SplitState | None, rows) -> None:
     """Predict a matrix of query rows with one call per fitted model: the K fold
     models of ``cv`` and the split model of ``split_state``, either of which may
     be None. Each fit keeps the block in its ``last_block``, replacing the one
-    before, for the per-row builders that follow on these rows; returns the
-    block stored on ``cv`` (None without it). Predictions are row-wise, so a
-    row's sets are the same as when it is predicted alone. This is the block
-    path of ``experiments.query_sets``; the package does not export it."""
+    before, for the per-row builders that follow on these rows. Predictions are
+    row-wise, so a row's sets are the same as when it is predicted alone. The
+    block path of ``experiments.query_sets``; the package does not export it."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise InvalidConfigurationError(f"rows must be a matrix, not an array of shape {rows.shape}")
     index = {row.tobytes(): i for i, row in enumerate(rows)}
-    block = None
-    if cv is not None:
-        if cv.n_folds != folds.n_folds:
-            raise InvalidConfigurationError(
-                f"cv scores carry {cv.n_folds} fold models but the assignment has {folds.n_folds}"
-            )
-        block = (folds, index, fold_predictions(cv, rows),
-                 tuple(np.sort(cv.scores[m]) for m in folds.fold_members))
-        object.__setattr__(cv, "last_block", block)
-    if split_state is not None:
-        object.__setattr__(split_state, "last_block", (index, split_state.model.predict(rows)))
+    for fit in (cv, split_state):
+        if fit is not None:
+            _keep_block(fit, index, rows)
+
+
+def _keep_block(fit: CvScores | SplitState, index: dict, rows: np.ndarray) -> tuple:
+    """Store and return the fit's block of ``rows``: (``index``, predictions)."""
+    preds = fold_predictions(fit, rows) if isinstance(fit, CvScores) else fit.model.predict(rows)
+    block = (index, preds)
+    object.__setattr__(fit, "last_block", block)
     return block
 
 
-def _fold_context(cv: CvScores, folds: FoldAssignment, test_x) -> _FoldContext:
-    """The fold predictions mu_k(test_x) and the sorted fold scores, from the
-    fit's last block when it was predicted with ``folds`` and holds the row,
-    else from a new block of this one row. So the rows of a block are predicted
-    together, and the builders called in turn on one row predict the K fold
-    models once. A row is matched by its bytes, so a buffer changed in place is
-    a new row; fits are read-only, so a block stays true to its fit. The slot is
-    read once: another thread may replace it, and threads that share a fit share
-    its block."""
+def _predicted(fit: CvScores | SplitState, test_x) -> np.ndarray:
+    """mu_k(test_x) of a ``CvScores``, or mu(test_x) of a ``SplitState``, from the
+    fit's last block if it holds the row, else from a new block of this row: builders
+    called in turn on one row predict each model once. A row is matched by its bytes,
+    so a buffer changed in place is a new row; fits are read-only, so a block stays
+    true to its fit. The slot is read once: a thread sharing the fit may replace it."""
     row = _one_row(test_x)
     key = row.tobytes()
-    block = cv.last_block
-    if not (block and block[0] is folds and key in block[1]):
-        block = predict_block(cv, folds, None, row[None])
-    _, index, mu, sorted_scores = block
-    return _FoldContext(mu[index[key]], sorted_scores, folds.fold_sizes, folds.n_used)
+    block = fit.last_block
+    if not (block and key in block[0]):
+        block = _keep_block(fit, {key: 0}, row[None])
+    return block[1][block[0][key]]
 
 
-def _candidates(ctx: _FoldContext) -> np.ndarray:
-    parts = []
-    for k, s in enumerate(ctx.sorted_scores):
-        parts.append(ctx.mu[k] - s)
-        parts.append(ctx.mu[k] + s)
-    return np.unique(np.concatenate(parts))
+def _fold_mu(cv: CvScores, folds: FoldAssignment, test_x) -> np.ndarray:
+    """mu_k(test_x); ``folds`` must be ``cv.folds``, as another assignment regroups the scores."""
+    if folds is not cv.folds:
+        raise InvalidConfigurationError("folds must be cv.folds, the assignment cv was scored on")
+    return _predicted(cv, test_x)
+
+
+def _candidates(cv: CvScores, mu: np.ndarray) -> np.ndarray:
+    """All breakpoints mu_k +/- S_i, deduplicated and sorted."""
+    mu_i = np.repeat(mu, cv.folds.fold_sizes)
+    return np.unique(np.concatenate((mu_i - cv.sorted_scores, mu_i + cv.sorted_scores)))
 
 
 def candidate_endpoints(cv: CvScores, folds: FoldAssignment, test_x) -> np.ndarray:
     """All breakpoints mu_k +/- S_i of the membership statistics, deduplicated."""
-    return _candidates(_fold_context(cv, folds, test_x))
+    return _candidates(cv, _fold_mu(cv, folds, test_x))
 
 
-def _fold_masks(ctx: _FoldContext, ys, alpha: float, methods, draws: RandomDraws | None) -> np.ndarray:
-    """The (methods, len(ys)) verdicts of the fold ``methods`` at each candidate y, each an
-    integer comparison. Fold k's p-value is (1 + le_k) / (m_k + 1), le_k the weak count
-    #{S_i >= |y - mu_k|}. With the integer weights L / (m_k + 1), L = lcm(m_k + 1), the
-    prefix sums P_l of the first l p-values times L are integers, added one fold row at a
-    time. With c = sum_k le_k, n = n_used, a and a' the ratios of ``fold_thresholds`` and
-    U its binary value, a statistic exceeds its threshold t (a for the -mod forms, a' for
-    the -cross forms) exactly when
+def _fold_masks(cv: CvScores, mu, ys, alpha: float, methods, draws: RandomDraws | None) -> np.ndarray:
+    """The (methods, len(ys)) verdicts of the fold ``methods`` at each candidate y of a query
+    with fold predictions ``mu``, each an integer comparison. Fold k's p-value is
+    (1 + le_k) / (m_k + 1), le_k the weak count #{S_i >= |y - mu_k|}. With the integer
+    weights L / (m_k + 1), L = lcm(m_k + 1), the prefix sums P_l of the first l p-values
+    times L are integers, added one fold row at a time. With c = sum_k le_k, n = n_used, a
+    and a' the ratios of ``fold_thresholds`` and U its binary value, a statistic exceeds its
+    threshold t (a for the -mod forms, a' for the -cross forms) exactly when
 
         mod      P_K > floor(K L a)        u-mod     P_K > floor(K L a (2 - U))
         cross    1 + c > floor((n + 1) a)  u-cross   c + K > floor((n + K) a' (2 - U))
@@ -331,18 +316,18 @@ def _fold_masks(ctx: _FoldContext, ys, alpha: float, methods, draws: RandomDraws
 
     Each bound is below twice the largest sum it is compared with, so int64 holds it."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    k, n = len(ctx.sorted_scores), ctx.n_used
+    k, n, sizes = cv.n_folds, cv.folds.n_used, cv.folds.fold_sizes
     plain = fold_thresholds(alpha, k, n)  # indexed by whether a method is a -cross form
     if draws is not None:
         u_num, u_den = float(draws.u).as_integer_ratio()
         scaled = tuple((num * (2 * u_den - u_num), den * u_den) for num, den in plain)
     le = np.empty((k, ys.size), dtype=np.int64)
-    for j, s in enumerate(ctx.sorted_scores):
-        le[j] = s.size - np.searchsorted(s, np.abs(ys - ctx.mu[j]), side="left")
+    for j, s in enumerate(cv.sorted_by_fold):
+        le[j] = s.size - np.searchsorted(s, np.abs(ys - mu[j]), side="left")
     count = le.sum(axis=0)
-    L = int(np.lcm.reduce(ctx.sizes + 1))
+    L = int(np.lcm.reduce(sizes + 1))
     le += 1  # in place, as the counts are not read again
-    prefix = np.multiply(le, (L // (ctx.sizes + 1))[:, None], out=le)
+    prefix = np.multiply(le, (L // (sizes + 1))[:, None], out=le)
     for j in range(1, k):
         np.add(prefix[j - 1], prefix[j], out=prefix[j])
 
@@ -393,15 +378,15 @@ def fold_method_sets(
         raise InvalidConfigurationError(f"unknown fold methods: {unknown}")
     if draws is None and any(m in _DRAW_METHODS for m in methods):
         raise InvalidConfigurationError("randomized methods require a (tau, U) draw")
+    mu = _fold_mu(cv, folds, test_x)
     sizes = folds.fold_sizes
     if sizes.min() != sizes.max() and any(m in _EXCHANGEABLE_CROSS for m in methods):
         raise InvalidConfigurationError(
             "e-cross and eu-cross need equal fold sizes; with varying sizes only "
             "u-cross keeps its guarantee"
         )
-    ctx = _fold_context(cv, folds, test_x)
-    bounds, ys = _pieces(_candidates(ctx))
-    masks = _fold_masks(ctx, ys, alpha, methods, draws)
+    bounds, ys = _pieces(_candidates(cv, mu))
+    masks = _fold_masks(cv, mu, ys, alpha, methods, draws)
     out = {m: PredictionSet(tuple(runs)) for m, runs in zip(methods, _runs(bounds, masks))}
     uninformative = [m for m, whole in zip(methods, masks[:, 0].tolist()) if whole]
     if uninformative:
@@ -417,7 +402,7 @@ def fold_method_sets(
 
 def cross_membership(cv: CvScores, folds: FoldAssignment, test_x, alpha: float, ys) -> np.ndarray:
     """Pooled rank-count membership of each y: (1 + total count) / (n + 1) > alpha."""
-    return _fold_masks(_fold_context(cv, folds, test_x), ys, alpha, ["cross"], None)[0]
+    return _fold_masks(cv, _fold_mu(cv, folds, test_x), ys, alpha, ["cross"], None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +418,9 @@ def cv_plus_from_scores(
     plain cross-validation conformal set under the residual score.
     """
     rank = conformal_rank(alpha, folds.n_used)
-    ctx = _fold_context(cv, folds, test_x)
-    mu_i = np.repeat(ctx.mu, ctx.sizes)
-    s_i = np.concatenate(ctx.sorted_scores)
-    hi = _kth(mu_i + s_i, rank)
-    lo = -_kth(-(mu_i - s_i), rank)
+    mu_i = np.repeat(_fold_mu(cv, folds, test_x), folds.fold_sizes)
+    hi = _kth(mu_i + cv.sorted_scores, rank)
+    lo = -_kth(-(mu_i - cv.sorted_scores), rank)
     if math.isinf(hi) or math.isinf(lo):
         warnings.warn(
             f"rank {rank} is past the {folds.n_used} scores; the CV+ set is the whole line",

@@ -206,10 +206,10 @@ def simulate_instance(n: int, p: int, rng: RandomSource):
 def fit_state(cfg: MethodConfig, data: Dataset, src: RandomSource):
     """Fit what the requested methods need from the training data.
 
-    Returns ``(folds, cv, split_state)``: the fold assignment, the K fold
-    models with their scores (None unless a fold method or cv+ is requested)
-    and the split state (None unless split is requested). Every query of
-    ``query_sets`` reuses them.
+    Returns ``(cv, split_state)``: the K fold models with their scores and
+    folds (None unless a fold method or cv+ is requested) and the split state
+    (None unless split is requested). Every query of ``query_sets`` reuses
+    them. Folds are drawn on every fit, so K is checked against n for split too.
     """
     folds = assign_folds(data.n, cfg.k, cfg.fold_mode, src)
     spec = ScoreFunctionSpec("residual", cfg.regressor)
@@ -218,18 +218,18 @@ def fit_state(cfg: MethodConfig, data: Dataset, src: RandomSource):
     split_state = (
         split_conformal(data, cfg.alpha, spec, src) if "split" in cfg.methods else None
     )
-    return folds, cv, split_state
+    return cv, split_state
 
 
 def _point_sets(
-    cfg: MethodConfig, folds, cv, split_state, test_x, draws: RandomDraws
+    cfg: MethodConfig, cv, split_state, test_x, draws: RandomDraws
 ) -> dict[str, PredictionSet]:
     sets: dict[str, PredictionSet] = {}
     fold_ms = [m for m in cfg.methods if m in FOLD_METHODS]
     if fold_ms:
-        sets.update(fold_method_sets(cv, folds, test_x, cfg.alpha, fold_ms, draws=draws))
+        sets.update(fold_method_sets(cv, cv.folds, test_x, cfg.alpha, fold_ms, draws=draws))
     if "cv+" in cfg.methods:
-        sets["cv+"] = cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
+        sets["cv+"] = cv_plus_from_scores(cv, cv.folds, test_x, cfg.alpha)
     if "split" in cfg.methods:
         sets["split"] = split_set_from_state(split_state, test_x)
     return sets
@@ -245,19 +245,20 @@ def _point_sets(
 _QUERY_BLOCK = 64
 
 
-def query_sets(cfg: MethodConfig, folds, cv, split_state, queries, src: RandomSource):
-    """Yield the prediction sets of every requested method for each query row
-    in turn. The rows are predicted in blocks of ``_QUERY_BLOCK``, one call per
-    fitted model, and predictions are row-wise. Row j uses the j-th (tau, U)
-    pair of ``randomization_stream(src)``, so the sets of a row do not depend on
-    how many rows follow it or on the rows predicted with it."""
+def query_sets(cfg: MethodConfig, cv, split_state, queries, src: RandomSource):
+    """Yield the prediction sets of every requested method for each query row in
+    turn, from the fits of ``fit_state``; the fold methods and cv+ use the folds
+    ``cv`` was scored on. The rows are predicted in blocks of ``_QUERY_BLOCK``,
+    one call per fitted model, and predictions are row-wise. Row j uses the j-th
+    (tau, U) pair of ``randomization_stream(src)``, so the sets of a row do not
+    depend on how many rows follow it or on the rows predicted with it."""
     queries = np.asarray(queries, dtype=float)
     draws = randomization_stream(src)
     for start in range(0, len(queries), _QUERY_BLOCK):
         block = queries[start : start + _QUERY_BLOCK]
-        predict_block(cv, folds, split_state, block)
+        predict_block(cv, split_state, block)
         for test_x, row_draws in zip(block, draws):
-            yield _point_sets(cfg, folds, cv, split_state, test_x, row_draws)
+            yield _point_sets(cfg, cv, split_state, test_x, row_draws)
 
 
 Outcome = dict[str, tuple[float, float, int]]
@@ -267,10 +268,10 @@ def _trial(cfg: MethodConfig, train: Dataset, test_x, test_y, src: RandomSource)
     """Fit on ``train``, then build every method's sets at the test rows.
     Returns per-method (coverage, mean finite width, infinite count) over the
     test rows; the mean width is NaN when no set is finite."""
-    folds, cv, split_state = fit_state(cfg, train, src)
+    cv, split_state = fit_state(cfg, train, src)
     covered: dict[str, list[bool]] = {m: [] for m in cfg.methods}
     widths: dict[str, list[float]] = {m: [] for m in cfg.methods}
-    for sets, y in zip(query_sets(cfg, folds, cv, split_state, test_x, src), test_y):
+    for sets, y in zip(query_sets(cfg, cv, split_state, test_x, src), test_y):
         for m, s in sets.items():
             covered[m].append(s.contains(y))
             widths[m].append(s.width)

@@ -42,16 +42,21 @@ class ScoreFunctionSpec:
 
 @dataclass(frozen=True)
 class CvScores:
-    """Per-point cross-validation scores plus the K cached fold models.
+    """Per-point cross-validation scores, the K fold models and the folds they were scored on.
 
     ``scores`` has one entry per original data point; discarded points hold
-    NaN and take no part in training or scoring. ``last_block`` is the block of
-    query rows that ``conformal_sets.predict_block`` predicted last, replaced
-    whole: (folds, row index by bytes, fold predictions, sorted fold scores).
+    NaN and take no part in training or scoring. ``sorted_scores`` holds each
+    fold's scores sorted once, fold after fold, and ``sorted_by_fold`` is its
+    per-fold views; both are read-only. ``last_block`` is the block of query
+    rows that ``conformal_sets.predict_block`` predicted last, replaced whole:
+    (row index by bytes, fold predictions).
     """
 
     scores: np.ndarray
     fold_models: tuple[FittedModel, ...]
+    folds: FoldAssignment
+    sorted_scores: np.ndarray = field(init=False, repr=False, compare=False)
+    sorted_by_fold: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     last_block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -59,6 +64,16 @@ class CvScores:
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "fold_models", tuple(self.fold_models))
+        if self.n_folds != self.folds.n_folds or scores.shape != (self.folds.n,):
+            raise InvalidConfigurationError(
+                f"{self.n_folds} fold models and scores of shape {scores.shape} do not fit "
+                f"an assignment of {self.folds.n_folds} folds over {self.folds.n} points"
+            )
+        flat = np.concatenate([np.sort(scores[m]) for m in self.folds.fold_members])
+        flat.setflags(write=False)
+        object.__setattr__(self, "sorted_scores", flat)
+        views = np.split(flat, np.cumsum(self.folds.fold_sizes)[:-1])
+        object.__setattr__(self, "sorted_by_fold", tuple(views))
 
     @property
     def n_folds(self) -> int:
@@ -85,7 +100,7 @@ def compute_cv_scores(
         models.append(model)
         preds = model.predict(data.features[members])
         scores[members] = np.abs(data.responses[members] - preds)
-    return CvScores(scores, tuple(models))
+    return CvScores(scores, tuple(models), folds)
 
 
 def fold_predictions(cv: CvScores, x) -> np.ndarray:

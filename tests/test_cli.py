@@ -203,11 +203,11 @@ class TestPredictCommand:
         cfg = MethodConfig(alpha=0.2, k=4, regressor=parse_regressor(regressor),
                            methods=tuple(ALL_METHODS_ARG.split(",")))
         src = RandomSource(23)
-        folds, cv, split_state = fit_state(cfg, loaded, src)
+        cv, split_state = fit_state(cfg, loaded, src)
         assert len(predictions) == len(queries.features)
         for row, x, draws in zip(predictions, queries.features, randomization_stream(src)):
-            sets = fold_method_sets(cv, folds, x, 0.2, FOLD_METHODS, draws=draws)
-            sets["cv+"] = cv_plus_from_scores(cv, folds, x, 0.2)
+            sets = fold_method_sets(cv, cv.folds, x, 0.2, FOLD_METHODS, draws=draws)
+            sets["cv+"] = cv_plus_from_scores(cv, cv.folds, x, 0.2)
             sets["split"] = split_set_from_state(split_state, x)
             expected = {m: json.loads(json.dumps(s.to_jsonable())) for m, s in sets.items()}
             assert {m: s["intervals"] for m, s in row["sets"].items()} == expected

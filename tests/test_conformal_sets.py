@@ -42,7 +42,7 @@ from crossconf import (
     split_conformal,
     split_set_from_state,
 )
-from crossconf.conformal_sets import _fold_context, _fold_masks, _pieces, _runs
+from crossconf.conformal_sets import _fold_masks, _fold_mu, _pieces, _runs
 from oracles import (
     all_fold_pvalues,
     cross_membership_pvalue_form,
@@ -93,7 +93,7 @@ class TestEmpiricalQuantile:
         """Half-width of the CV+ set of one zero-model fold holding these scores."""
         z = np.asarray(scores, dtype=float)
         folds = FoldAssignment(z.size, (np.arange(z.size),), np.array([], dtype=int), "equal")
-        cv = CvScores(z, (LinearModel(np.zeros(1)),))
+        cv = CvScores(z, (LinearModel(np.zeros(1)),), folds)
         return cv_plus_from_scores(cv, folds, np.array([0.0]), alpha).intervals[0][1]
 
     def test_rank_formula_with_exact_real_level(self):
@@ -348,14 +348,14 @@ class TestKernelMasks:
             _, folds, _, cv, draws, tx, _ = make_pipeline(
                 seed, n=n, p=5, k=n if k == "n" else k, mode=mode, regressor=regressor
             )
-            ctx = _fold_context(cv, folds, tx)
+            mu = _fold_mu(cv, folds, tx)
             _, ys = _pieces(candidate_endpoints(cv, folds, tx))
             for alpha in (0.1, 1 / 3):
-                got = _fold_masks(ctx, ys, alpha, FOLD_METHODS, draws)
+                got = _fold_masks(cv, mu, ys, alpha, FOLD_METHODS, draws)
                 want = exact_fold_method_masks(cv, folds, tx, alpha, ys, draws)
                 for method, mask in zip(FOLD_METHODS, got):
                     assert np.array_equal(mask, want[method]), (seed, alpha, method)
-            shared |= np.unique(ctx.mu).size < ctx.mu.size
+            shared |= np.unique(mu).size < mu.size
         return shared
 
 
@@ -363,7 +363,7 @@ def single_fold_state(scores, coef=0.0):
     """One fold holding len(scores) points, model predicting coef * x."""
     n = len(scores)
     folds = FoldAssignment(n, (np.arange(n),), np.array([], dtype=int), "equal")
-    cv = CvScores(np.asarray(scores, float), (LinearModel(np.array([coef])),))
+    cv = CvScores(np.asarray(scores, float), (LinearModel(np.array([coef])),), folds)
     return cv, folds
 
 
@@ -412,10 +412,18 @@ class TestVariantSets:
     @pytest.mark.filterwarnings("ignore::crossconf.InformativenessWarning")
     def test_monotone_in_alpha(self):
         data, folds, spec, cv, draws, tx, ty = make_pipeline(5, n=50, p=8, k=5)
-        for method in ["mod", "e-mod", "u-mod", "eu-mod", "cross"]:
+        builders = {
+            m: lambda alpha, m=m: fold_method_sets(cv, folds, tx, alpha, [m], draws=draws)[m]
+            for m in FOLD_METHODS
+        }
+        builders["cv+"] = lambda alpha: cv_plus_from_scores(cv, folds, tx, alpha)
+        # one split for every alpha: the same seed, with the rank of each alpha
+        builders["split"] = lambda alpha: split_set_from_state(
+            split_conformal(data, alpha, spec, RandomSource(6)), tx)
+        for method, build in builders.items():
             previous = None
             for alpha in (0.05, 0.1, 0.2, 0.3):
-                s = fold_method_sets(cv, folds, tx, alpha, [method], draws=draws)[method]
+                s = build(alpha)
                 if previous is not None:
                     assert is_subset(s, previous), (method, alpha)
                 previous = s
@@ -486,7 +494,8 @@ def relabelled(cv, folds, order):
     """The same fit with its folds listed in ``order``."""
     models = tuple(cv.fold_models[j] for j in order)
     members = tuple(folds.fold_members[j] for j in order)
-    return CvScores(cv.scores, models), FoldAssignment(folds.n, members, folds.discarded, folds.mode)
+    reordered = FoldAssignment(folds.n, members, folds.discarded, folds.mode)
+    return CvScores(cv.scores, models, reordered), reordered
 
 
 class TestExactVerdicts:
@@ -543,8 +552,8 @@ class TestExactVerdicts:
         src = RandomSource(5, 5000)
         data, (test_x, _) = simulate_instance(100, 5, src)
         cfg = MethodConfig(alpha=0.1, k=3, regressor=RegressorSpec("ols"), methods=FOLD_METHODS)
-        folds, cv, split_state = fit_state(cfg, data, src)
-        sets = next(query_sets(cfg, folds, cv, split_state, [test_x], src))
+        cv, split_state = fit_state(cfg, data, src)
+        sets = next(query_sets(cfg, cv, split_state, [test_x], src))
         assert is_subset(sets["e-cross"], sets["cross"])
         assert is_subset(sets["eu-cross"], sets["e-cross"])
 
@@ -569,7 +578,7 @@ class TestCrossSet:
         cal_x, cal_y = x[n_train:], y[n_train:]
         cal_scores = np.abs(cal_y - model.predict(cal_x))
         folds = FoldAssignment(n_cal, (np.arange(n_cal),), np.array([], dtype=int), "equal")
-        cv = CvScores(cal_scores, (model,))
+        cv = CvScores(cal_scores, (model,), folds)
         alpha = 0.2
         test_x = gen.standard_normal(3)
         cross = fold_method_sets(cv, folds, test_x, alpha, ["cross"])["cross"]
@@ -691,11 +700,14 @@ class TestCvPlus:
             assert cv_plus_from_scores(cv, folds, tx, 0.1).n_components <= 1
 
     def test_fold_count_mismatch_rejected(self):
-        # 5 fold models with 3 folds, and 3 fold models with 5 folds
+        # 5 fold models with 3 folds, and 3 fold models with 5 folds: the scores
+        # cannot be paired with those folds, nor the builder given them
         _, folds3, _, cv3, _, tx, _ = make_pipeline(0, n=30, p=3, k=3)
         _, folds5, _, cv5, _, _, _ = make_pipeline(0, n=30, p=3, k=5)
         for cv, folds in ((cv5, folds3), (cv3, folds5)):
             with pytest.raises(InvalidConfigurationError, match="fold models"):
+                CvScores(cv.scores, cv.fold_models, folds)
+            with pytest.raises(InvalidConfigurationError, match="cv.folds"):
                 cv_plus_from_scores(cv, folds, tx, 0.1)
 
     def test_extreme_alpha_never_inverts(self):
@@ -704,6 +716,68 @@ class TestCvPlus:
             data, folds, spec, cv, draws, tx, ty = make_pipeline(seed, n=20, p=3, k=4)
             s = cv_plus_from_scores(cv, folds, tx, 0.95)
             assert s.n_components <= 1 and s.width >= 0.0
+
+
+# (regressor, features) of the instances the scale property draws: OLS with more
+# training points than features and with fewer, ridge and kNN
+SCALE_REGRESSORS = {
+    "ols-tall": (RegressorSpec("ols"), 3),
+    "ols-wide": (RegressorSpec("ols"), 30),
+    "ridge": (RegressorSpec("ridge", ridge_lambda=0.5), 5),
+    "knn": (RegressorSpec("knn", knn_k=3), 4),
+}
+
+
+class TestScaleEquivariance:
+    @staticmethod
+    def all_sets(data, folds, spec, tx, draws, seed):
+        cv = compute_cv_scores(data, folds, spec)
+        sets = fold_method_sets(cv, folds, tx, 0.2, FOLD_METHODS, draws=draws)
+        sets["cv+"] = cv_plus_from_scores(cv, folds, tx, 0.2)
+        state = split_conformal(data, 0.2, spec, RandomSource(seed))
+        sets["split"] = split_set_from_state(state, tx)
+        return sets
+
+    @given(kind=st.sampled_from(sorted(SCALE_REGRESSORS)), seed=st.integers(0, 2**32 - 1),
+           j=st.integers(-60, 60))
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore::crossconf.InformativenessWarning")
+    def test_responses_scaled_by_a_power_of_two_scale_every_endpoint_exactly(self, kind, seed, j):
+        # every step is linear in the responses or compares them, and a power of
+        # two scales each rounding exactly, so the sets scale bit for bit
+        regressor, p = SCALE_REGRESSORS[kind]
+        spec = ScoreFunctionSpec("residual", regressor)
+        src = RandomSource(seed)
+        data, (tx, _) = simulate_instance(24, p, src)
+        folds = assign_folds(data.n, 4, "equal", src)
+        draws = RandomDraws(0.5, float(src.generator("u").uniform(0.01, 0.99)))
+        scale = 2.0**j
+        scaled = Dataset(data.features, data.responses * scale)
+        base = self.all_sets(data, folds, spec, tx, draws, seed)
+        got = self.all_sets(scaled, folds, spec, tx, draws, seed)
+        assert list(got) == list(FOLD_METHODS) + ["cv+", "split"]
+        for method, s in base.items():
+            want = PredictionSet(tuple((lo * scale, hi * scale) for lo, hi in s.intervals))
+            assert repr(got[method]) == repr(want), (method, s)
+
+
+class TestForeignFolds:
+    def test_every_fold_builder_rejects_other_folds_with_the_same_k(self):
+        # the same K over other members would silently regroup the scores
+        _, folds, _, cv, draws, tx, _ = make_pipeline(0, n=30, p=3, k=3)
+        other = assign_folds(30, 3, "equal", RandomSource(1))
+        assert other.n_folds == folds.n_folds
+        assert not all(np.array_equal(a, b) for a, b in zip(other.fold_members, folds.fold_members))
+        builders = [
+            lambda f: fold_method_sets(cv, f, tx, 0.2, FOLD_METHODS, draws=draws),
+            lambda f: cv_plus_from_scores(cv, f, tx, 0.2),
+            lambda f: cross_membership(cv, f, tx, 0.2, [0.0, 1.0]),
+            lambda f: candidate_endpoints(cv, f, tx),
+        ]
+        for build in builders:
+            with pytest.raises(InvalidConfigurationError, match="cv.folds"):
+                build(other)
+            build(folds)
 
 
 class TestOneTestRow:

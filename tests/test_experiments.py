@@ -375,8 +375,8 @@ class TestSharedFoldPredictions:
         cfg = base_config(methods=("mod", "cross", "cv+"))
         src = RandomSource(3)
         data, (test_x, _) = simulate_instance(40, 4, src)
-        folds, cv, split_state = ex.fit_state(cfg, data, src)
-        return cfg, folds, cv, split_state, test_x, next(randomization_stream(src))
+        cv, split_state = ex.fit_state(cfg, data, src)
+        return cfg, cv, split_state, test_x, next(randomization_stream(src))
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -391,19 +391,20 @@ class TestSharedFoldPredictions:
         return calls
 
     def test_fold_scan_and_cv_plus_predict_once_per_query(self, calls):
-        cfg, folds, cv, split_state, test_x, draws = self.fitted()
-        expected = ex._point_sets(cfg, folds, cv, split_state, test_x, draws)
-        cs.fold_method_sets(cv, folds, np.zeros(4), cfg.alpha, ["mod"])  # another row
+        cfg, cv, split_state, test_x, draws = self.fitted()
+        expected = ex._point_sets(cfg, cv, split_state, test_x, draws)
+        cs.fold_method_sets(cv, cv.folds, np.zeros(4), cfg.alpha, ["mod"])  # another row
         calls.clear()
-        assert ex._point_sets(cfg, folds, cv, split_state, test_x, draws) == expected
+        assert ex._point_sets(cfg, cv, split_state, test_x, draws) == expected
         assert len(calls) == 1
         # standalone builders on an equal row, not the same object, share it too
-        cs.cv_plus_from_scores(cv, folds, test_x.copy(), cfg.alpha)
-        cs.cross_membership(cv, folds, list(test_x), cfg.alpha, [0.0, 1.0])
+        cs.cv_plus_from_scores(cv, cv.folds, test_x.copy(), cfg.alpha)
+        cs.cross_membership(cv, cv.folds, list(test_x), cfg.alpha, [0.0, 1.0])
         assert len(calls) == 1
 
     def test_a_buffer_changed_in_place_is_predicted_again(self, calls):
-        cfg, folds, cv, _, test_x, _ = self.fitted()
+        cfg, cv, _, test_x, _ = self.fitted()
+        folds = cv.folds
         row = test_x.copy()
         before = cs.cv_plus_from_scores(cv, folds, row, cfg.alpha)
         row[0] += 1.0
@@ -411,7 +412,8 @@ class TestSharedFoldPredictions:
         assert len(calls) == 2 and after != before
 
     def test_a_thread_shares_the_fit_and_another_fit_builds_its_own(self, calls):
-        cfg, folds, cv, _, test_x, _ = self.fitted()
+        cfg, cv, _, test_x, _ = self.fitted()
+        folds = cv.folds
         here = cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)
         there = []
         worker = threading.Thread(
@@ -420,7 +422,7 @@ class TestSharedFoldPredictions:
         worker.start()
         worker.join()
         assert there == [here] and len(calls) == 1
-        refit = CvScores(cv.scores, cv.fold_models)
+        refit = CvScores(cv.scores, cv.fold_models, folds)
         assert cs.cv_plus_from_scores(refit, folds, test_x, cfg.alpha) == here
         assert len(calls) == 2
         cs.cv_plus_from_scores(cv, folds, test_x, cfg.alpha)  # the first fit still holds it
@@ -433,18 +435,18 @@ class TestSharedFoldPredictions:
         cfg = base_config(methods=("mod", "cross", "cv+", "split"))
         src = RandomSource(3)
         data, _ = simulate_instance(40, 4, src)
-        folds, cv, split_state = ex.fit_state(cfg, data, src)
+        cv, split_state = ex.fit_state(cfg, data, src)
         blocks = np.random.default_rng(6).standard_normal((4, 8, 4))
-        expected = [[ex._point_sets(cfg, folds, cv, split_state, x, None) for x in rows]
+        expected = [[ex._point_sets(cfg, cv, split_state, x, None) for x in rows]
                     for rows in blocks]
         wrong, errors = [], []
 
         def work(t):
             try:
                 for r in range(800):
-                    cs.predict_block(cv, folds, split_state, blocks[t])
+                    cs.predict_block(cv, split_state, blocks[t])
                     x, sets = blocks[t][r % 8], expected[t][r % 8]
-                    if ex._point_sets(cfg, folds, cv, split_state, x, None) != sets:
+                    if ex._point_sets(cfg, cv, split_state, x, None) != sets:
                         wrong.append(t)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
@@ -462,10 +464,10 @@ class TestSharedFoldPredictions:
         assert errors == [] and wrong == []
 
     def test_the_memo_keeps_no_fit_alive(self):
-        cfg, folds, cv, split_state, test_x, draws = self.fitted()
-        ex._point_sets(cfg, folds, cv, split_state, test_x, draws)
-        refs = [weakref.ref(cv), weakref.ref(folds)]
-        del folds, cv, split_state
+        cfg, cv, split_state, test_x, draws = self.fitted()
+        ex._point_sets(cfg, cv, split_state, test_x, draws)
+        refs = [weakref.ref(cv), weakref.ref(cv.folds)]
+        del cv, split_state
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
@@ -476,13 +478,13 @@ class TestQuerySets:
         src = RandomSource(8)
         data, _ = simulate_instance(40, 4, src)
         queries, _ = simulate_instance(6, 4, RandomSource(9))
-        folds, cv, split_state = ex.fit_state(cfg, data, src)
+        cv, split_state = ex.fit_state(cfg, data, src)
         gen_tau, gen_u = src.generator("tau"), src.generator("u")
         expected = []
         for x in queries.features:
             draws = RandomDraws(_open_unit(gen_tau), _open_unit(gen_u))
-            expected.append(ex._point_sets(cfg, folds, cv, split_state, x, draws))
-        got = list(ex.query_sets(cfg, folds, cv, split_state, queries.features, src))
+            expected.append(ex._point_sets(cfg, cv, split_state, x, draws))
+        got = list(ex.query_sets(cfg, cv, split_state, queries.features, src))
         assert got == expected
 
 
@@ -509,15 +511,15 @@ class TestBlockQueries:
         src = RandomSource(8)
         data, _ = simulate_instance(60, 4, src)
         queries, _ = simulate_instance(ex._QUERY_BLOCK + 6, 4, RandomSource(9))
-        folds, cv, split_state = ex.fit_state(cfg, data, src)
+        cv, split_state = ex.fit_state(cfg, data, src)
         predict_calls.clear()
         alone = [
-            ex._point_sets(cfg, folds, cv, split_state, x, draws)
+            ex._point_sets(cfg, cv, split_state, x, draws)
             for x, draws in zip(queries.features, randomization_stream(src))
         ]
         assert set(predict_calls) == {1}  # each row above was predicted alone
         predict_calls.clear()
-        got = list(ex.query_sets(cfg, folds, cv, split_state, queries.features, src))
+        got = list(ex.query_sets(cfg, cv, split_state, queries.features, src))
         assert repr(got) == repr(alone)
         # two blocks, each one call per fold model and one for the split model
         assert predict_calls == [ex._QUERY_BLOCK] * (cfg.k + 1) + [6] * (cfg.k + 1)
@@ -533,14 +535,14 @@ class TestBlockQueries:
 
         alone = [sets(x) for x in rows]
         predict_calls.clear()
-        cs.predict_block(cv, folds, None, rows)
+        cs.predict_block(cv, None, rows)
         assert repr([sets(x) for x in rows]) == repr(alone)
         assert predict_calls == [20] * folds.n_folds
 
     def test_a_block_must_be_a_matrix(self):
-        _, folds, _, cv, _, test_x, _ = make_pipeline(4, n=30, p=4, k=3)
+        _, _, _, cv, _, test_x, _ = make_pipeline(4, n=30, p=4, k=3)
         with pytest.raises(InvalidConfigurationError, match=r"shape \(4,\)"):
-            cs.predict_block(cv, folds, None, test_x)
+            cs.predict_block(cv, None, test_x)
 
 
 class TestFitState:
@@ -564,12 +566,15 @@ class TestFitState:
     def test_states_follow_the_requested_methods(self):
         src = RandomSource(3)
         data, _ = simulate_instance(40, 4, src)
-        folds, cv, split_state = ex.fit_state(base_config(methods=("split",)), data, src)
-        assert folds.n_folds == 4 and cv is None and split_state is not None
-        _, cv, split_state = ex.fit_state(base_config(methods=("cv+",)), data, src)
-        assert cv is not None and split_state is None
-        _, cv, split_state = ex.fit_state(base_config(methods=("mod", "split")), data, src)
-        assert cv is not None and split_state is not None
+        cv, split_state = ex.fit_state(base_config(methods=("split",)), data, src)
+        assert cv is None and split_state is not None
+        cv, split_state = ex.fit_state(base_config(methods=("cv+",)), data, src)
+        assert cv.folds.n_folds == 4 and split_state is None
+        cv, split_state = ex.fit_state(base_config(methods=("mod", "split")), data, src)
+        assert cv.folds.n_folds == 4 and split_state is not None
+        # a split-only fit still draws the folds, so K is checked against n
+        with pytest.raises(InvalidConfigurationError, match="fold count 41 exceeds"):
+            ex.fit_state(base_config(methods=("split",), k=41), data, src)
 
 class TestRunRealData:
     def synthetic(self, n, p, seed=0):

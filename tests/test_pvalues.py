@@ -63,15 +63,15 @@ class TestFoldPvalueRandomized:
                 fold_pvalue_randomized(1.0, [1.0], tau)
 
 
-def hand_cv(models, scores):
-    return CvScores(np.asarray(scores, float), tuple(models))
+def hand_cv(models, scores, folds):
+    return CvScores(np.asarray(scores, float), tuple(models), folds)
 
 
 class TestAllFoldPvalues:
     def test_single_fold_reduces_to_fold_pvalue(self):
         # hand-built state: one fold holding every point, model predicting 2*x
         folds = FoldAssignment(3, (np.arange(3),), np.array([], dtype=int), "equal")
-        cv = hand_cv([LinearModel(np.array([2.0]))], [0.5, 1.5, 2.5])
+        cv = hand_cv([LinearModel(np.array([2.0]))], [0.5, 1.5, 2.5], folds)
         x, y = np.array([1.0]), 3.0  # test score |3 - 2| = 1
         pv = all_fold_pvalues(x, y, cv, folds)
         assert pv.n_folds == 1
@@ -87,7 +87,7 @@ class TestAllFoldPvalues:
             "equal",
         )
         models = [LinearModel(np.array([c])) for c in (2.0, 8.0, 10.0)]
-        cv = hand_cv(models, [1.0, 3.0, 5.0, 7.0, 0.0, 9.0])
+        cv = hand_cv(models, [1.0, 3.0, 5.0, 7.0, 0.0, 9.0], folds)
         pv = all_fold_pvalues(np.array([1.0]), 0.0, cv, folds)
         assert np.allclose(pv.values, [2 / 3, 1 / 3, 1 / 3])
         assert not pv.randomized
@@ -99,7 +99,7 @@ class TestAllFoldPvalues:
             4, (np.array([0, 1]), np.array([2, 3])), np.array([], dtype=int), "equal"
         )
         models = [LinearModel(np.array([1.0])), LinearModel(np.array([1.0]))]
-        cv = hand_cv(models, [2.0, 5.0, 2.0, 5.0])
+        cv = hand_cv(models, [2.0, 5.0, 2.0, 5.0], folds)
         draws = RandomDraws(tau=0.25, u=0.5)
         pv = all_fold_pvalues(np.array([1.0]), 3.0, cv, folds, draws)  # test score 2 ties
         assert pv.randomized and pv.tau == 0.25

@@ -541,8 +541,8 @@ class TestFittedModelsAreReadOnly:
 
     def test_a_memoized_fold_context_cannot_go_stale(self):
         models = [LinearModel(np.array([1.0])), LinearModel(np.array([2.0]))]
-        cv = CvScores([0.5, 1.0, 1.5, 2.0], models)
         folds = FoldAssignment(4, (np.array([0, 1]), np.array([2, 3])), np.array([], int), "equal")
+        cv = CvScores([0.5, 1.0, 1.5, 2.0], models, folds)
         before = cv_plus_from_scores(cv, folds, [1.0], 0.4)
         with pytest.raises(ValueError):
             models[0].coef[0] = 50.0

@@ -1,12 +1,16 @@
 """Tests for cross-validation score computation against refit oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 from crossconf import (
+    CvScores,
     Dataset,
     FoldAssignment,
     InvalidConfigurationError,
+    LinearModel,
     RandomSource,
     RegressorSpec,
     ScoreFunctionSpec,
@@ -90,6 +94,39 @@ class TestComputeCvScores:
         folds = assign_folds(6, 2, "equal", RandomSource(1))
         with pytest.raises(InvalidConfigurationError):
             compute_cv_scores(data, folds, ScoreFunctionSpec())
+
+
+class TestCvScoresFolds:
+    """CV scores carry the folds they were scored on and sort each fold's
+    scores once."""
+
+    @staticmethod
+    def two_folds():
+        # fold 0 holds points 0 and 3, fold 1 points 1 and 2; point 4 is discarded
+        folds = FoldAssignment(5, (np.array([0, 3]), np.array([1, 2])), np.array([4]), "equal")
+        models = (LinearModel(np.array([1.0])), LinearModel(np.array([2.0])))
+        return folds, models
+
+    def test_model_count_or_score_length_that_does_not_fit_the_folds_rejected(self):
+        folds, models = self.two_folds()
+        scores = [4.0, 1.0, 3.0, 2.0, np.nan]
+        assert CvScores(scores, models, folds).folds is folds
+        for bad in (models[:1], models + models[:1]):
+            with pytest.raises(InvalidConfigurationError, match=f"{len(bad)} fold models"):
+                CvScores(scores, bad, folds)
+        for bad in (scores[:4], scores + [5.0], [scores]):
+            with pytest.raises(InvalidConfigurationError, match=re.escape(f"{np.shape(bad)}")):
+                CvScores(bad, models, folds)
+
+    def test_each_fold_is_sorted_once_into_one_read_only_array(self):
+        folds, models = self.two_folds()
+        cv = CvScores([4.0, 1.0, 3.0, 2.0, np.nan], models, folds)
+        assert cv.sorted_scores.tolist() == [2.0, 4.0, 1.0, 3.0]
+        assert [s.tolist() for s in cv.sorted_by_fold] == [[2.0, 4.0], [1.0, 3.0]]
+        for arr in (cv.sorted_scores,) + cv.sorted_by_fold:
+            assert np.shares_memory(arr, cv.sorted_scores)
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestFoldPredictions:
