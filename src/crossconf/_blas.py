@@ -18,7 +18,8 @@ def _openblas() -> tuple:
     import ctypes
 
     try:
-        with open("/proc/self/maps") as fh:
+        # surrogateescape keeps every byte of a path, and ctypes encodes it back unchanged
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
             fields = (line.split(None, 5) for line in fh)
             paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
     except OSError:

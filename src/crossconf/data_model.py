@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +78,12 @@ class Dataset:
         arrays and the rows of a checked Dataset are finite, so the arrays are
         frozen in place, not copied and checked again."""
         idx = np.asarray(indices, dtype=int)
-        features, responses = self.features[idx], self.responses[idx]
+        return Dataset._frozen_in_place(self.features[idx], self.responses[idx])
+
+    @staticmethod
+    def _frozen_in_place(features: np.ndarray, responses: np.ndarray) -> "Dataset":
+        """A Dataset of fresh arrays whose entries are known to be finite: the
+        shapes are checked and the arrays frozen, not copied."""
         _check_shapes(features, responses)
         out = object.__new__(Dataset)
         for name, arr in (("features", features), ("responses", responses)):
@@ -274,36 +279,44 @@ def randomization_stream(rng: RandomSource):
         yield RandomDraws(tau=_open_unit(gen_tau), u=_open_unit(gen_u))
 
 
-@contextmanager
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
 def _open_table(path):
-    """The stripped header of a headered CSV file and an iterator over its
-    non-blank rows, each with the file line it ends on. Rows are read one at a
-    time, so a file is never held in memory as strings."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InvalidDataError(f"{path}: empty CSV file") from None
-        if len(set(header)) < len(header):
-            name = next(h for i, h in enumerate(header) if h in header[i + 1:])
-            raise InvalidDataError(f"{path}: column {name!r} appears more than once in the header")
-        yield header, ((reader.line_num, row) for row in reader if row)
+    """The CSV file at ``path``, opened for ``csv``: UTF-8 with or without a
+    byte order mark, whatever the locale."""
+    return open(path, newline="", encoding="utf-8-sig")
 
 
-def _matrix(values: array, columns: list[str], path) -> np.ndarray:
-    """The floats read from a table, one per column to a row, as a matrix. The
-    first cell that is inf or nan is named by its column."""
-    if not values:
-        raise InvalidDataError(f"{path}: CSV has a header but no data rows")
-    out = np.frombuffer(values).reshape(-1, len(columns))
-    finite = np.isfinite(out)
-    if not finite.all():
-        row, col = divmod(int(np.argmin(finite)), len(columns))
-        raise InvalidDataError(
-            f"{path}: non-finite value {out[row, col]} in column {columns[col]!r}"
-        )
-    return out
+def _header(reader, path) -> list[str]:
+    """The stripped names in a table's first row; each may appear only once."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise InvalidDataError(f"{path}: empty CSV file") from None
+    if len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[i + 1:])
+        raise InvalidDataError(f"{path}: column {name!r} appears more than once in the header")
+    return header
+
+
+def _parsed(fh, usecols: list[int] | None, width: int) -> np.ndarray | None:
+    """The data rows left in ``fh`` as a (rows, width) matrix, parsed by
+    numpy's C reader; None when that reader refuses the text or finds rows of
+    another width, so that the row reader decides. Blank lines before the
+    first row are skipped here: a table without data rows never reaches
+    numpy, which would warn about it."""
+    for line in fh:
+        if line not in _BLANK_LINES:
+            break
+    else:
+        return np.empty((0, width))
+    try:
+        out = np.loadtxt(itertools.chain((line,), fh), delimiter=",", quotechar='"',
+                         comments=None, ndmin=2, dtype=float, usecols=usecols)
+    except ValueError:
+        return None
+    return out if out.shape[1] == width else None
 
 
 def _cell(value: str, column: str, path) -> float:
@@ -324,6 +337,49 @@ def _floats(cells: list[str], columns: list[str], path) -> list[float]:
         return [_cell(cell, column, path) for cell, column in zip(cells, columns)]
 
 
+def _read_rows(path, cols: list[int] | None) -> np.ndarray:
+    """The row reader: the table's non-blank data rows, parsed one at a time
+    by ``csv`` and ``float()``, as a matrix of the columns ``cols`` (None:
+    every column, and each row as wide as the header). The first row or cell
+    it refuses is named by its file line or its column. The loaders call it
+    only on a table that numpy's reader refuses, and it alone judges it."""
+    values = array("d")
+    with _open_table(path) as fh:
+        reader = csv.reader(fh)
+        header = _header(reader, path)
+        names = header if cols is None else [header[c] for c in cols]
+        last = -1 if cols is None else max(cols)
+        for row in reader:
+            if not row:
+                continue
+            if cols is None:
+                if len(row) != len(header):
+                    raise InvalidDataError(f"{path}: row {reader.line_num} has "
+                                           f"{len(row)} cells, expected {len(header)}")
+                cells = row
+            elif last >= len(row):
+                c = next(c for c in cols if c >= len(row))
+                raise InvalidDataError(f"{path}: row {reader.line_num} is missing column {header[c]!r}")
+            else:
+                cells = [row[c] for c in cols]
+            values.extend(_floats(cells, names, path))
+    return np.frombuffer(values).reshape(-1, len(names))
+
+
+def _matrix(values: np.ndarray, columns: list[str], path) -> np.ndarray:
+    """The parsed rows of a table, checked: at least one, and all finite. The
+    first cell that is inf or nan is named by its column."""
+    if values.shape[0] == 0:
+        raise InvalidDataError(f"{path}: CSV has a header but no data rows")
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), len(columns))
+        raise InvalidDataError(
+            f"{path}: non-finite value {values[row, col]} in column {columns[col]!r}"
+        )
+    return values
+
+
 def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     """Read a numeric dataset from a headered CSV file.
 
@@ -331,23 +387,19 @@ def load_csv(path, target: str) -> tuple[Dataset, list[str]]:
     be numeric and becomes a feature. Returns the dataset together with the
     feature column names (in file order).
     """
-    values = array("d")
-    with _open_table(path) as (header, rows):
+    with _open_table(path) as fh:
+        header = _header(csv.reader(fh), path)
         if target not in header:
             raise InvalidDataError(f"{path}: target column {target!r} not found in CSV header")
-        width = len(header)
-        for line, row in rows:
-            if len(row) != width:
-                raise InvalidDataError(
-                    f"{path}: row {line} has {len(row)} cells, expected {width}"
-                )
-            values.extend(_floats(row, header, path))
+        values = _parsed(fh, None, len(header))
+    if values is None:
+        values = _read_rows(path, None)
     values = _matrix(values, header, path)
     t_col = header.index(target)
     feature_names = [h for i, h in enumerate(header) if i != t_col]
-    responses = values[:, t_col]
-    features = np.delete(values, t_col, axis=1)
-    return Dataset(features, responses), feature_names
+    # one copy of each column, checked above, so the arrays are frozen in place
+    data = Dataset._frozen_in_place(np.delete(values, t_col, axis=1), values[:, t_col].copy())
+    return data, feature_names
 
 
 def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
@@ -356,8 +408,8 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
     Columns may appear in any order; missing or non-numeric feature columns
     raise an error naming the offending column. Extra columns are ignored.
     """
-    out = array("d")
-    with _open_table(path) as (header, rows):
+    with _open_table(path) as fh:
+        header = _header(csv.reader(fh), path)
         missing = [name for name in feature_names if name not in header]
         if missing:
             raise InvalidDataError(
@@ -365,10 +417,7 @@ def load_query_csv(path, feature_names: list[str]) -> np.ndarray:
                 f"(train data has {len(feature_names)} features)"
             )
         cols = [header.index(name) for name in feature_names]
-        last = max(cols)
-        for line, row in rows:
-            if last >= len(row):
-                c = next(c for c in cols if c >= len(row))
-                raise InvalidDataError(f"{path}: row {line} is missing column {header[c]!r}")
-            out.extend(_floats([row[c] for c in cols], feature_names, path))
-    return _matrix(out, feature_names, path)
+        values = _parsed(fh, cols, len(cols))
+    if values is None:
+        values = _read_rows(path, cols)
+    return _matrix(values, feature_names, path)

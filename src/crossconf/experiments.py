@@ -173,7 +173,7 @@ def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         umask = os.umask(0)  # reading the umask means setting it
         os.umask(umask)

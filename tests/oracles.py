@@ -6,13 +6,17 @@ candidate at a time: the fold p-values (deterministic and tau-randomized),
 the four combination statistics, the weighted-mean dual form of the plain
 cross set, the exact verdict of every fold method, the split p-value,
 the CV+ set from raw data and the minimum-norm least squares fit through
-LAPACK lstsq, plus two test helpers (set containment and the
-Monte-Carlo standard error). They use only the public API of ``crossconf``.
+LAPACK lstsq, the CSV loaders as a reader of one row at a time, plus two
+test helpers (set containment and the Monte-Carlo standard error). They use
+only the public API of ``crossconf``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -24,6 +28,7 @@ from crossconf import (
     Dataset,
     FoldAssignment,
     InvalidConfigurationError,
+    InvalidDataError,
     PredictionSet,
     RandomDraws,
     RegressorSpec,
@@ -286,3 +291,84 @@ def is_subset(inner: PredictionSet, outer: PredictionSet) -> bool:
 def mc_standard_error(rate: float, reps: int) -> float:
     """Standard error of a Monte-Carlo proportion, sqrt(c(1-c)/reps)."""
     return math.sqrt(rate * (1.0 - rate) / reps)
+
+
+@contextmanager
+def _csv_table(path):
+    """The stripped header of a headered CSV file and an iterator over its
+    non-blank rows, each with the file line it ends on."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise InvalidDataError(f"{path}: empty CSV file") from None
+        if len(set(header)) < len(header):
+            name = next(h for i, h in enumerate(header) if h in header[i + 1:])
+            raise InvalidDataError(f"{path}: column {name!r} appears more than once in the header")
+        yield header, ((reader.line_num, row) for row in reader if row)
+
+
+def _csv_matrix(values: array, columns: list[str], path) -> np.ndarray:
+    if not values:
+        raise InvalidDataError(f"{path}: CSV has a header but no data rows")
+    out = np.frombuffer(values).reshape(-1, len(columns))
+    finite = np.isfinite(out)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), len(columns))
+        raise InvalidDataError(
+            f"{path}: non-finite value {out[row, col]} in column {columns[col]!r}"
+        )
+    return out
+
+
+def _csv_floats(cells: list[str], columns: list[str], path) -> list[float]:
+    out = []
+    for cell, column in zip(cells, columns):
+        try:
+            out.append(float(cell))
+        except ValueError:
+            raise InvalidDataError(
+                f"{path}: non-numeric value {cell.strip()!r} in column {column!r}"
+            ) from None
+    return out
+
+
+def load_csv_by_rows(path, target: str) -> tuple[Dataset, list[str]]:
+    """``load_csv`` read one row at a time by ``csv`` and ``float()``: the
+    dialect, values and messages the loader must keep."""
+    values = array("d")
+    with _csv_table(path) as (header, rows):
+        if target not in header:
+            raise InvalidDataError(f"{path}: target column {target!r} not found in CSV header")
+        width = len(header)
+        for line, row in rows:
+            if len(row) != width:
+                raise InvalidDataError(
+                    f"{path}: row {line} has {len(row)} cells, expected {width}"
+                )
+            values.extend(_csv_floats(row, header, path))
+    values = _csv_matrix(values, header, path)
+    t_col = header.index(target)
+    feature_names = [h for i, h in enumerate(header) if i != t_col]
+    return Dataset(np.delete(values, t_col, axis=1), values[:, t_col]), feature_names
+
+
+def load_query_csv_by_rows(path, feature_names: list[str]) -> np.ndarray:
+    """``load_query_csv`` read one row at a time by ``csv`` and ``float()``."""
+    out = array("d")
+    with _csv_table(path) as (header, rows):
+        missing = [name for name in feature_names if name not in header]
+        if missing:
+            raise InvalidDataError(
+                f"{path}: query is missing feature column {missing[0]!r} "
+                f"(train data has {len(feature_names)} features)"
+            )
+        cols = [header.index(name) for name in feature_names]
+        last = max(cols)
+        for line, row in rows:
+            if last >= len(row):
+                c = next(c for c in cols if c >= len(row))
+                raise InvalidDataError(f"{path}: row {line} is missing column {header[c]!r}")
+            out.extend(_csv_floats([row[c] for c in cols], feature_names, path))
+    return _csv_matrix(out, feature_names, path)

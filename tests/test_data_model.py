@@ -1,9 +1,17 @@
 """Tests for containers, fold assignment, randomness and CSV ingestion."""
 
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from crossconf import data_model
 from crossconf import (
     Dataset,
     FoldAssignment,
@@ -16,6 +24,7 @@ from crossconf import (
     load_query_csv,
     randomization_stream,
 )
+from oracles import load_csv_by_rows, load_query_csv_by_rows
 
 
 class TestDataset:
@@ -320,3 +329,171 @@ class TestCsvIngestion:
         path = self._write(tmp_path, "a,b,y\n1,2,3\n4,-inf,nan\n")
         with pytest.raises(InvalidDataError, match="non-finite value -inf in column 'b'"):
             load_csv(path, "y")
+
+    @pytest.mark.parametrize("header", ["y,a", "a,y"])
+    def test_a_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, header):
+        # Excel's "CSV UTF-8" export starts with one
+        path = tmp_path / "data.csv"
+        path.write_bytes(("\ufeff" + header + "\n1,2\n").encode("utf-8"))
+        data, names = load_csv(path, "y")
+        assert names == ["a"]
+        assert data.responses.tolist() == [1.0 if header == "y,a" else 2.0]
+        query = tmp_path / "q.csv"
+        for text in ("a,b\n3,4\n", "\ufeffa,b\n3,4\n", "\ufeffb,a\n4,3\n"):
+            query.write_bytes(text.encode("utf-8"))
+            assert load_query_csv(query, names).tolist() == [[3.0]]
+
+    @pytest.mark.parametrize("load", [lambda p: load_csv(p, "y"),
+                                      lambda p: load_query_csv(p, ["y"])])
+    @pytest.mark.parametrize("text", ["a,y\n", "a,y\n\n\r\n\r", "a,y"])
+    def test_a_table_without_rows_warns_of_nothing(self, tmp_path, load, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match="header but no data rows"):
+                load(path)
+
+
+# Cells the loaders must read as float() does, or refuse as the row reader
+# does: numpy's parser refuses 1_000 and non-ASCII digits, which float() takes.
+SPECIAL_CELLS = ["+.5", "5.", "1_000", " 2 ", "\t3", '"1.5"', '"1,5"', "", "nan",
+                 "-Infinity", "1e400", "4.9e-324", "#", "x", "\u0662"]
+NUMERIC_CELLS = ["+.5", "5.", " 2 ", "\t3", '"1.5"', "4.9e-324", "-0"]
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_written = st.one_of(_floats.map(repr), _floats.map(lambda v: "%.17g" % v))
+ANY_CELL = st.one_of(_written, _written, st.sampled_from(SPECIAL_CELLS))
+NUMERIC_CELL = st.one_of(_written, _written, st.sampled_from(NUMERIC_CELLS))
+
+
+@st.composite
+def csv_texts(draw, header: list[str]):
+    """A CSV file with ``header``: numeric rows (all cells numeric in about
+    half the files, and all one cell too wide or too narrow in some) among
+    blank, whitespace-only and ragged lines, with one kind of line end, and a
+    byte order mark in some files."""
+    cell = NUMERIC_CELL if draw(st.booleans()) else ANY_CELL
+    shift = draw(st.sampled_from([0] * 8 + [-1, 1]))
+    text_cell = st.sampled_from(["red", "x y", '"a,b"', ""])
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "space", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            width = len(header) + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else shift)
+            lines.append(",".join(draw(text_cell if header[j % len(header)] == "note" else cell)
+                                  for j in range(width)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.integers(0, 4)) == 0 else "") + text
+
+
+def outcome(load, path, *args):
+    """What a loader gives: ("ok", its values as bytes, shapes and names) or
+    ("error", the message)."""
+    try:
+        out = load(path, *args)
+    except InvalidDataError as err:
+        return "error", str(err)
+    if isinstance(out, np.ndarray):
+        return "ok", out.dtype, out.shape, out.tobytes()
+    data, names = out
+    return ("ok", names, data.features.shape, data.features.tobytes(),
+            data.responses.shape, data.responses.tobytes())
+
+
+class TestLoadersMatchTheRowReader:
+    """Both loaders return the values of a reader that parses one row at a
+    time with ``csv`` and ``float()``, bit for bit, or raise its message."""
+
+    @given(data=st.data(), width=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_training_files(self, data, width):
+        header = [f"c{j}" for j in range(width)]
+        target = data.draw(st.sampled_from(header))
+        text = data.draw(csv_texts(header))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(load_csv, path, target) == outcome(load_csv_by_rows, path, target)
+
+    @given(data=st.data(), width=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_query_files_with_extra_and_reordered_columns(self, data, width):
+        names = [f"c{j}" for j in range(width)]
+        extra = data.draw(st.lists(st.sampled_from(["note", "id"]), unique=True))
+        header = data.draw(st.permutations(names + extra))
+        if len(header) > 1 and data.draw(st.integers(0, 9)) == 0:
+            header = header[1:]  # a missing feature, or a missing extra column
+        text = data.draw(csv_texts(header))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "q.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert (outcome(load_query_csv, path, names)
+                    == outcome(load_query_csv_by_rows, path, names))
+
+
+def write_table(path: Path, header: list[str], values: np.ndarray) -> Path:
+    """A CSV file as perfbench writes one: ``%.17g`` cells, LF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        np.savetxt(fh, values, fmt="%.17g", delimiter=",")
+    return path
+
+
+class TestFastPath:
+    """Tables numpy's parser takes never reach the row reader."""
+
+    @pytest.fixture
+    def row_reads(self, monkeypatch):
+        calls = []
+        read = data_model._read_rows
+
+        def counted(*args):
+            calls.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(data_model, "_read_rows", counted)
+        return calls
+
+    def test_common_files_are_parsed_without_the_row_reader(self, tmp_path, row_reads):
+        values = np.random.default_rng(0).standard_normal((300, 9))
+        header = [f"x{j}" for j in range(8)] + ["y"]
+        path = write_table(tmp_path / "data.csv", header, values)
+        data, names = load_csv(path, "y")
+        assert names == header[:8]
+        assert np.array_equal(data.features, values[:, :8])
+        assert np.array_equal(data.responses, values[:, 8])
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(b"a,y\r\n1,2\r\n3,4\r\n")
+        assert load_csv(crlf, "y")[0].features.tolist() == [[1.0], [3.0]]
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(b'a,y\n\n"1.5",2\n\n\n3," 4"\n\n')
+        assert load_csv(quoted, "y")[0].responses.tolist() == [2.0, 4.0]
+        query = tmp_path / "q.csv"
+        query.write_bytes(b"note,b,a\nred,2,1\nblue green,4,3\n")
+        assert load_query_csv(query, ["a", "b"]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert row_reads == []
+
+    def test_a_cell_numpy_refuses_takes_one_row_read(self, tmp_path, row_reads):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,y\n1,2\n1_000,3\n")
+        assert load_csv(path, "y")[0].features.tolist() == [[1.0], [1000.0]]
+        assert len(row_reads) == 1
+
+
+def test_load_csv_peak_memory_stays_near_its_values(tmp_path):
+    # the values once as parsed, then once as features and responses
+    values = np.random.default_rng(1).standard_normal((100_000, 9))
+    path = write_table(tmp_path / "big.csv", [f"x{j}" for j in range(8)] + ["y"], values)
+    tracemalloc.start()
+    try:
+        data, _ = load_csv(path, "y")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(data.features, values[:, :8])
+    assert peak <= 2.2 * values.nbytes

@@ -67,6 +67,23 @@ def test_alpha_has_one_exact_reader():
     assert readers == ["combiners.py"]
 
 
+def test_every_text_mode_open_names_an_encoding():
+    # without one, the locale decides how a CSV file is read or a report written
+    unnamed = []
+    for path in sorted(Path(crossconf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = isinstance(node, ast.Call) and (getattr(node.func, "id", None)
+                                                   or getattr(node.func, "attr", None))
+            if name not in ("open", "fdopen"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not binary and all(kw.arg != "encoding" for kw in node.keywords):
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert unnamed == []
+
+
 def test_every_name_the_benchmark_rebinds_is_bound_where_it_looks():
     tracer = Tracer()
     try:
