@@ -51,9 +51,6 @@ from .regression import (
     LinearModel,
     RegressorSpec,
     fit,
-    fit_knn,
-    fit_min_norm_ols,
-    fit_ridge,
     parse_regressor,
 )
 from .scores import CvScores, ScoreFunctionSpec, compute_cv_scores

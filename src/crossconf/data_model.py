@@ -294,6 +294,8 @@ def _header(reader, path) -> list[str]:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise InvalidDataError(f"{path}: empty CSV file") from None
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise InvalidDataError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(set(header)) < len(header):
         name = next(h for i, h in enumerate(header) if h in header[i + 1:])
         raise InvalidDataError(f"{path}: column {name!r} appears more than once in the header")
@@ -349,20 +351,24 @@ def _read_rows(path, cols: list[int] | None) -> np.ndarray:
         header = _header(reader, path)
         names = header if cols is None else [header[c] for c in cols]
         last = -1 if cols is None else max(cols)
-        for row in reader:
-            if not row:
-                continue
-            if cols is None:
-                if len(row) != len(header):
-                    raise InvalidDataError(f"{path}: row {reader.line_num} has "
-                                           f"{len(row)} cells, expected {len(header)}")
-                cells = row
-            elif last >= len(row):
-                c = next(c for c in cols if c >= len(row))
-                raise InvalidDataError(f"{path}: row {reader.line_num} is missing column {header[c]!r}")
-            else:
-                cells = [row[c] for c in cols]
-            values.extend(_floats(cells, names, path))
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if cols is None:
+                    if len(row) != len(header):
+                        raise InvalidDataError(f"{path}: row {reader.line_num} has "
+                                               f"{len(row)} cells, expected {len(header)}")
+                    cells = row
+                elif last >= len(row):
+                    c = next(c for c in cols if c >= len(row))
+                    raise InvalidDataError(f"{path}: row {reader.line_num} is missing "
+                                           f"column {header[c]!r}")
+                else:
+                    cells = [row[c] for c in cols]
+                values.extend(_floats(cells, names, path))
+        except csv.Error as exc:
+            raise InvalidDataError(f"{path}: line {reader.line_num}: {exc}") from None
     return np.frombuffer(values).reshape(-1, len(names))
 
 

@@ -10,6 +10,7 @@ row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,9 +26,6 @@ __all__ = [
     "FittedModel",
     "parse_regressor",
     "fit",
-    "fit_min_norm_ols",
-    "fit_ridge",
-    "fit_knn",
 ]
 
 REGRESSOR_KINDS = ("ols", "ridge", "knn")
@@ -37,15 +35,18 @@ REGRESSOR_KINDS = ("ols", "ridge", "knn")
 # the underdetermined regime (p >= training size).
 RCOND = 1e-10
 
-# Linear fits solve through the Cholesky factor L of the smaller Gram matrix
-# (X'X or XX', lambda on its diagonal) and keep that solve only where
-# ||L||_F ||L^-1||_F < _GRAM_COND_MAX. L has the singular values of X, so the
-# product bounds cond_2(X) from above; the Gram solve loses about
-# cond_2(X)^2 eps, so a kept fit is within about 1e8 eps of lstsq, and lstsq
-# would truncate nothing there (its cut sits at cond_2(X) = 1 / RCOND). The
-# bound is taken on the squared norms, so a finite one also keeps
-# lambda_min(G) >= 1 / ||L^-1||_F^2 above 1 / DBL_MAX: products that underflow
-# lose at most eta/2 each, under rows * cols * 4.4e-16 of lambda_min(G) in all.
+# Linear fits solve the smaller Gram matrix G (X'X or XX', lambda on its
+# diagonal; order m) only where a floating-point Cholesky of G - s I completes,
+# for s = tr(G) (_GRAM_COND_MAX^-2 + 4 (m + 2) eps) a normal float. By Rump
+# ("Verification of positive definiteness", BIT 46, 2006) that proves
+# lambda_min(G) > s - r, where r, the rounding of forming G - s I and of the
+# factorisation, is under (m + 1) eps tr(G) plus an underflow term of order
+# m^2 eta <= m^2 eps s. With the rounding of s itself,
+#   lambda_max(G) <= tr(G) < _GRAM_COND_MAX^2 lambda_min(G),
+# so cond_2(X)^2 < 1e8 at lambda = 0: the solve loses about 1e8 eps, and lstsq
+# would truncate nothing there (its cut sits at cond_2(X) = 1 / RCOND). As
+# lambda_min(G) > s / 2 >= 2^-1023, the products of X that underflow in G
+# (eta/2 each) move it by under rows * cols * 2.2e-16 of lambda_min(G).
 _GRAM_COND_MAX = 1e4
 
 # Budget for the float temporaries of one query chunk in KnnModel.predict.
@@ -73,12 +74,14 @@ _KNN_BLOCK_BYTES = 512 * 1024
 _KNN_MARGIN = 32
 _EPS = np.finfo(float).eps
 _ETA = np.finfo(float).smallest_subnormal
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class RegressorSpec:
     """Which symmetric algorithm to fit, with its parameters. Features are
-    used as given; no column scaling is applied."""
+    used as given; no column scaling is applied. A parameter the kind does
+    not use must keep its default."""
 
     kind: str
     ridge_lambda: float = 0.0
@@ -89,9 +92,13 @@ class RegressorSpec:
             raise InvalidConfigurationError(
                 f"unknown regressor {self.kind!r}; choose from {REGRESSOR_KINDS}"
             )
-        if self.kind == "ridge" and self.ridge_lambda < 0:
+        if self.ridge_lambda != 0 and self.kind != "ridge":
+            raise InvalidConfigurationError(f"{self.kind} takes no ridge penalty")
+        if self.knn_k != 1 and self.kind != "knn":
+            raise InvalidConfigurationError(f"{self.kind} takes no neighbor count")
+        if self.ridge_lambda < 0:
             raise InvalidConfigurationError("ridge penalty must be nonnegative")
-        if self.kind == "knn" and self.knn_k < 1:
+        if self.knn_k < 1:
             raise InvalidConfigurationError("knn neighbor count must be at least 1")
 
 
@@ -231,86 +238,48 @@ class KnnModel:
 FittedModel = Union[LinearModel, KnnModel]
 
 
-def _gram_solve(x: np.ndarray, y: np.ndarray, ridge_lambda: float = 0.0) -> np.ndarray:
+def _gram_solve(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
     """The least-norm minimiser of ||X b - y||^2 + lambda ||b||^2.
 
     With more rows than columns this is b = G^-1 X'y for G = X'X + lambda I,
-    otherwise b = X'G^-1 y for G = XX' + lambda I, each solved through the
-    Cholesky factor L of G. The solve is kept only where the bound
-    ||L||_F^2 ||L^-1||_F^2 on cond_2(X)^2 (of [X; sqrt(lambda) I] when
-    lambda > 0) is below ``_GRAM_COND_MAX ** 2`` and every coefficient is
-    finite. Otherwise (rank-deficient, near-singular, overflowing or
-    underflowing designs, or a failed factorisation) the fit is lstsq with
-    ``RCOND``, on [X; sqrt(lambda) I] and [y; 0] when lambda > 0. y is scaled
-    by a power of two to a largest magnitude in [1/2, 1), which changes no bit
-    in the normal range and keeps X'y from underflowing when X and y are both
-    tiny.
+    otherwise b = X'G^-1 y for G = XX' + lambda I, solved by LU where the
+    Cholesky certificate of ``_GRAM_COND_MAX`` holds and every coefficient is
+    finite. Any other design goes to lstsq with ``RCOND``, on [X; sqrt(lambda) I]
+    and [y; 0] when lambda > 0. y is scaled by a power of two to a largest
+    magnitude in [1/2, 1), which changes no bit in the normal range and keeps
+    X'y from underflowing when X and y are both tiny.
     """
     rows, cols = x.shape
     wide = rows <= cols
-    exponent = int(np.frexp(np.abs(y).max(initial=0.0))[1])
+    exponent = math.frexp(np.abs(y).max(initial=0.0))[1]
     with np.errstate(all="ignore"):
         gram = x @ x.T if wide else x.T @ x
+        m = gram.shape[0]
         if ridge_lambda:
-            gram.flat[:: gram.shape[0] + 1] += ridge_lambda
-        try:
-            factor = np.linalg.cholesky(gram)
-            inverse = np.linalg.inv(factor)
-        except np.linalg.LinAlgError:
-            inverse = None
-        if inverse is not None:
-            bound = np.vdot(factor, factor) * np.vdot(inverse, inverse)
-            if bound < _GRAM_COND_MAX**2:
+            gram.flat[:: m + 1] += ridge_lambda
+        shift = gram.trace() * (_GRAM_COND_MAX**-2 + 4 * (m + 2) * _EPS)
+        if _TINY <= shift < np.inf:
+            shifted = gram.copy()
+            shifted.flat[:: m + 1] -= shift
+            try:
+                np.linalg.cholesky(shifted)
                 scaled = np.ldexp(y, -exponent)
-                if wide:
-                    coef = x.T @ (inverse.T @ (inverse @ scaled))
-                else:
-                    coef = inverse.T @ (inverse @ (x.T @ scaled))
-                coef = np.ldexp(coef, exponent)
+                z = np.linalg.solve(gram, scaled if wide else x.T @ scaled)
+                coef = np.ldexp(x.T @ z if wide else z, exponent)
                 if np.isfinite(coef).all():
                     return coef
+            except np.linalg.LinAlgError:
+                pass
     if ridge_lambda:
         x = np.vstack([x, np.sqrt(ridge_lambda) * np.eye(cols)])
         y = np.concatenate([y, np.zeros(cols)])
     return np.linalg.lstsq(x, y, rcond=RCOND)[0]
 
 
-def fit_min_norm_ols(train: Dataset) -> LinearModel:
-    """Least squares of minimum l2 norm: ordinary least squares for
-    full-column-rank features, the Moore-Penrose solution otherwise.
-
-    The fit is a Cholesky solve on the smaller Gram matrix, kept only where
-    ||L||_F ||L^-1||_F, an upper bound on cond_2(X), is below
-    ``_GRAM_COND_MAX`` (1e4), with the squared norms finite, so that the
-    Gram neither overflows nor underflows; every other design goes to lstsq
-    with ``RCOND`` (see ``_gram_solve``).
-    """
-    return LinearModel(_gram_solve(train.features, train.responses))
-
-
-def fit_ridge(train: Dataset, ridge_lambda: float) -> LinearModel:
-    """Ridge regression coef = (X'X + lambda I)^-1 X'y = X'(XX' + lambda I)^-1 y.
-
-    The smaller of the two Gram matrices is solved, under the same guard as
-    ``fit_min_norm_ols`` (the bound ||L||_F ||L^-1||_F < ``_GRAM_COND_MAX`` on
-    the factor of the penalised Gram); a design that fails it goes to lstsq
-    with ``RCOND`` on the augmented system [X; sqrt(lambda) I], [y; 0]. At
-    lambda = 0 this is the minimum-norm least squares solution.
-    """
-    if ridge_lambda < 0:
-        raise InvalidConfigurationError("ridge penalty must be nonnegative")
-    return LinearModel(_gram_solve(train.features, train.responses, ridge_lambda))
-
-
-def fit_knn(train: Dataset, k: int) -> KnnModel:
-    """k-nearest-neighbor mean with data-valued tie-breaking."""
-    return KnnModel(train.features, train.responses, k)
-
-
 def fit(spec: RegressorSpec, train: Dataset) -> FittedModel:
-    """Fit the regressor described by ``spec`` on ``train``."""
-    if spec.kind == "ols":
-        return fit_min_norm_ols(train)
-    if spec.kind == "ridge":
-        return fit_ridge(train, spec.ridge_lambda)
-    return fit_knn(train, spec.knn_k)
+    """Fit ``spec`` on ``train``: the k-nearest-neighbor mean for ``knn``,
+    otherwise the least-norm ridge solution of ``_gram_solve`` (at lambda = 0,
+    ``ols``: least squares, the Moore-Penrose solution for rank-deficient X)."""
+    if spec.kind == "knn":
+        return KnnModel(train.features, train.responses, spec.knn_k)
+    return LinearModel(_gram_solve(train.features, train.responses, spec.ridge_lambda))

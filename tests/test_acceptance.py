@@ -24,7 +24,7 @@ from crossconf import (
     coverage_bounds,
     cross_membership,
     cv_plus_from_scores,
-    fit_min_norm_ols,
+    fit,
     fold_method_sets,
     run_simulation,
     simulate_instance,
@@ -282,7 +282,7 @@ def test_10_jackknife_plus_oracle():
         lows, highs = [], []
         for i in range(10):
             rest = np.delete(np.arange(10), i)
-            model = fit_min_norm_ols(data.subset(rest))
+            model = fit(RegressorSpec("ols"), data.subset(rest))
             mu = float(model.predict(tx[None, :])[0])
             res = abs(data.responses[i] - float(model.predict(data.features[i][None, :])[0]))
             lows.append(mu - res)

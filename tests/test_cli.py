@@ -178,9 +178,9 @@ class TestPredictCommand:
                 list(pair) for pair in expected[method].intervals
             ]
         # a huge alpha keeps the set narrow around the fitted value
-        from crossconf import fit_min_norm_ols
+        from crossconf import RegressorSpec, fit
 
-        fitted = float(fit_min_norm_ols(loaded).predict(data.features[5][None, :])[0])
+        fitted = float(fit(RegressorSpec("ols"), loaded).predict(data.features[5][None, :])[0])
         assert expected["mod"].contains(fitted)
         widths = [iv[1] - iv[0] for iv in got["mod"]["intervals"]]
         assert sum(widths) < np.ptp(data.responses)
@@ -345,6 +345,15 @@ class TestRunCommand:
         assert code == 3
         assert capsys.readouterr().err == f"error: {path}: non-numeric value 'x' in column 'b'\n"
 
+
+    def test_a_field_past_the_csv_size_limit_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y\n" + "0" * 200_000 + "1,2\n3,x\n")
+        code = main(["run", "--data", str(path), "--target", "y", "--train-size", "1",
+                     "--test-size", "1", "--seed", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 2: field larger") and "Traceback" not in err
 
 def write_grid_csv(path, n=90, p=3, seed=11):
     """Integer-grid features and one-decimal responses: many kNN ties."""

@@ -33,7 +33,7 @@ from crossconf import (
     conformal_rank,
     cross_membership,
     cv_plus_from_scores,
-    fit_min_norm_ols,
+    fit,
     fit_state,
     fold_method_sets,
     parse_regressor,
@@ -574,7 +574,7 @@ class TestCrossSet:
         n_train, n_cal = 15, 15
         x = gen.standard_normal((n_train + n_cal, 3))
         y = x @ np.array([1.0, -2.0, 0.5]) + gen.standard_normal(n_train + n_cal)
-        model = fit_min_norm_ols(Dataset(x[:n_train], y[:n_train]))
+        model = fit(RegressorSpec("ols"), Dataset(x[:n_train], y[:n_train]))
         cal_x, cal_y = x[n_train:], y[n_train:]
         cal_scores = np.abs(cal_y - model.predict(cal_x))
         folds = FoldAssignment(n_cal, (np.arange(n_cal),), np.array([], dtype=int), "equal")
@@ -683,7 +683,7 @@ class TestCvPlus:
             lows, highs = [], []
             for i in range(10):
                 rest = np.delete(np.arange(10), i)
-                model = fit_min_norm_ols(data.subset(rest))
+                model = fit(RegressorSpec("ols"), data.subset(rest))
                 mu = float(model.predict(tx[None, :])[0])
                 res = abs(data.responses[i] - float(model.predict(data.features[i][None, :])[0]))
                 lows.append(mu - res)

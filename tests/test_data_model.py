@@ -1,5 +1,6 @@
 """Tests for containers, fold assignment, randomness and CSV ingestion."""
 
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -320,6 +321,19 @@ class TestCsvIngestion:
         with pytest.raises(InvalidDataError) as info:
             load_query_csv(path, ["a", "b"])
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,y\n" + "0" * 200_000 + "1,2\n3,x\n", 2),
+        ("a," + "y" * 200_000 + "\n1,2\n", 1),
+    ], ids=["data-row", "header"])
+    def test_a_field_past_the_csv_size_limit_names_its_line(self, tmp_path, text, line):
+        # csv refuses fields over 131,072 characters; numpy's reader refuses
+        # these tables too, so the row reader or the header meets that limit
+        path = self._write(tmp_path, text)
+        want = f"^{re.escape(str(path))}: line {line}: field larger than field limit"
+        for load, arg in ((load_csv, "y"), (load_query_csv, ["a", "y"])):
+            with pytest.raises(InvalidDataError, match=want):
+                load(path, arg)
 
     def test_first_non_finite_training_cell_is_named(self, tmp_path):
         # the first bad cell in file order; the target column is named as well

@@ -67,6 +67,20 @@ def test_alpha_has_one_exact_reader():
     assert readers == ["combiners.py"]
 
 
+def test_no_module_takes_an_explicit_matrix_inverse():
+    # a linear fit is a certified Cholesky and one solve; an inverse would be
+    # a second, slower and less accurate way to the same coefficients
+    found = []
+    for path in sorted(Path(crossconf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("inv", "pinv"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name in ("inv", "pinv")]
+    assert found == []
+
+
 def test_every_text_mode_open_names_an_encoding():
     # without one, the locale decides how a CSV file is read or a report written
     unnamed = []

@@ -22,9 +22,6 @@ from crossconf import (
     compute_cv_scores,
     cv_plus_from_scores,
     fit,
-    fit_knn,
-    fit_min_norm_ols,
-    fit_ridge,
     fold_method_sets,
     parse_regressor,
 )
@@ -51,19 +48,19 @@ def lexsort_knn_oracle(model, queries):
 
 class TestMinNormOls:
     def test_identity_design(self):
-        model = fit_min_norm_ols(Dataset(np.eye(2), np.array([2.0, 3.0])))
+        model = fit(RegressorSpec("ols"), Dataset(np.eye(2), np.array([2.0, 3.0])))
         assert np.allclose(model.coef, [2.0, 3.0])
 
     def test_underdetermined_single_row(self):
         # pseudoinverse of [1, 1] by hand: X'/(X X') = (0.5, 0.5), so beta = (1, 1)
-        model = fit_min_norm_ols(Dataset(np.array([[1.0, 1.0]]), np.array([2.0])))
+        model = fit(RegressorSpec("ols"), Dataset(np.array([[1.0, 1.0]]), np.array([2.0])))
         assert np.allclose(model.coef, [1.0, 1.0], atol=1e-12)
 
     def test_matches_normal_equations_when_full_rank(self):
         gen = np.random.default_rng(0)
         x = gen.standard_normal((50, 5))
         y = gen.standard_normal(50)
-        model = fit_min_norm_ols(Dataset(x, y))
+        model = fit(RegressorSpec("ols"), Dataset(x, y))
         oracle = np.linalg.solve(x.T @ x, x.T @ y)
         assert np.linalg.norm(model.coef - oracle) / np.linalg.norm(oracle) < 1e-8
 
@@ -75,14 +72,14 @@ class TestMinNormOls:
         for n, p in [(10, 3), (3, 10), (40, 40), (100, 150), (150, 100)]:
             x = gen.standard_normal((n, p))
             y = gen.standard_normal(n)
-            coef = fit_min_norm_ols(Dataset(x, y)).coef
+            coef = fit(RegressorSpec("ols"), Dataset(x, y)).coef
             assert np.allclose(x.T @ (x @ coef - y), 0.0, atol=1e-8)
             _, sing, vt = np.linalg.svd(x)
             null_space = vt[np.count_nonzero(sing > RCOND * sing[0]) :]
             assert np.allclose(null_space @ coef, 0.0, atol=1e-8)
 
     def test_prediction_shape(self):
-        model = fit_min_norm_ols(Dataset(np.eye(3), np.ones(3)))
+        model = fit(RegressorSpec("ols"), Dataset(np.eye(3), np.ones(3)))
         assert model.predict(np.ones((4, 3))).shape == (4,)
 
 
@@ -151,7 +148,7 @@ class TestMinNormOlsAgainstLstsq:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_lstsq_oracle(self, design):
         kind, x, y = design
-        coef = fit_min_norm_ols(Dataset(x, y)).coef
+        coef = fit(RegressorSpec("ols"), Dataset(x, y)).coef
         want = lstsq_min_norm_oracle(x, y)
         assert np.isfinite(coef).all()
         # max norms: the 2-norm of a 1e160-sized vector overflows
@@ -161,17 +158,41 @@ class TestMinNormOlsAgainstLstsq:
             # is the lstsq call itself
             assert coef.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(80, 150), (80, 50)])
+    # the paper's fold and split fits: n = 100, K = 5, p in {5, 50, 100, 150}
+    @pytest.mark.parametrize("shape", [(80, 150), (80, 50), (80, 5), (80, 100), (50, 150)])
     def test_a_well_conditioned_fit_makes_no_lstsq_call(self, lstsq_calls, shape):
         gen = np.random.default_rng(40)
-        fit_min_norm_ols(Dataset(gen.standard_normal(shape), gen.standard_normal(shape[0])))
+        data = Dataset(gen.standard_normal(shape), gen.standard_normal(shape[0]))
+        fit(RegressorSpec("ols"), data)
         assert lstsq_calls == []
+
+    @staticmethod
+    def conditioned_design(c):
+        """A tall 80 x 20 design U diag(c, 1, ..., 1) V', so cond_2(X) = c,
+        tr(G) = c^2 + 19 and lambda_min(G) = 1, and a response."""
+        gen = np.random.default_rng(46)
+        u = np.linalg.qr(gen.standard_normal((80, 20)))[0]
+        v = np.linalg.qr(gen.standard_normal((20, 20)))[0]
+        sing = np.ones(20)
+        sing[0] = c
+        return (u * sing) @ v.T, gen.standard_normal(80)
+
+    # c = 9e3: tr(G) = 8.1e7 + 19 < 1e8 lambda_min(G), certified, where the
+    # former bound tr(G) tr(G^-1), about 19 c^2, sent the design to lstsq;
+    # c = 1.1e4: tr(G) = 1.21e8 + 19 > 1e8 lambda_min(G), so lstsq
+    @pytest.mark.parametrize("c, calls", [(9e3, []), (1.1e4, [((80, 20), RCOND)])])
+    def test_the_certificate_keeps_a_design_below_its_bound(self, lstsq_calls, c, calls):
+        x, y = self.conditioned_design(c)
+        coef = fit(RegressorSpec("ols"), Dataset(x, y)).coef
+        assert lstsq_calls == calls
+        want = lstsq_min_norm_oracle(x, y)
+        assert np.abs(coef - want).max() <= ORACLE_RTOL * np.abs(want).max()
 
     def test_a_duplicated_column_falls_back_to_lstsq_with_rcond(self, lstsq_calls):
         gen = np.random.default_rng(41)
         x = gen.standard_normal((80, 50))
         x[:, 1] = x[:, 0]
-        model = fit_min_norm_ols(Dataset(x, gen.standard_normal(80)))
+        model = fit(RegressorSpec("ols"), Dataset(x, gen.standard_normal(80)))
         assert lstsq_calls == [((80, 50), RCOND)]
         # the min-norm solution splits the weight evenly over the two copies
         assert model.coef[0] == pytest.approx(model.coef[1], rel=1e-9)
@@ -182,14 +203,14 @@ class TestRidge:
         gen = np.random.default_rng(2)
         x = gen.standard_normal((30, 4))
         y = gen.standard_normal(30)
-        a = fit_ridge(Dataset(x, y), 0.0)
-        b = fit_min_norm_ols(Dataset(x, y))
+        a = fit(RegressorSpec("ridge", ridge_lambda=0.0), Dataset(x, y))
+        b = fit(RegressorSpec("ols"), Dataset(x, y))
         assert np.allclose(a.coef, b.coef, atol=1e-8)
 
     def test_zero_penalty_rank_deficient_falls_back(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([1.0, 2.0, 3.0])
-        model = fit_ridge(Dataset(x, y), 0.0)
+        model = fit(RegressorSpec("ridge", ridge_lambda=0.0), Dataset(x, y))
         # min-norm solution splits the coefficient evenly across the duplicated column
         assert np.allclose(model.coef, [0.5, 0.5], atol=1e-10)
 
@@ -197,17 +218,17 @@ class TestRidge:
         gen = np.random.default_rng(3)
         x = gen.standard_normal((20, 3))
         y = gen.standard_normal(20)
-        model = fit_ridge(Dataset(x, y), 1e12)
+        model = fit(RegressorSpec("ridge", ridge_lambda=1e12), Dataset(x, y))
         assert np.all(np.abs(model.coef) < 1e-6)
 
     def test_identity_design_by_hand(self):
         # (I + I)^-1 (2, 3) = (1, 1.5)
-        model = fit_ridge(Dataset(np.eye(2), np.array([2.0, 3.0])), 1.0)
+        model = fit(RegressorSpec("ridge", ridge_lambda=1.0), Dataset(np.eye(2), np.array([2.0, 3.0])))
         assert np.allclose(model.coef, [1.0, 1.5])
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(InvalidConfigurationError):
-            fit_ridge(Dataset(np.eye(2), np.ones(2)), -0.1)
+            fit(RegressorSpec("ridge", ridge_lambda=-0.1), Dataset(np.eye(2), np.ones(2)))
 
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 40.0])
     @pytest.mark.parametrize("shape", [(30, 4), (80, 50), (80, 150), (50, 100)])
@@ -217,7 +238,7 @@ class TestRidge:
         gen = np.random.default_rng(43)
         x, y = gen.standard_normal(shape), gen.standard_normal(shape[0])
         want = np.linalg.solve(x.T @ x + lam * np.eye(shape[1]), x.T @ y)
-        got = fit_ridge(Dataset(x, y), lam).coef
+        got = fit(RegressorSpec("ridge", ridge_lambda=lam), Dataset(x, y)).coef
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
     def test_an_overflowing_gram_falls_back_to_augmented_lstsq(self, lstsq_calls):
@@ -226,7 +247,7 @@ class TestRidge:
         # X'X, so it gives the least squares fit
         gen = np.random.default_rng(44)
         x, y = 1e160 * gen.standard_normal((30, 6)), gen.standard_normal(30)
-        got = fit_ridge(Dataset(x, y), 1.0).coef
+        got = fit(RegressorSpec("ridge", ridge_lambda=1.0), Dataset(x, y)).coef
         assert lstsq_calls == [((36, 6), RCOND)]
         want = lstsq_min_norm_oracle(x, y)
         assert np.abs(got - want).max() <= ORACLE_RTOL * np.abs(want).max()
@@ -237,33 +258,33 @@ class TestKnn:
         gen = np.random.default_rng(4)
         x = gen.standard_normal((12, 2))
         y = gen.standard_normal(12)
-        model = fit_knn(Dataset(x, y), 12)
+        model = fit(RegressorSpec("knn", knn_k=12), Dataset(x, y))
         preds = model.predict(gen.standard_normal((5, 2)))
         assert np.allclose(preds, y.mean())
 
     def test_exact_match_with_k1(self):
         x = np.array([[0.0], [5.0], [9.0]])
         y = np.array([1.0, 2.0, 3.0])
-        model = fit_knn(Dataset(x, y), 1)
+        model = fit(RegressorSpec("knn", knn_k=1), Dataset(x, y))
         assert model.predict(np.array([[5.0]]))[0] == 2.0
 
     def test_two_nearest_mean_by_hand(self):
         # distances 1, 2, 3 from the query; mean of the two nearest is 15
         x = np.array([[1.0], [2.0], [3.0]])
         y = np.array([10.0, 20.0, 30.0])
-        model = fit_knn(Dataset(x, y), 2)
+        model = fit(RegressorSpec("knn", knn_k=2), Dataset(x, y))
         assert model.predict(np.array([[0.0]]))[0] == 15.0
 
     def test_distance_ties_break_on_response(self):
         # both rows sit at distance 1; k=1 must pick the smaller response
         x = np.array([[1.0], [-1.0]])
         y = np.array([9.0, 5.0])
-        model = fit_knn(Dataset(x, y), 1)
+        model = fit(RegressorSpec("knn", knn_k=1), Dataset(x, y))
         assert model.predict(np.array([[0.0]]))[0] == 5.0
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(InvalidConfigurationError):
-            fit_knn(Dataset(np.eye(2), np.ones(2)), 3)
+            fit(RegressorSpec("knn", knn_k=3), Dataset(np.eye(2), np.ones(2)))
 
 
 class TestKnnAgainstLexsortOracle:
@@ -287,7 +308,7 @@ class TestKnnAgainstLexsortOracle:
             shift, scale = x.mean(axis=0), x.std(axis=0)
             scale[scale == 0] = 1.0
             x, queries = (x - shift) / scale, (queries - shift) / scale
-        model = fit_knn(Dataset(x, y), kk)
+        model = fit(RegressorSpec("knn", knn_k=kk), Dataset(x, y))
         assert np.array_equal(model.predict(queries), lexsort_knn_oracle(model, queries))
 
     def test_continuous_features(self):
@@ -295,14 +316,14 @@ class TestKnnAgainstLexsortOracle:
         x = gen.standard_normal((300, 8))
         y = gen.standard_normal(300) * 1e3
         for k in (1, 7, 300):
-            model = fit_knn(Dataset(x, y), k)
+            model = fit(RegressorSpec("knn", knn_k=k), Dataset(x, y))
             queries = gen.standard_normal((40, 8))
             assert np.array_equal(model.predict(queries), lexsort_knn_oracle(model, queries))
 
     def test_nan_query_ranks_by_response(self):
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([3.0, 1.0, 2.0])
-        model = fit_knn(Dataset(x, y), 2)
+        model = fit(RegressorSpec("knn", knn_k=2), Dataset(x, y))
         queries = np.array([[np.nan], [0.4]])
         assert np.array_equal(model.predict(queries), lexsort_knn_oracle(model, queries))
 
@@ -415,7 +436,7 @@ class TestKnnModelValidation:
         with pytest.raises(InvalidConfigurationError, match="between 1 and the training size 3"):
             KnnModel(np.zeros((3, 2)), np.zeros(3), k)
         with pytest.raises(InvalidConfigurationError):
-            fit_knn(Dataset(np.zeros((3, 2)), np.zeros(3)), k)
+            fit(RegressorSpec("knn", knn_k=k), Dataset(np.zeros((3, 2)), np.zeros(3)))
         assert KnnModel(np.zeros((3, 2)), np.zeros(3), 3).predict(np.ones(2)) == 0.0
 
     @pytest.mark.parametrize("text", ["ols", "knn:2"])
@@ -460,8 +481,8 @@ class TestPermutationSymmetry:
         # still be permutation-invariant because the tied rows are identical
         x = np.array([[0.0], [0.0], [2.0]])
         y = np.array([4.0, 4.0, 8.0])
-        a = fit_knn(Dataset(x, y), 2).predict(np.array([[0.1]]))[0]
-        b = fit_knn(Dataset(x[::-1], y[::-1]), 2).predict(np.array([[0.1]]))[0]
+        a = fit(RegressorSpec("knn", knn_k=2), Dataset(x, y)).predict(np.array([[0.1]]))[0]
+        b = fit(RegressorSpec("knn", knn_k=2), Dataset(x[::-1], y[::-1])).predict(np.array([[0.1]]))[0]
         assert a == b == 4.0
 
 
@@ -551,10 +572,10 @@ class TestFittedModelsAreReadOnly:
     def test_read_only_arrays_are_not_copied(self):
         gen = np.random.default_rng(3)
         data = Dataset(gen.standard_normal((12, 3)), gen.standard_normal(12))
-        knn = fit_knn(data, 3)
+        knn = fit(RegressorSpec("knn", knn_k=3), data)
         assert np.shares_memory(knn.train_features, data.features)
         assert np.shares_memory(knn.train_responses, data.responses)
-        ols = fit_min_norm_ols(data)
+        ols = fit(RegressorSpec("ols"), data)
         assert np.shares_memory(LinearModel(ols.coef).coef, ols.coef)
 
 
@@ -563,6 +584,8 @@ class TestSpecParsing:
         assert parse_regressor("ols") == RegressorSpec("ols")
         assert parse_regressor("ridge:0.2") == RegressorSpec("ridge", ridge_lambda=0.2)
         assert parse_regressor("knn:25") == RegressorSpec("knn", knn_k=25)
+        assert parse_regressor("ridge") == parse_regressor("ridge:0") == RegressorSpec("ridge")
+        assert parse_regressor("knn:1") == RegressorSpec("knn")
 
     def test_bad_strings(self):
         for text in ["boost", "ridge:x", "knn:2.5", "ols:1"]:
@@ -574,3 +597,14 @@ class TestSpecParsing:
             RegressorSpec("ridge", ridge_lambda=-1.0)
         with pytest.raises(InvalidConfigurationError):
             RegressorSpec("knn", knn_k=0)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("ols", {"ridge_lambda": 0.5}),
+        ("ols", {"knn_k": 3}),
+        ("ridge", {"ridge_lambda": 0.5, "knn_k": 2}),
+        ("knn", {"knn_k": 3, "ridge_lambda": 0.1}),
+    ])
+    def test_a_parameter_the_kind_does_not_use_is_refused(self, kind, params):
+        # an ignored parameter would fit another model than the one asked for
+        with pytest.raises(InvalidConfigurationError, match=f"{kind} takes no"):
+            RegressorSpec(kind, **params)
