@@ -96,8 +96,8 @@ class RegressorSpec:
             raise InvalidConfigurationError(f"{self.kind} takes no ridge penalty")
         if self.knn_k != 1 and self.kind != "knn":
             raise InvalidConfigurationError(f"{self.kind} takes no neighbor count")
-        if self.ridge_lambda < 0:
-            raise InvalidConfigurationError("ridge penalty must be nonnegative")
+        if not 0 <= self.ridge_lambda < math.inf:
+            raise InvalidConfigurationError("ridge penalty must be finite and nonnegative")
         if self.knn_k < 1:
             raise InvalidConfigurationError("knn neighbor count must be at least 1")
 

@@ -588,13 +588,14 @@ class TestSpecParsing:
         assert parse_regressor("knn:1") == RegressorSpec("knn")
 
     def test_bad_strings(self):
-        for text in ["boost", "ridge:x", "knn:2.5", "ols:1"]:
+        for text in ["boost", "ridge:x", "knn:2.5", "ols:1", "ridge:nan", "ridge:inf"]:
             with pytest.raises(InvalidConfigurationError):
                 parse_regressor(text)
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidConfigurationError):
-            RegressorSpec("ridge", ridge_lambda=-1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidConfigurationError, match="finite and nonnegative"):
+                RegressorSpec("ridge", ridge_lambda=lam)
         with pytest.raises(InvalidConfigurationError):
             RegressorSpec("knn", knn_k=0)
 
