@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import threading
 
 
 @functools.cache
@@ -40,20 +41,36 @@ def _openblas() -> tuple:
     return ()
 
 
+# Blocks open in this process, and the count the first of them found; both
+# are read and written only under the lock.
+_lock = threading.Lock()
+_depth = 0
+_saved = 0
+
+
 @contextlib.contextmanager
 def single_threaded_blas():
     """Hold OpenBLAS to one thread inside the block, then restore its count.
 
-    The count is process-wide: concurrent blocks in one process share it.
+    The count is process-wide, so blocks share it: the first block to enter
+    saves the count and sets 1, and the last to leave restores it. Blocks may
+    nest and may overlap in several threads.
     """
+    global _depth, _saved
     api = _openblas()
     if not api:
         yield
         return
     get, put = api
-    previous = get()
-    put(1)
+    with _lock:
+        if _depth == 0:
+            _saved = get()
+            put(1)
+        _depth += 1
     try:
         yield
     finally:
-        put(previous)
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                put(_saved)

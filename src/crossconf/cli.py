@@ -18,6 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .combiners import coverage_bounds
 # assign_folds, compute_cv_scores, split_conformal are unused; perfbench rebinds them here.
 from .conformal_sets import ALL_METHODS, split_conformal
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with _counted_warnings():
+        with _counted_warnings(), single_threaded_blas():
             return args.func(args)
     except InvalidConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -419,19 +419,15 @@ def _run_jobs(jobs, worker, workers: int) -> tuple[list, tuple[TrialFailure, ...
     Job i runs on worker i mod N, N the worker count clamped to the job count.
     Worker 0 is this process and workers 1..N-1 are forked copies of it, each
     returning its results and warning counts over a pipe; a worker's
-    non-numerical exception is raised here. With several workers BLAS is held
-    to one thread in every process: the workers supply the parallelism, and
-    BLAS threads on top of them only contend for the same cores. One worker,
-    or a platform without a safe fork, runs every job here and keeps BLAS's
-    own threads.
+    non-numerical exception is raised here. One worker, or a platform without
+    a safe fork, runs every job here and forks nothing. BLAS is held to one
+    thread in every process for any worker count, so a job's bits do not
+    depend on N.
     """
     jobs = list(jobs)
     workers = min(workers, len(jobs)) if _FORK else 1
-    if workers > 1:
-        with single_threaded_blas():
-            triples = sorted(_forked(worker, jobs, workers), key=lambda t: t[0])
-    else:
-        triples = _share(worker, jobs, 0, 1)
+    with single_threaded_blas():
+        triples = sorted(_forked(worker, jobs, workers), key=lambda t: t[0])
     return [o for _, o, _ in triples], tuple(f for _, _, f in triples if f is not None)
 
 

@@ -11,6 +11,7 @@ row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -98,8 +99,10 @@ class RegressorSpec:
             raise InvalidConfigurationError(f"{self.kind} takes no neighbor count")
         if not 0 <= self.ridge_lambda < math.inf:
             raise InvalidConfigurationError("ridge penalty must be finite and nonnegative")
-        if self.knn_k < 1:
-            raise InvalidConfigurationError("knn neighbor count must be at least 1")
+        if not isinstance(self.knn_k, numbers.Integral) or self.knn_k < 1:
+            raise InvalidConfigurationError(
+                f"knn neighbor count must be an integer of at least 1, got {self.knn_k}"
+            )
 
 
 def parse_regressor(text: str) -> RegressorSpec:
@@ -184,9 +187,10 @@ class KnnModel:
             raise InvalidConfigurationError(
                 f"kNN needs a feature matrix and one response per row, got {shape} and {n}"
             )
-        if not 1 <= self.k <= shape[0]:
+        if not isinstance(self.k, numbers.Integral) or not 1 <= self.k <= shape[0]:
             raise InvalidConfigurationError(
-                f"knn neighbor count {self.k} must lie between 1 and the training size {shape[0]}"
+                f"knn neighbor count {self.k} must be an integer between 1 and the training"
+                f" size {shape[0]}"
             )
 
     def _centred(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

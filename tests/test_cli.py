@@ -28,6 +28,7 @@ from crossconf import (
     simulate_instance,
     split_set_from_state,
 )
+from crossconf import _blas
 from crossconf.experiments import _QUERY_BLOCK
 from crossconf.cli import main
 from crossconf.data_model import _open_unit
@@ -436,6 +437,53 @@ class TestReportBytes:
             one = (tmp_path / ("1" + suffix)).read_bytes()
             assert one == (tmp_path / ("2" + suffix)).read_bytes()
             assert one == (tmp_path / ("3" + suffix)).read_bytes()
+
+
+@pytest.fixture
+def blas_count():
+    """The OpenBLAS thread-count setter, with the count raised to 2 for the test
+    and restored after it. Skips where no OpenBLAS is loaded or the count cannot
+    be raised to 2."""
+    api = _blas._openblas()
+    if not api:
+        pytest.skip("no OpenBLAS loaded")
+    get, put = api
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("the OpenBLAS thread count cannot be raised to 2")
+        yield put
+    finally:
+        put(before)
+
+
+class TestOneBlasPolicy:
+    """Every command holds BLAS to one thread, so its bytes depend neither on
+    --threads nor on the BLAS thread count it starts with. The shapes are large
+    enough that OpenBLAS splits a product over two threads when it may."""
+
+    def test_simulate_bytes_do_not_depend_on_threads(self, tmp_path, blas_count):
+        argv = ["simulate", "--n", "200", "--p", "180", "--reps", "2", "--alpha", "0.1",
+                "--k", "5", "--methods", "mod,cross,split,cv+", "--seed", "7"]
+        for threads in ("1", "2"):
+            assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
+
+    def test_predict_bytes_do_not_depend_on_the_blas_count(self, tmp_path, blas_count):
+        write_dataset_csv(tmp_path / "train.csv", n=200, p=180, seed=4)
+        queries, _ = simulate_instance(8, 180, RandomSource(5))
+        lines = [",".join(f"x{j}" for j in range(180))]
+        lines += [",".join(repr(float(v)) for v in row) for row in queries.features]
+        (tmp_path / "q.csv").write_text("\n".join(lines) + "\n")
+        argv = ["predict", "--data", str(tmp_path / "train.csv"), "--target", "y",
+                "--query", str(tmp_path / "q.csv"), "--alpha", "0.1", "--k", "5",
+                "--methods", ALL_METHODS_ARG, "--seed", "11"]
+        for count in (2, 1):
+            blas_count(count)
+            assert main(argv + ["--out", str(tmp_path / f"{count}.json")]) == 0
+        assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
 
 class TestExitCodes:

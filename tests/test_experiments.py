@@ -242,9 +242,69 @@ class TestBlasPin:
             assert seen and set(seen) == {1}
             assert get() == 2
             simulate(reps=1)
-            assert seen[-1] == 2
+            assert seen[-1] == 1
+            assert get() == 2
         finally:
             put(before)
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        """A stand-in OpenBLAS thread count, 2 to begin with."""
+        count = [2]
+
+        def put(n):
+            count[0] = n
+
+        monkeypatch.setattr(_blas, "_openblas", lambda: (lambda: count[0], put))
+        return count
+
+    def test_overlapping_blocks_in_two_threads_share_one_count(self, count):
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = []
+
+        def first():
+            with _blas.single_threaded_blas():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def second():
+            a_in.wait(10)
+            with _blas.single_threaded_blas():
+                b_in.set()
+                a_out.wait(10)
+                seen.append(count[0])  # the first block has ended; this one still runs
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert a_out.is_set() and seen == [1]
+        assert count[0] == 2
+
+    def test_many_threads_entering_and_leaving_keep_one_inside(self, count):
+        seen = set()
+
+        def loop():
+            for _ in range(2000):
+                with _blas.single_threaded_blas():
+                    time.sleep(0)  # let another thread enter or leave
+                    seen.add(count[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=loop) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {1} and count[0] == 2
 
     @needs_openblas
     def test_count_is_restored_after_an_unguarded_error(self):

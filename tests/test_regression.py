@@ -439,6 +439,15 @@ class TestKnnModelValidation:
             fit(RegressorSpec("knn", knn_k=k), Dataset(np.zeros((3, 2)), np.zeros(3)))
         assert KnnModel(np.zeros((3, 2)), np.zeros(3), 3).predict(np.ones(2)) == 0.0
 
+    @pytest.mark.parametrize("k", [2.5, 2.0])
+    def test_k_must_be_an_integer(self, k):
+        # refused when built, not when a prediction reaches np.partition
+        with pytest.raises(InvalidConfigurationError, match="must be an integer"):
+            RegressorSpec("knn", knn_k=k)
+        with pytest.raises(InvalidConfigurationError, match="must be an integer"):
+            KnnModel(np.zeros((3, 2)), np.zeros(3), k)
+        assert KnnModel(np.zeros((3, 2)), np.zeros(3), np.int64(2)).predict(np.ones(2)) == 0.0
+
     @pytest.mark.parametrize("text", ["ols", "knn:2"])
     def test_query_width_must_match_the_fit(self, text):
         gen = np.random.default_rng(27)
