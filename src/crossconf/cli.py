@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import secrets
 import sys
@@ -22,7 +21,9 @@ from ._blas import single_threaded_blas
 from .combiners import coverage_bounds
 # assign_folds, compute_cv_scores, split_conformal are unused; perfbench rebinds them here.
 from .conformal_sets import ALL_METHODS, split_conformal
-from .data_model import RandomSource, assign_folds, load_csv, load_query_csv
+from .data_model import (
+    FOLD_MODES, RandomSource, assign_folds, json_number, load_csv, load_query_csv,
+)
 from .errors import InvalidConfigurationError, InvalidDataError, NumericalError
 from .experiments import (
     MethodConfig,
@@ -138,11 +139,10 @@ def cmd_run(args) -> int:
 
 
 def _jsonable_set(pset) -> dict:
-    width = pset.width
     return {
         "intervals": pset.to_jsonable(),
         "hulled": pset.hulled,
-        "width": "inf" if math.isinf(width) else width,
+        "width": json_number(pset.width),
         "n_components": pset.n_components,
     }
 
@@ -202,7 +202,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.1, help="miscoverage rate")
     parser.add_argument("--k", type=int, default=5, help="number of folds")
     parser.add_argument(
-        "--fold-mode", choices=["equal", "varying"], default="equal", dest="fold_mode"
+        "--fold-mode", choices=FOLD_MODES, default="equal", dest="fold_mode"
     )
     parser.add_argument(
         "--regressor", default="ols", help="ols | ridge:LAMBDA | knn:K"

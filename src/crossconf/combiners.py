@@ -53,12 +53,9 @@ def _ratio(alpha: float) -> tuple[int, int]:
 def fold_thresholds(alpha: float, k: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The fold methods' thresholds as exact (numerator, denominator) pairs: alpha, read as
     ``repr(alpha)``, the decimal the user typed and the report echoes, and the inflated
-    alpha' = alpha + (1 - alpha)(K - 1)/(K + n) of the -cross forms."""
+    alpha' = alpha + (1 - alpha)(K - 1)/(K + n) of the -cross forms. K and n are those
+    of a fold assignment, which has 1 <= K <= n."""
     num, den = _ratio(alpha)
-    if k < 1:
-        raise InvalidConfigurationError("fold count must be at least 1")
-    if n < k:
-        raise InvalidConfigurationError("need at least as many points as folds")
     return (num, den), (num * (k + n) + (den - num) * (k - 1), den * (k + n))
 
 

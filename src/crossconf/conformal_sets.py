@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combiners import conformal_rank, fold_thresholds
-from .data_model import Dataset, FoldAssignment, RandomDraws, RandomSource, freeze_arrays
+from .data_model import (
+    Dataset, FoldAssignment, RandomDraws, RandomSource, freeze_arrays, json_number,
+)
 from .errors import InvalidConfigurationError
 from .regression import FittedModel, fit
 from .scores import CvScores, ScoreFunctionSpec, fold_predictions
@@ -113,13 +115,7 @@ class PredictionSet:
         return PredictionSet(((self.intervals[0][0], self.intervals[-1][1]),), hulled=True)
 
     def to_jsonable(self) -> list:
-        out = []
-        for lo, hi in self.intervals:
-            out.append([
-                "-inf" if lo == -INF else lo,
-                "inf" if hi == INF else hi,
-            ])
-        return out
+        return [[json_number(lo), json_number(hi)] for lo, hi in self.intervals]
 
 
 def _kth(z: np.ndarray, k: int) -> float:
@@ -142,8 +138,6 @@ class SplitState:
     (row index by bytes, predictions).
     """
 
-    train_idx: np.ndarray
-    cal_idx: np.ndarray
     cal_scores: np.ndarray
     rank: int
     model: FittedModel
@@ -167,7 +161,7 @@ def split_conformal(
     model = fit(spec.regressor, data.subset(train_idx))
     preds = model.predict(data.features[cal_idx])
     cal_scores = np.abs(data.responses[cal_idx] - preds)
-    return SplitState(train_idx, cal_idx, cal_scores, rank, model)
+    return SplitState(cal_scores, rank, model)
 
 
 def split_set_from_state(state: SplitState, test_x) -> PredictionSet:

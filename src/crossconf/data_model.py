@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -35,6 +36,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def json_number(value):
+    """``value`` as strict JSON holds it: NaN as null, an infinity as "inf" or
+    "-inf", anything else unchanged. Every report spells non-finite numbers so."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return None
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+    return value
 
 
 def freeze_arrays(obj) -> None:
@@ -108,79 +120,70 @@ def _check_shapes(features: np.ndarray, responses: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Partition of the point indices {0..n-1} into K folds.
+    """Partition of the point indices {0..n-1} into K folds and a few discarded points.
 
-    Equal-size mode keeps K folds of exactly floor(n/K) points each and
-    discards the n mod K leftover points (chosen uniformly at random so the
-    retained sample stays exchangeable). Varying-size mode keeps every point;
-    fold sizes differ by at most one and the larger folds sit at uniformly
-    random fold indices, which keeps the fold positions exchangeable.
+    ``order`` is a permutation of 0..n-1 listing fold 0, fold 1, ..., then the
+    discarded points; fold k is ``order[offsets[k]:offsets[k + 1]]``. Both are
+    read-only int arrays. Folds are nonempty and their sizes differ by at most
+    one; points may be discarded only when every fold has the same size, and
+    then fewer than K of them. ``assign_folds`` draws the folds of each mode.
     """
 
-    n: int
-    fold_members: tuple[np.ndarray, ...]
-    discarded: np.ndarray
-    mode: str
+    order: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
-        members = tuple(_frozen_array(m, dtype=int) for m in self.fold_members)
-        discarded = _frozen_array(self.discarded, dtype=int)
-        object.__setattr__(self, "fold_members", members)
-        object.__setattr__(self, "discarded", discarded)
-        if self.mode not in FOLD_MODES:
-            raise InvalidConfigurationError(f"unknown fold mode: {self.mode!r}")
-        if len(members) == 0:
-            raise InvalidConfigurationError("need at least one fold")
-        order = np.concatenate(members + (discarded,))
-        flat = np.sort(order)
-        if flat.size != self.n or not np.array_equal(flat, np.arange(self.n)):
+        order = _frozen_array(self.order, dtype=int)
+        offsets = _frozen_array(self.offsets, dtype=int)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "offsets", offsets)
+        if order.ndim != 1 or not np.array_equal(np.sort(order), np.arange(order.size)):
+            raise InvalidConfigurationError("order must be a permutation of 0..n-1")
+        if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] > order.size:
             raise InvalidConfigurationError(
-                "folds plus discarded points must partition the indices 0..n-1"
+                "offsets must start at 0, end at most at n and cut at least one fold"
             )
-        sizes = np.array([m.size for m in members])
+        sizes = np.diff(offsets)
         if sizes.min() < 1:
             raise InvalidConfigurationError("every fold needs at least one point")
-        if self.mode == "equal":
-            if sizes.min() != sizes.max():
-                raise InvalidConfigurationError(
-                    "equal-size mode requires identical fold sizes"
-                )
-            if discarded.size >= len(members):
-                raise InvalidConfigurationError(
-                    "equal-size mode discards fewer than K points"
-                )
-        else:
-            if discarded.size != 0:
-                raise InvalidConfigurationError("varying-size mode keeps every point")
-            if sizes.max() - sizes.min() > 1:
-                raise InvalidConfigurationError(
-                    "varying-size fold sizes may differ by at most one"
-                )
-        # The members in fold order, fold k at _offsets[k]:_offsets[k + 1].
-        offsets = _frozen_array(np.concatenate(([0], np.cumsum(sizes))), dtype=int)
-        object.__setattr__(self, "_members", _frozen_array(order[: offsets[-1]], dtype=int))
-        object.__setattr__(self, "_offsets", offsets)
+        if sizes.max() - sizes.min() > 1:
+            raise InvalidConfigurationError("fold sizes may differ by at most one")
+        discarded = order.size - offsets[-1]
+        if discarded and (sizes.min() != sizes.max() or discarded >= sizes.size):
+            raise InvalidConfigurationError(
+                "points may be discarded only from equal folds, fewer than K of them"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.order.size
 
     @property
     def n_folds(self) -> int:
-        return len(self.fold_members)
+        return self.offsets.size - 1
 
     @property
     def fold_sizes(self) -> np.ndarray:
-        return np.diff(self._offsets)
+        return np.diff(self.offsets)
 
     @property
     def n_used(self) -> int:
         """Number of points that belong to a fold (n minus discarded)."""
-        return self.n - self.discarded.size
+        return int(self.offsets[-1])
+
+    @property
+    def fold_members(self) -> tuple[np.ndarray, ...]:
+        """Each fold's points, as read-only views of ``order``."""
+        cuts = self.offsets.tolist()
+        return tuple(self.order[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
 
     def complement(self, fold: int) -> np.ndarray:
         """Indices of the points used to train fold ``fold``'s model.
 
         Discarded points take no part in training or scoring.
         """
-        return np.concatenate((self._members[: self._offsets[fold]],
-                               self._members[self._offsets[fold + 1]:]))
+        return np.concatenate((self.order[: self.offsets[fold]],
+                               self.order[self.offsets[fold + 1] : self.n_used]))
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,8 @@ def assign_folds(n: int, k: int, mode: str, rng: RandomSource) -> FoldAssignment
 
     Equal-size mode discards a uniformly random subset of size n mod k so that
     every fold has exactly floor(n/k) members. Varying-size mode keeps all
-    points and places the larger folds at uniformly random fold indices.
+    points, and the n mod k folds one point larger sit at uniformly random
+    fold indices, which keeps the fold positions exchangeable.
     """
     if k < 1:
         raise InvalidConfigurationError("fold count must be at least 1")
@@ -243,20 +247,10 @@ def assign_folds(n: int, k: int, mode: str, rng: RandomSource) -> FoldAssignment
         raise InvalidConfigurationError(f"unknown fold mode: {mode!r}")
     gen = rng.generator("folds")
     perm = gen.permutation(n)
-    if mode == "equal":
-        m = n // k
-        members = tuple(perm[i * m : (i + 1) * m] for i in range(k))
-        discarded = perm[k * m :]
-        return FoldAssignment(n, members, discarded, "equal")
-    base, extra = divmod(n, k)
-    sizes = np.full(k, base, dtype=int)
-    if extra:
-        big = gen.choice(k, size=extra, replace=False)
-        sizes[big] += 1
-    stops = np.cumsum(sizes)
-    starts = stops - sizes
-    members = tuple(perm[a:b] for a, b in zip(starts, stops))
-    return FoldAssignment(n, members, np.empty(0, dtype=int), "varying")
+    sizes = np.full(k, n // k)
+    if mode == "varying" and n % k:
+        sizes[gen.choice(k, size=n % k, replace=False)] += 1
+    return FoldAssignment(perm, np.concatenate(([0], np.cumsum(sizes))))
 
 
 def _open_unit(gen: np.random.Generator) -> float:

@@ -40,6 +40,7 @@ from .data_model import (
     RandomDraws,
     RandomSource,
     assign_folds,
+    json_number,
     randomization_stream,
 )
 from .errors import InvalidConfigurationError, NumericalError
@@ -145,25 +146,11 @@ class AggregateReport:
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
-        def scrub(value):
-            if isinstance(value, float):
-                if math.isnan(value):
-                    return None
-                if math.isinf(value):
-                    return "inf" if value > 0 else "-inf"
-            return value
-
         rows = [
-            {col: scrub(getattr(row, col)) for col in REPORT_COLUMNS} for row in self.rows
+            {col: json_number(getattr(row, col)) for col in REPORT_COLUMNS} for row in self.rows
         ]
         payload = {"config": self.config, "n_failed": self.n_failed, "rows": rows}
         return json.dumps(payload, indent=2) + "\n"
-
-    def row(self, method: str, p: int) -> AggregateRow:
-        for r in self.rows:
-            if r.method == method and r.p == p:
-                return r
-        raise KeyError(f"no aggregate row for method={method!r}, p={p}")
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -72,7 +72,7 @@ class CvScores:
         flat = np.concatenate([np.sort(scores[m]) for m in self.folds.fold_members])
         flat.setflags(write=False)
         object.__setattr__(self, "sorted_scores", flat)
-        views = np.split(flat, np.cumsum(self.folds.fold_sizes)[:-1])
+        views = np.split(flat, self.folds.offsets[1:-1])
         object.__setattr__(self, "sorted_by_fold", tuple(views))
 
     @property

@@ -6,9 +6,10 @@ candidate at a time: the fold p-values (deterministic and tau-randomized),
 the four combination statistics, the weighted-mean dual form of the plain
 cross set, the exact verdict of every fold method, the split p-value,
 the CV+ set from raw data and the minimum-norm least squares fit through
-LAPACK lstsq, the CSV loaders as a reader of one row at a time, plus two
-test helpers (set containment and the Monte-Carlo standard error). They use
-only the public API of ``crossconf``.
+LAPACK lstsq, the CSV loaders as a reader of one row at a time, fold
+assignment sliced one way per fold mode, plus test helpers (hand-built folds,
+discarded points, report rows, set containment and the Monte-Carlo standard
+error). They use only the public API of ``crossconf``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from itertools import accumulate
 import numpy as np
 
 from crossconf import (
+    AggregateReport,
+    AggregateRow,
     CvScores,
     Dataset,
     FoldAssignment,
@@ -31,6 +34,7 @@ from crossconf import (
     InvalidDataError,
     PredictionSet,
     RandomDraws,
+    RandomSource,
     RegressorSpec,
     ScoreFunctionSpec,
     SplitState,
@@ -286,6 +290,42 @@ def is_subset(inner: PredictionSet, outer: PredictionSet) -> bool:
         if not any(olo <= lo and hi <= ohi for olo, ohi in outer.intervals):
             return False
     return True
+
+
+def hand_folds(members, discarded=()) -> FoldAssignment:
+    """The assignment whose folds are ``members``, in that order, with the
+    ``discarded`` points after them."""
+    order = np.concatenate([*map(np.asarray, members), np.asarray(discarded)]).astype(int)
+    return FoldAssignment(order, np.concatenate(([0], np.cumsum([len(m) for m in members]))))
+
+
+def discarded(folds: FoldAssignment) -> np.ndarray:
+    """The points of ``folds`` that belong to no fold."""
+    return folds.order[folds.n_used:]
+
+
+def folds_by_mode(n: int, k: int, mode: str, src: RandomSource):
+    """``(fold members, discarded points)`` of ``assign_folds(n, k, mode, src)``,
+    sliced out of the ``"folds"`` stream's permutation one way per mode."""
+    gen = src.generator("folds")
+    perm = gen.permutation(n)
+    if mode == "equal":
+        m = n // k
+        return tuple(perm[i * m : (i + 1) * m] for i in range(k)), perm[k * m :]
+    base, extra = divmod(n, k)
+    sizes = np.full(k, base, dtype=int)
+    if extra:
+        sizes[gen.choice(k, size=extra, replace=False)] += 1
+    stops = np.cumsum(sizes)
+    return tuple(perm[a:b] for a, b in zip(stops - sizes, stops)), np.empty(0, dtype=int)
+
+
+def report_row(report: AggregateReport, method: str, p: int) -> AggregateRow:
+    """The row of ``report`` for ``method`` at covariate count ``p``."""
+    for row in report.rows:
+        if row.method == method and row.p == p:
+            return row
+    raise KeyError(f"no aggregate row for method={method!r}, p={p}")
 
 
 def mc_standard_error(rate: float, reps: int) -> float:

@@ -36,6 +36,7 @@ from oracles import (
     fold_pvalues_at,
     is_subset,
     mc_standard_error,
+    report_row,
     stat_emod,
     stat_eumod,
     stat_mod,
@@ -144,7 +145,7 @@ def test_04_coverage_suite():
     rep = run_simulation(cfg, n=100, p_list=(20,), reps=reps, seed=20250, threads=4)
     floor_all = 0.8 - 3 * mc_standard_error(0.8, reps)
     floor_tight = 0.9 - 3 * mc_standard_error(0.9, reps)
-    cov = {m: rep.row(m, 20).coverage for m in VARIANTS}
+    cov = {m: report_row(rep, m, 20).coverage for m in VARIANTS}
     ok = all(c >= floor_all for c in cov.values())
     ok &= cov["mod"] >= floor_tight and cov["cross"] >= floor_tight
     ok &= all(cov[m] <= 0.93 for m in ("e-mod", "u-mod", "eu-mod"))
@@ -161,7 +162,7 @@ def test_05_instability_spike():
         methods=("mod", "e-mod", "u-mod", "eu-mod", "cross"),
     )
     rep = run_simulation(cfg, n=100, p_list=(40, 80, 120), reps=500, seed=31337, threads=4)
-    w = {(m, p): rep.row(m, p).mean_width for m in cfg.methods for p in (40, 80, 120)}
+    w = {(m, p): report_row(rep, m, p).mean_width for m in cfg.methods for p in (40, 80, 120)}
     spike = w[("mod", 80)] > w[("mod", 40)] and w[("mod", 80)] > w[("mod", 120)]
     ordering = (
         w[("eu-mod", 80)] < w[("e-mod", 80)] < w[("u-mod", 80)] < w[("mod", 80)]
@@ -182,7 +183,7 @@ def test_06_split_conformal_band():
     for alpha in (0.1, 0.2):
         cfg = MethodConfig(alpha=alpha, k=5, regressor=RegressorSpec("ols"), methods=("split",))
         rep = run_simulation(cfg, n=2000, p_list=(10,), reps=reps, seed=4242, threads=4)
-        results[alpha] = rep.row("split", 10).coverage
+        results[alpha] = report_row(rep, "split", 10).coverage
     se1 = mc_standard_error(0.9, reps)
     lo1, hi1 = 0.9 - 3 * se1, 0.9 + 1 / (n_cal + 1) + 3 * se1
     in_band = lo1 <= results[0.1] <= hi1
@@ -229,9 +230,7 @@ def _pvalue_margins(trials, seed, n, k, fixed_big):
             perm = src.generator("folds").permutation(n)
             base = n // k
             sizes = [base + 1 if i < n % k else base for i in range(k)]
-            stops = np.cumsum(sizes)
-            members = tuple(perm[a:b] for a, b in zip(stops - sizes, stops))
-            folds = FoldAssignment(n, members, np.array([], dtype=int), "varying")
+            folds = FoldAssignment(perm, np.concatenate(([0], np.cumsum(sizes))))
         else:
             folds = assign_folds(n, k, "equal", src)
         cv = compute_cv_scores(data, folds, spec)

@@ -134,8 +134,6 @@ class TestAlphaPrime:
     def test_preconditions(self):
         with pytest.raises(InvalidConfigurationError):
             alpha_prime(0.0, 5, 100)
-        with pytest.raises(InvalidConfigurationError):
-            alpha_prime(0.1, 5, 4)
 
 
 # (alpha, n, rank): large-n cases where the float level (1 - alpha)(1 + 1/n)

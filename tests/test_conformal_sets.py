@@ -16,7 +16,6 @@ from crossconf import (
     FOLD_METHODS,
     CvScores,
     Dataset,
-    FoldAssignment,
     InformativenessWarning,
     InvalidConfigurationError,
     LinearModel,
@@ -47,7 +46,9 @@ from oracles import (
     all_fold_pvalues,
     cross_membership_pvalue_form,
     cv_plus_set,
+    discarded,
     exact_fold_method_masks,
+    hand_folds,
     is_subset,
     split_pvalue,
     stat_emod,
@@ -84,15 +85,14 @@ class TestEmpiricalQuantile:
     def split_q(scores, alpha):
         """Half-width of the split set of a zero model on these calibration scores."""
         z = np.asarray(scores, dtype=float)
-        idx = np.arange(z.size)
-        state = SplitState(idx, idx, z, conformal_rank(alpha, z.size), LinearModel(np.zeros(1)))
+        state = SplitState(z, conformal_rank(alpha, z.size), LinearModel(np.zeros(1)))
         return split_set_from_state(state, np.array([0.0])).intervals[0][1]
 
     @staticmethod
     def cv_plus_q(scores, alpha):
         """Half-width of the CV+ set of one zero-model fold holding these scores."""
         z = np.asarray(scores, dtype=float)
-        folds = FoldAssignment(z.size, (np.arange(z.size),), np.array([], dtype=int), "equal")
+        folds = hand_folds([np.arange(z.size)])
         cv = CvScores(z, (LinearModel(np.zeros(1)),), folds)
         return cv_plus_from_scores(cv, folds, np.array([0.0]), alpha).intervals[0][1]
 
@@ -362,7 +362,7 @@ class TestKernelMasks:
 def single_fold_state(scores, coef=0.0):
     """One fold holding len(scores) points, model predicting coef * x."""
     n = len(scores)
-    folds = FoldAssignment(n, (np.arange(n),), np.array([], dtype=int), "equal")
+    folds = hand_folds([np.arange(n)])
     cv = CvScores(np.asarray(scores, float), (LinearModel(np.array([coef])),), folds)
     return cv, folds
 
@@ -494,7 +494,7 @@ def relabelled(cv, folds, order):
     """The same fit with its folds listed in ``order``."""
     models = tuple(cv.fold_models[j] for j in order)
     members = tuple(folds.fold_members[j] for j in order)
-    reordered = FoldAssignment(folds.n, members, folds.discarded, folds.mode)
+    reordered = hand_folds(members, discarded(folds))
     return CvScores(cv.scores, models, reordered), reordered
 
 
@@ -577,14 +577,12 @@ class TestCrossSet:
         model = fit(RegressorSpec("ols"), Dataset(x[:n_train], y[:n_train]))
         cal_x, cal_y = x[n_train:], y[n_train:]
         cal_scores = np.abs(cal_y - model.predict(cal_x))
-        folds = FoldAssignment(n_cal, (np.arange(n_cal),), np.array([], dtype=int), "equal")
+        folds = hand_folds([np.arange(n_cal)])
         cv = CvScores(cal_scores, (model,), folds)
         alpha = 0.2
         test_x = gen.standard_normal(3)
         cross = fold_method_sets(cv, folds, test_x, alpha, ["cross"])["cross"]
-        state = SplitState(
-            np.arange(n_train), np.arange(n_cal), cal_scores, conformal_rank(alpha, n_cal), model,
-        )
+        state = SplitState(cal_scores, conformal_rank(alpha, n_cal), model)
         split = split_set_from_state(state, test_x)
         assert cross.intervals == split.intervals
 
@@ -612,17 +610,13 @@ class TestSplitConformal:
     def test_hand_calibration_example(self):
         # zero model, calibration scores 1..10, alpha = 0.2: rank
         # ceil(0.8 * 11) = ceil(8.8) = 9, q = 9, so the set is [-9, 9]
-        state = SplitState(
-            np.arange(10), np.arange(10), np.arange(1.0, 11.0), 9, LinearModel(np.zeros(1)),
-        )
+        state = SplitState(np.arange(1.0, 11.0), 9, LinearModel(np.zeros(1)))
         s = split_set_from_state(state, np.array([0.0]))
         assert s.intervals == ((-9.0, 9.0),)
 
     def test_level_above_one_gives_whole_line_with_warning(self):
         # alpha = 0.1: rank ceil(0.9 * 5) = 5, past the four scores
-        state = SplitState(
-            np.arange(4), np.arange(4), np.arange(1.0, 5.0), 5, LinearModel(np.zeros(1)),
-        )
+        state = SplitState(np.arange(1.0, 5.0), 5, LinearModel(np.zeros(1)))
         with pytest.warns(InformativenessWarning):
             s = split_set_from_state(state, np.array([0.0]))
         assert s.intervals == ((-INF, INF),)
@@ -637,12 +631,17 @@ class TestSplitConformal:
             assert s.contains(y) == (split_pvalue(state, tx, float(y)) > 0.1)
 
     def test_split_halves_are_disjoint_and_exhaustive(self):
+        # the model is fitted on the first 16 points of the "split" stream's
+        # permutation (odd n: the extra point trains) and scores the other 15
         src = RandomSource(8)
         data, _ = simulate_instance(31, 3, src)
         state = split_conformal(data, 0.1, ScoreFunctionSpec(), src)
-        merged = np.sort(np.concatenate([state.train_idx, state.cal_idx]))
-        assert np.array_equal(merged, np.arange(31))
-        assert state.train_idx.size == 16  # odd n: extra point trains
+        perm = RandomSource(8).generator("split").permutation(31)
+        model = fit(RegressorSpec("ols"), data.subset(perm[:16]))
+        cal = perm[16:]
+        scores = np.abs(data.responses[cal] - model.predict(data.features[cal]))
+        assert state.model.coef.tobytes() == model.coef.tobytes()
+        assert state.cal_scores.tobytes() == scores.tobytes()
 
 
 class TestCvPlus:

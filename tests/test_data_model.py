@@ -25,7 +25,7 @@ from crossconf import (
     load_query_csv,
     randomization_stream,
 )
-from oracles import load_csv_by_rows, load_query_csv_by_rows
+from oracles import discarded, folds_by_mode, hand_folds, load_csv_by_rows, load_query_csv_by_rows
 
 
 class TestDataset:
@@ -68,20 +68,20 @@ class TestAssignFolds:
     def test_divisible_case_has_no_discards(self):
         folds = assign_folds(10, 5, "equal", RandomSource(1))
         assert all(m.size == 2 for m in folds.fold_members)
-        assert folds.discarded.size == 0
+        assert discarded(folds).size == 0
         assert folds.n_used == 10
 
     def test_remainder_is_discarded_in_equal_mode(self):
         folds = assign_folds(11, 5, "equal", RandomSource(1))
         assert all(m.size == 2 for m in folds.fold_members)
-        assert folds.discarded.size == 1
+        assert discarded(folds).size == 1
         assert folds.n_used == 10
 
     def test_varying_mode_keeps_every_point(self):
         folds = assign_folds(101, 5, "varying", RandomSource(3))
         sizes = sorted(folds.fold_sizes, reverse=True)
         assert sizes == [21, 20, 20, 20, 20]
-        assert folds.discarded.size == 0
+        assert discarded(folds).size == 0
 
     def test_partition_property_exhaustive(self):
         # folds plus discarded recover 0..n-1 exactly, for all n <= 30, K <= n
@@ -89,7 +89,7 @@ class TestAssignFolds:
             for k in range(1, n + 1):
                 for mode in ("equal", "varying"):
                     folds = assign_folds(n, k, mode, RandomSource(99, n * 100 + k))
-                    pieces = [m for m in folds.fold_members] + [folds.discarded]
+                    pieces = [m for m in folds.fold_members] + [discarded(folds)]
                     flat = np.sort(np.concatenate(pieces))
                     assert np.array_equal(flat, np.arange(n)), (n, k, mode)
 
@@ -114,7 +114,7 @@ class TestAssignFolds:
         a = assign_folds(37, 4, "equal", RandomSource(123, 9))
         b = assign_folds(37, 4, "equal", RandomSource(123, 9))
         assert all(np.array_equal(x, y) for x, y in zip(a.fold_members, b.fold_members))
-        assert np.array_equal(a.discarded, b.discarded)
+        assert np.array_equal(discarded(a), discarded(b))
         c = assign_folds(37, 4, "equal", RandomSource(123, 10))
         assert any(
             not np.array_equal(x, y) for x, y in zip(a.fold_members, c.fold_members)
@@ -130,9 +130,56 @@ class TestAssignFolds:
 
     def test_manual_assignment_validation(self):
         with pytest.raises(InvalidConfigurationError):
-            FoldAssignment(4, (np.array([0, 1]), np.array([1, 2])), np.array([3]), "equal")
+            hand_folds([[0, 1], [1, 2]], [3])
         with pytest.raises(InvalidConfigurationError):
-            FoldAssignment(4, (np.array([0, 1, 2]), np.array([3])), np.array([]), "equal")
+            hand_folds([[0, 1, 2], [3]])
+
+    @pytest.mark.parametrize(
+        "order,offsets,match",
+        [
+            ([0, 1, 1, 3], [0, 2, 4], "permutation"),
+            ([0, 2, 3, 4], [0, 2, 4], "permutation"),
+            ([0, 1, 2, 3], [1, 2, 4], "start at 0"),
+            ([0, 1, 2, 3], [0, 2, 5], "at most at n"),
+            ([0, 1, 2], [0], "at least one fold"),
+            ([0, 1, 2, 3], [0, 2, 2, 4], "at least one point"),
+            ([0, 1, 2, 3, 4, 5, 6], [0, 1, 4, 7], "differ by at most one"),
+            ([0, 1, 2, 3, 4, 5], [0, 3, 5], "discarded only from equal folds"),
+            ([0, 1, 2, 3, 4], [0, 1, 2], "fewer than K"),
+        ],
+        ids=["repeated-index", "index-past-n", "offsets-not-from-0", "offsets-past-n",
+             "no-fold", "empty-fold", "sizes-differ-by-2", "discard-with-unequal-folds",
+             "k-or-more-discarded"],
+    )
+    def test_hand_built_assignment_refusals(self, order, offsets, match):
+        with pytest.raises(InvalidConfigurationError, match=match):
+            FoldAssignment(order, offsets)
+
+    def test_hand_built_assignment_accepts_both_modes(self):
+        # equal folds with fewer than K discarded, and unequal folds keeping every point
+        equal = hand_folds([[3, 0], [4, 1]], [2])
+        assert equal.n_used == 4 and discarded(equal).tolist() == [2]
+        assert hand_folds([[3, 0], [4], [1, 2]]).fold_sizes.tolist() == [2, 1, 2]
+        assert not equal.order.flags.writeable and not equal.offsets.flags.writeable
+        assert all(not m.flags.writeable for m in equal.fold_members)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(5, 60), k=st.sampled_from(["1", "5", "n"]),
+           mode=st.sampled_from(["equal", "varying"]), seed=st.integers(0, 2**32 - 1))
+    def test_assign_folds_slices_the_stream_as_each_mode_did(self, n, k, mode, seed):
+        # one permutation cut at K + 1 offsets gives the members, discarded
+        # points and complements of slicing the "folds" stream one way per mode
+        k = {"1": 1, "5": 5, "n": n}[k]
+        folds = assign_folds(n, k, mode, RandomSource(seed, 3))
+        members, rest = folds_by_mode(n, k, mode, RandomSource(seed, 3))
+        assert folds.n_folds == len(members) == k
+        for got, want in zip(folds.fold_members, members):
+            assert got.tobytes() == want.tobytes()
+        assert discarded(folds).tobytes() == rest.tobytes()
+        for j in range(k):
+            others = [m for i, m in enumerate(members) if i != j]
+            want = np.concatenate(others) if others else np.empty(0, dtype=int)
+            assert folds.complement(j).tobytes() == want.tobytes()
 
 
     @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from crossconf.data_model import RandomDraws, _open_unit
 from crossconf.cli import _write_report
 from crossconf.experiments import _simulation_trial
 from conftest import make_pipeline
-from oracles import mc_standard_error
+from oracles import mc_standard_error, report_row
 
 needs_openblas = pytest.mark.skipif(not _blas._openblas(), reason="no OpenBLAS loaded")
 
@@ -136,7 +136,7 @@ class TestRunSimulation:
         # at alpha = 0.5 the 1 - 2*alpha guarantee is vacuous; the harness
         # still runs and reports a proper fraction
         cfg = base_config(alpha=0.5, k=2, methods=("mod",))
-        row = simulate(cfg, n=40, p_list=(2,), reps=2000).row("mod", 2)
+        row = report_row(simulate(cfg, n=40, p_list=(2,), reps=2000), "mod", 2)
         assert 0.0 <= row.coverage <= 1.0
 
     def test_csv_and_json_outputs(self, tmp_path):
@@ -160,12 +160,12 @@ class TestRunSimulation:
             base_config(methods=("mod", "bogus"))
 
     def test_repeated_covariate_count_rejected(self):
-        # AggregateReport.row finds a row by (method, p), so each p gets one row
+        # a report row is found by (method, p), so each p gets one row
         with pytest.raises(InvalidConfigurationError, match="listed only once"):
             simulate(p_list=(3, 5, 3))
 
     def test_repeated_method_rejected(self):
-        # AggregateReport.row finds a row by (method, p), so each method gets one row
+        # a report row is found by (method, p), so each method gets one row
         with pytest.raises(InvalidConfigurationError, match="each method may be listed only once"):
             base_config(methods=("mod", "split", "mod"))
 
@@ -616,7 +616,7 @@ class TestFitState:
 
         monkeypatch.setattr(ex, "compute_cv_scores", counted)
         report = simulate(base_config(methods=("split",)), reps=10)
-        assert calls == [] and report.row("split", 4).reps == 10
+        assert calls == [] and report_row(report, "split", 4).reps == 10
 
     def test_split_rows_do_not_depend_on_the_fold_models(self):
         alone = simulate(base_config(methods=("split",)))
@@ -661,8 +661,8 @@ class TestRunRealData:
         data = self.synthetic(2600, 5, seed=3)
         cfg = base_config(alpha=0.1, k=5, methods=("mod", "cross"))
         report = run_real(data, cfg, train_size=2000, test_size=500, trials=1, seed=11)
-        mod = report.row("mod", 5)
-        cross = report.row("cross", 5)
+        mod = report_row(report, "mod", 5)
+        cross = report_row(report, "cross", 5)
         assert abs(mod.coverage - cross.coverage) <= 0.01
 
     def test_size_preconditions(self):

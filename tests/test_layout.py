@@ -172,6 +172,28 @@ def test_every_exported_name_is_used_outside_the_tests():
     assert sorted(exported - used) == []
 
 
+def test_every_public_method_of_a_class_is_read_by_the_program():
+    # a method or property that only tests read is a test helper: it belongs
+    # in tests/. A read inside the method's own body does not count.
+    package = Path(crossconf.__file__).parent
+    methods, reads = [], []
+    for path in sorted(package.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += [(path, node.attr, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+        if path.parent == package:
+            methods += [(path, cls.name, fn) for cls in ast.walk(tree)
+                        if isinstance(cls, ast.ClassDef) for fn in cls.body
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not fn.name.startswith("_")]
+    unread = [
+        f"{path.stem}.{cls}.{fn.name}" for path, cls, fn in methods
+        if not any(attr == fn.name and not (where == path and fn.lineno <= line <= fn.end_lineno)
+                   for where, attr, line in reads)
+    ]
+    assert unread == []
+
+
 def _defaulted_parameters(fn: ast.FunctionDef):
     """(position or None, name) of each parameter of fn that has a default; a
     keyword-only parameter has no position."""

@@ -19,7 +19,7 @@ from crossconf import (
     compute_cv_scores,
     simulate_instance,
 )
-from oracles import all_fold_pvalues, fold_pvalue, fold_pvalue_randomized
+from oracles import all_fold_pvalues, fold_pvalue, fold_pvalue_randomized, hand_folds
 
 
 class TestFoldPvalue:
@@ -70,7 +70,7 @@ def hand_cv(models, scores, folds):
 class TestAllFoldPvalues:
     def test_single_fold_reduces_to_fold_pvalue(self):
         # hand-built state: one fold holding every point, model predicting 2*x
-        folds = FoldAssignment(3, (np.arange(3),), np.array([], dtype=int), "equal")
+        folds = hand_folds([np.arange(3)])
         cv = hand_cv([LinearModel(np.array([2.0]))], [0.5, 1.5, 2.5], folds)
         x, y = np.array([1.0]), 3.0  # test score |3 - 2| = 1
         pv = all_fold_pvalues(x, y, cv, folds)
@@ -80,12 +80,7 @@ class TestAllFoldPvalues:
     def test_three_fold_hand_example(self):
         # fold scores (1,3), (5,7), (0,9) and test scores 2, 8, 10 give
         # rank counts 1, 0, 0, hence (2/3, 1/3, 1/3)
-        folds = FoldAssignment(
-            6,
-            (np.array([0, 1]), np.array([2, 3]), np.array([4, 5])),
-            np.array([], dtype=int),
-            "equal",
-        )
+        folds = hand_folds([[0, 1], [2, 3], [4, 5]])
         models = [LinearModel(np.array([c])) for c in (2.0, 8.0, 10.0)]
         cv = hand_cv(models, [1.0, 3.0, 5.0, 7.0, 0.0, 9.0], folds)
         pv = all_fold_pvalues(np.array([1.0]), 0.0, cv, folds)
@@ -95,9 +90,7 @@ class TestAllFoldPvalues:
     def test_shared_tau_across_folds(self):
         # identical folds with a tie at the test score: each p-value equals
         # (2 tau + 1) / 3, which pins the single shared tau
-        folds = FoldAssignment(
-            4, (np.array([0, 1]), np.array([2, 3])), np.array([], dtype=int), "equal"
-        )
+        folds = hand_folds([[0, 1], [2, 3]])
         models = [LinearModel(np.array([1.0])), LinearModel(np.array([1.0]))]
         cv = hand_cv(models, [2.0, 5.0, 2.0, 5.0], folds)
         draws = RandomDraws(tau=0.25, u=0.5)
@@ -140,9 +133,7 @@ def sample_first_last_pvalues(trials, seed, n, k, fixed_big_fold=False):
             perm = src.generator("folds").permutation(n)
             base = n // k
             sizes = [base + 1 if i < n % k else base for i in range(k)]
-            stops = np.cumsum(sizes)
-            members = tuple(perm[a:b] for a, b in zip(stops - sizes, stops))
-            folds = FoldAssignment(n, members, np.array([], dtype=int), "varying")
+            folds = FoldAssignment(perm, np.concatenate(([0], np.cumsum(sizes))))
         else:
             folds = assign_folds(n, k, "equal", src)
         cv = compute_cv_scores(data, folds, spec)

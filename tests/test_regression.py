@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from crossconf import (
     CvScores,
     Dataset,
-    FoldAssignment,
     InvalidConfigurationError,
     KnnModel,
     LinearModel,
@@ -27,7 +26,7 @@ from crossconf import (
 )
 from crossconf import regression
 from crossconf.regression import _KNN_BLOCK_BYTES, RCOND
-from oracles import lstsq_min_norm_oracle
+from oracles import discarded, hand_folds, lstsq_min_norm_oracle
 
 
 def lexsort_knn_oracle(model, queries):
@@ -537,7 +536,7 @@ class TestRowWisePredictions:
             for _ in range(3):
                 shuffled = list(folds.fold_members)
                 shuffled[k] = gen.permutation(members)
-                relabelled = FoldAssignment(folds.n, tuple(shuffled), folds.discarded, folds.mode)
+                relabelled = hand_folds(shuffled, discarded(folds))
                 got = compute_cv_scores(data, relabelled, spec).scores
                 # fold k's model trains on the same rows in the same order
                 assert got[members].tobytes() == base[members].tobytes()
@@ -558,20 +557,20 @@ class TestFittedModelsAreReadOnly:
                 arr[...] += 1.0
 
     def test_hand_built_types_own_read_only_copies(self):
-        coef, feats, resp, idx = np.array([1.0]), np.ones((3, 1)), np.arange(3.0), np.arange(2)
+        coef, feats, resp = np.array([1.0]), np.ones((3, 1)), np.arange(3.0)
         built = [LinearModel(coef), KnnModel(feats, resp, 2),
-                 SplitState(idx, idx, resp[:2], 2, LinearModel(coef))]
+                 SplitState(resp[:2], 2, LinearModel(coef))]
         for obj in built:
             for f in dataclasses.fields(obj):
                 arr = getattr(obj, f.name)
                 if isinstance(arr, np.ndarray):
-                    assert not any(np.shares_memory(arr, a) for a in (coef, feats, resp, idx))
+                    assert not any(np.shares_memory(arr, a) for a in (coef, feats, resp))
                     with pytest.raises(ValueError):
                         arr[...] = 0
 
     def test_a_memoized_fold_context_cannot_go_stale(self):
         models = [LinearModel(np.array([1.0])), LinearModel(np.array([2.0]))]
-        folds = FoldAssignment(4, (np.array([0, 1]), np.array([2, 3])), np.array([], int), "equal")
+        folds = hand_folds([[0, 1], [2, 3]])
         cv = CvScores([0.5, 1.0, 1.5, 2.0], models, folds)
         before = cv_plus_from_scores(cv, folds, [1.0], 0.4)
         with pytest.raises(ValueError):

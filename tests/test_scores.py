@@ -8,7 +8,6 @@ import pytest
 from crossconf import (
     CvScores,
     Dataset,
-    FoldAssignment,
     InvalidConfigurationError,
     LinearModel,
     RandomSource,
@@ -19,6 +18,7 @@ from crossconf import (
     fit,
 )
 from crossconf.scores import fold_predictions
+from oracles import discarded, hand_folds
 
 
 def brute_force_scores(data, folds, spec):
@@ -35,9 +35,7 @@ class TestComputeCvScores:
     def test_zero_model_gives_absolute_responses(self):
         # all-zero features force every OLS complement model to predict 0
         data = Dataset(np.zeros((3, 1)), np.array([1.0, -2.0, 3.0]))
-        folds = FoldAssignment(
-            3, (np.array([0]), np.array([1]), np.array([2])), np.array([], dtype=int), "equal"
-        )
+        folds = hand_folds([[0], [1], [2]])
         cv = compute_cv_scores(data, folds, ScoreFunctionSpec())
         assert np.allclose(cv.scores, [1.0, 2.0, 3.0])
 
@@ -47,9 +45,7 @@ class TestComputeCvScores:
         gen = np.random.default_rng(0)
         x = gen.standard_normal((4, 2))
         y = np.array([1.0, -2.0, 0.0, 0.0])
-        folds = FoldAssignment(
-            4, (np.array([0, 1]), np.array([2, 3])), np.array([], dtype=int), "equal"
-        )
+        folds = hand_folds([[0, 1], [2, 3]])
         cv = compute_cv_scores(Dataset(x, y), folds, ScoreFunctionSpec())
         assert np.allclose(cv.scores[[0, 1]], [1.0, 2.0], atol=1e-12)
 
@@ -76,16 +72,16 @@ class TestComputeCvScores:
         folds = assign_folds(11, 5, "equal", RandomSource(7))
         spec = ScoreFunctionSpec()
         cv = compute_cv_scores(data, folds, spec)
-        assert np.isnan(cv.scores[folds.discarded]).all()
+        assert np.isnan(cv.scores[discarded(folds)]).all()
         # oracle trains only on the retained complement, so agreement proves
         # the discarded point was excluded from every training set
         oracle = brute_force_scores(data, folds, spec)
-        used = np.setdiff1d(np.arange(11), folds.discarded)
+        used = np.setdiff1d(np.arange(11), discarded(folds))
         assert np.allclose(cv.scores[used], oracle[used], atol=1e-12)
 
     def test_single_fold_has_empty_complement(self):
         data = Dataset(np.eye(4), np.ones(4))
-        folds = FoldAssignment(4, (np.arange(4),), np.array([], dtype=int), "equal")
+        folds = hand_folds([np.arange(4)])
         with pytest.raises(InvalidConfigurationError):
             compute_cv_scores(data, folds, ScoreFunctionSpec())
 
@@ -103,7 +99,7 @@ class TestCvScoresFolds:
     @staticmethod
     def two_folds():
         # fold 0 holds points 0 and 3, fold 1 points 1 and 2; point 4 is discarded
-        folds = FoldAssignment(5, (np.array([0, 3]), np.array([1, 2])), np.array([4]), "equal")
+        folds = hand_folds([[0, 3], [1, 2]], [4])
         models = (LinearModel(np.array([1.0])), LinearModel(np.array([2.0])))
         return folds, models
 
