@@ -138,10 +138,10 @@ def cmd_run(args) -> int:
     return _write_report(report, args.out)
 
 
-def _jsonable_set(pset) -> dict:
+def _jsonable_set(pset, hulled: bool) -> dict:
     return {
         "intervals": pset.to_jsonable(),
-        "hulled": pset.hulled,
+        "hulled": hulled and bool(pset.intervals),
         "width": json_number(pset.width),
         "n_components": pset.n_components,
     }
@@ -158,7 +158,7 @@ def cmd_predict(args) -> int:
     for j, sets in enumerate(query_sets(cfg, cv, split_state, query, src)):
         if args.hull:
             sets = {m: s.hull() for m, s in sets.items()}
-        predictions.append({"row": j, "sets": {m: _jsonable_set(s) for m, s in sets.items()}})
+        predictions.append({"row": j, "sets": {m: _jsonable_set(s, args.hull) for m, s in sets.items()}})
     payload = {
         "config": {"command": "predict", "alpha": args.alpha, "k": args.k,
                    "methods": list(cfg.methods), "seed": seed, "fold_mode": args.fold_mode,

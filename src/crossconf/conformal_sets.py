@@ -71,12 +71,10 @@ class InformativenessWarning(UserWarning):
 class PredictionSet:
     """Finite union of disjoint closed intervals, sorted by lower endpoint.
 
-    Endpoints may be -inf/+inf. ``hulled`` marks a set that was collapsed to
-    its convex hull, in which case it holds exactly one interval.
+    Endpoints may be -inf/+inf.
     """
 
     intervals: tuple[tuple[float, float], ...]
-    hulled: bool = False
 
     def __post_init__(self):
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
@@ -90,8 +88,6 @@ class PredictionSet:
                 raise InvalidConfigurationError("intervals must be sorted and disjoint")
             prev_hi = hi
             first = False
-        if self.hulled and len(ivs) != 1:
-            raise InvalidConfigurationError("a hulled set holds exactly one interval")
 
     @property
     def n_components(self) -> int:
@@ -112,7 +108,7 @@ class PredictionSet:
         """Single interval spanning the extreme endpoints."""
         if not self.intervals:
             return self
-        return PredictionSet(((self.intervals[0][0], self.intervals[-1][1]),), hulled=True)
+        return PredictionSet(((self.intervals[0][0], self.intervals[-1][1]),))
 
     def to_jsonable(self) -> list:
         return [[json_number(lo), json_number(hi)] for lo, hi in self.intervals]
@@ -123,11 +119,28 @@ def _kth(z: np.ndarray, k: int) -> float:
     return INF if k > z.size else float(np.partition(z, k - 1)[k - 1])
 
 
+def _rank_set(mu, scores: np.ndarray, rank: int, noun: str, method: str) -> PredictionSet:
+    """The interval from the ``rank``-th largest of mu - S_i to the ``rank``-th smallest
+    of mu + S_i, for split conformal (one model) and CV+ alike. Empty when the ends cross;
+    the whole line, with a warning for the builder's caller, exactly when both ends are
+    infinite. The lower end negates twice, so a +0.0 end keeps its sign."""
+    with np.errstate(over="ignore"):  # an end past the largest double is unbounded
+        lo = -_kth(-(mu - scores), rank)
+        hi = _kth(mu + scores, rank)
+    if lo == -INF and hi == INF:
+        warnings.warn(
+            f"rank {rank} is past the {scores.size} {noun}; the {method} set is the whole line",
+            InformativenessWarning,
+            stacklevel=3,
+        )
+    return PredictionSet(() if lo > hi else ((lo, hi),))
+
+
 # ---------------------------------------------------------------------------
 # Split conformal prediction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitState:
     """Frozen result of one train/calibration split.
 
@@ -141,8 +154,10 @@ class SplitState:
     cal_scores: np.ndarray
     rank: int
     model: FittedModel
-    last_block: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    __post_init__ = freeze_arrays
+    last_block: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        freeze_arrays(self, cal_scores=float)
 
 
 def split_conformal(
@@ -165,19 +180,10 @@ def split_conformal(
 
 
 def split_set_from_state(state: SplitState, test_x) -> PredictionSet:
-    """Residual-score split interval mu(test_x) +/- calibration quantile, with
-    mu(test_x) read through the state's last block."""
+    """Residual-score split interval mu(test_x) +/- calibration quantile: the CV+ set
+    of the one split model, with mu(test_x) read through the state's last block."""
     mu = float(_predicted(state, test_x))
-    q = _kth(state.cal_scores, state.rank)
-    if math.isinf(q):
-        warnings.warn(
-            f"rank {state.rank} is past the {state.cal_scores.size} calibration scores; "
-            "the split set is the whole line",
-            InformativenessWarning,
-            stacklevel=2,
-        )
-        return PredictionSet(((-INF, INF),))
-    return PredictionSet(((mu - q, mu + q),))
+    return _rank_set(mu, state.cal_scores, state.rank, "calibration scores", "split")
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +415,9 @@ def cv_plus_from_scores(
     """Interval between the ``conformal_rank``-th order statistics of mu_k(i)(x) -/+ S_i.
 
     Always a single interval (possibly empty or the whole line); contains the
-    plain cross-validation conformal set under the residual score.
+    plain cross-validation conformal set under the residual score. Split
+    conformal is this set of one model.
     """
     rank = conformal_rank(alpha, folds.n_used)
     mu_i = np.repeat(_fold_mu(cv, folds, test_x), folds.fold_sizes)
-    hi = _kth(mu_i + cv.sorted_scores, rank)
-    lo = -_kth(-(mu_i - cv.sorted_scores), rank)
-    if math.isinf(hi) or math.isinf(lo):
-        warnings.warn(
-            f"rank {rank} is past the {folds.n_used} scores; the CV+ set is the whole line",
-            InformativenessWarning,
-            stacklevel=2,
-        )
-        return PredictionSet(((-INF, INF),))
-    if lo > hi:  # inverted quantiles can only happen at levels below one half
-        return PredictionSet(())
-    return PredictionSet(((lo, hi),))
+    return _rank_set(mu_i, cv.sorted_scores, rank, "scores", "CV+")

@@ -32,12 +32,6 @@ __all__ = [
 FOLD_MODES = ("equal", "varying")
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def json_number(value):
     """``value`` as strict JSON holds it: NaN as null, an infinity as "inf" or
     "-inf", anything else unchanged. Every report spells non-finite numbers so."""
@@ -49,33 +43,35 @@ def json_number(value):
     return value
 
 
-def freeze_arrays(obj) -> None:
-    """Make each array field of a frozen dataclass read-only, copying only a writable one."""
-    for name, arr in vars(obj).items():
-        if isinstance(arr, np.ndarray) and arr.flags.writeable:
-            object.__setattr__(obj, name, arr.copy())
-            getattr(obj, name).setflags(write=False)
+def freeze_arrays(obj, **dtypes) -> None:
+    """Make each field of a frozen dataclass named in ``dtypes`` a read-only array of that
+    dtype which owns its memory: such an array is kept, any other value converted or
+    copied once, so no container shares memory with a writable array."""
+    for name, dtype in dtypes.items():
+        value = getattr(obj, name)
+        if not (isinstance(value, np.ndarray) and value.flags.owndata
+                and not value.flags.writeable and value.dtype == dtype):
+            value = np.array(value, dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(obj, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix (n rows, p columns) plus a response vector of length n.
 
     All entries must be finite; row i of ``features`` pairs with
-    ``responses[i]``. Arrays are copied and marked read-only.
+    ``responses[i]``. Arrays are frozen by ``freeze_arrays``.
     """
 
     features: np.ndarray
     responses: np.ndarray
 
     def __post_init__(self):
-        features = _frozen_array(self.features)
-        responses = _frozen_array(self.responses)
-        _check_shapes(features, responses)
-        if not np.isfinite(features).all() or not np.isfinite(responses).all():
+        freeze_arrays(self, features=float, responses=float)
+        _check_shapes(self.features, self.responses)
+        if not np.isfinite(self.features).all() or not np.isfinite(self.responses).all():
             raise InvalidDataError("all feature and response entries must be finite")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "responses", responses)
 
     @property
     def n(self) -> int:
@@ -118,7 +114,7 @@ def _check_shapes(features: np.ndarray, responses: np.ndarray) -> None:
         raise InvalidDataError("need at least one row and one feature column")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
     """Partition of the point indices {0..n-1} into K folds and a few discarded points.
 
@@ -133,10 +129,8 @@ class FoldAssignment:
     offsets: np.ndarray
 
     def __post_init__(self):
-        order = _frozen_array(self.order, dtype=int)
-        offsets = _frozen_array(self.offsets, dtype=int)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "offsets", offsets)
+        freeze_arrays(self, order=int, offsets=int)
+        order, offsets = self.order, self.offsets
         if order.ndim != 1 or not np.array_equal(np.sort(order), np.arange(order.size)):
             raise InvalidConfigurationError("order must be a permutation of 0..n-1")
         if offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] > order.size:

@@ -142,7 +142,7 @@ def _as_matrix(x, width: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """Linear predictor x -> x @ coef (no intercept term); ``coef`` is read-only.
 
@@ -151,13 +151,15 @@ class LinearModel:
     rows around it."""
 
     coef: np.ndarray
-    __post_init__ = freeze_arrays
+
+    def __post_init__(self):
+        freeze_arrays(self, coef=float)
 
     def predict(self, x) -> np.ndarray:
         return np.vecdot(_as_matrix(x, self.coef.shape[0]), self.coef)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnModel:
     """Mean response of the k nearest training rows by Euclidean distance.
 
@@ -181,7 +183,7 @@ class KnnModel:
     k: int
 
     def __post_init__(self):
-        freeze_arrays(self)
+        freeze_arrays(self, train_features=float, train_responses=float)
         shape, n = np.shape(self.train_features), np.shape(self.train_responses)
         if len(shape) != 2 or n != shape[:1]:
             raise InvalidConfigurationError(

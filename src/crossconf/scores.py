@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import Dataset, FoldAssignment
+from .data_model import Dataset, FoldAssignment, freeze_arrays
 from .errors import InvalidConfigurationError
 from .regression import FittedModel, RegressorSpec, fit
 
@@ -40,7 +40,7 @@ class ScoreFunctionSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CvScores:
     """Per-point cross-validation scores, the K fold models and the folds they were scored on.
 
@@ -55,21 +55,19 @@ class CvScores:
     scores: np.ndarray
     fold_models: tuple[FittedModel, ...]
     folds: FoldAssignment
-    sorted_scores: np.ndarray = field(init=False, repr=False, compare=False)
-    sorted_by_fold: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    last_block: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    sorted_scores: np.ndarray = field(init=False, repr=False)
+    sorted_by_fold: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    last_block: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=float)
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
+        freeze_arrays(self, scores=float)
         object.__setattr__(self, "fold_models", tuple(self.fold_models))
-        if self.n_folds != self.folds.n_folds or scores.shape != (self.folds.n,):
+        if self.n_folds != self.folds.n_folds or self.scores.shape != (self.folds.n,):
             raise InvalidConfigurationError(
-                f"{self.n_folds} fold models and scores of shape {scores.shape} do not fit "
+                f"{self.n_folds} fold models and scores of shape {self.scores.shape} do not fit "
                 f"an assignment of {self.folds.n_folds} folds over {self.folds.n} points"
             )
-        flat = np.concatenate([np.sort(scores[m]) for m in self.folds.fold_members])
+        flat = np.concatenate([np.sort(self.scores[m]) for m in self.folds.fold_members])
         flat.setflags(write=False)
         object.__setattr__(self, "sorted_scores", flat)
         views = np.split(flat, self.folds.offsets[1:-1])

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pipeline, random_grid
@@ -16,6 +16,7 @@ from crossconf import (
     FOLD_METHODS,
     CvScores,
     Dataset,
+    FoldAssignment,
     InformativenessWarning,
     InvalidConfigurationError,
     LinearModel,
@@ -135,6 +136,59 @@ class TestEmpiricalQuantile:
             assert conformal_rank(alpha, n) == k
             assert self.split_q(z, alpha) == self.cv_plus_q(z, alpha) == expected
 
+class TestSplitIsOneModelCvPlus:
+    """Split conformal is the CV+ set of its one model: both builders take the
+    rank-th order statistics of mu -/+ S_i through one function."""
+
+    @staticmethod
+    def both(scores, mu, alpha):
+        """(interval bytes, warning categories) of the split set and of the CV+
+        set of one fold, both with the model x -> mu x at x = 1."""
+        s = np.asarray(scores, dtype=float)
+        model = LinearModel(np.array([mu]))
+        state = SplitState(s, conformal_rank(alpha, s.size), model)
+        cv = CvScores(s, (model,), FoldAssignment(np.arange(s.size), [0, s.size]))
+        out = []
+        for build in (lambda: split_set_from_state(state, [1.0]),
+                      lambda: cv_plus_from_scores(cv, cv.folds, [1.0], alpha)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pset = build()
+            out.append((np.array(pset.intervals).tobytes(), [w.category for w in caught]))
+        return out
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 1e6),
+                 min_size=1, max_size=30),
+        st.floats(-1e6, 1e6),
+        st.booleans(),
+        st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.5, 0.9]) | st.floats(0.001, 0.999),
+    )
+    @example([1.0, 2.0], 1.0, True, 0.01)  # rank 3 is past the end: the whole line
+    @example([3.0, 2.0, 3.0], 2.0, True, 0.5)  # a tie, and lo = 2 - 2 = +0.0
+    @example([0.0], -0.0, True, 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_split_is_the_cv_plus_set_of_its_one_model(self, scores, mu, hit, alpha):
+        mu += 0.0  # the model's prediction: x -> mu x gives +0.0 at mu = -0.0
+        if hit:
+            scores[0] = abs(mu)  # one end of this score's interval is exactly 0.0
+        split, cv_plus = self.both(scores, mu, alpha)
+        assert split == cv_plus
+        rank = conformal_rank(alpha, len(scores))
+        if rank > len(scores):
+            assert split == (np.array([(-INF, INF)]).tobytes(), [InformativenessWarning])
+        else:  # mu -/+ the rank-th smallest score, signed zeros included
+            q = sorted(scores)[rank - 1]
+            assert split == (np.array([(mu - q, mu + q)]).tobytes(), [])
+
+    @pytest.mark.parametrize("mu, interval", [(1e308, (0.0, INF)), (-1e308, (-INF, 0.0))])
+    def test_one_end_past_the_largest_double_is_a_ray(self, mu, interval):
+        # mu + S (or mu - S) overflows while the other end is finite: a ray with
+        # no warning, where CV+ once gave the whole line with a warning
+        split, cv_plus = self.both([1e308], mu, 0.5)
+        assert split == cv_plus == (np.array([interval]).tobytes(), [])
+
+
 class TestPredictionSet:
     def test_invariants_enforced(self):
         with pytest.raises(InvalidConfigurationError):
@@ -143,8 +197,6 @@ class TestPredictionSet:
             PredictionSet(((0.0, 2.0), (1.0, 3.0)))
         with pytest.raises(InvalidConfigurationError):
             PredictionSet(((0.0, 1.0), (1.0, 2.0)))  # touching runs are one run
-        with pytest.raises(InvalidConfigurationError):
-            PredictionSet(((0.0, 1.0), (2.0, 3.0)), hulled=True)
 
     def test_membership_width_components(self):
         s = PredictionSet(((0.0, 1.0), (4.0, 6.0)))
@@ -158,7 +210,7 @@ class TestPredictionSet:
     def test_hull_spans_and_is_idempotent(self):
         s = PredictionSet(((0.0, 1.0), (4.0, 6.0)))
         h = s.hull()
-        assert h.intervals == ((0.0, 6.0),) and h.hulled
+        assert h.intervals == ((0.0, 6.0),)
         assert h.hull() == h
         assert PredictionSet(()).hull().intervals == ()
 

@@ -194,6 +194,26 @@ def test_every_public_method_of_a_class_is_read_by_the_program():
     assert unread == []
 
 
+def test_every_dataclass_holding_an_array_compares_by_identity():
+    # the generated == compares the arrays and raises ValueError on any two
+    # equal-valued instances, and the generated __hash__ = None refuses them
+    package = Path(crossconf.__file__).parent
+    holders, generated = [], []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"crossconf.{path.stem}")
+        for cls in vars(module).values():
+            if not (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__):
+                continue
+            if any("np.ndarray" in str(f.type) for f in dataclasses.fields(cls)):
+                holders.append(cls.__name__)
+                if cls.__eq__ is not object.__eq__ or cls.__hash__ is not object.__hash__:
+                    generated.append(f"{path.stem}.{cls.__name__}")
+    assert generated == []
+    assert sorted(holders) == [
+        "CvScores", "Dataset", "FoldAssignment", "KnnModel", "LinearModel", "SplitState",
+    ]
+
+
 def _defaulted_parameters(fn: ast.FunctionDef):
     """(position or None, name) of each parameter of fn that has a default; a
     keyword-only parameter has no position."""

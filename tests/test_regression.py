@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crossconf import (
     CvScores,
     Dataset,
+    FoldAssignment,
     InvalidConfigurationError,
     KnnModel,
     LinearModel,
@@ -23,6 +24,7 @@ from crossconf import (
     fit,
     fold_method_sets,
     parse_regressor,
+    split_set_from_state,
 )
 from crossconf import regression
 from crossconf.regression import _KNN_BLOCK_BYTES, RCOND
@@ -578,13 +580,69 @@ class TestFittedModelsAreReadOnly:
         assert cv_plus_from_scores(cv, folds, [1.0], 0.4) == before
 
     def test_read_only_arrays_are_not_copied(self):
+        # a subset's fresh arrays are frozen in place, so no fit on it, nor a
+        # container rebuilt on them, copies them again
         gen = np.random.default_rng(3)
         data = Dataset(gen.standard_normal((12, 3)), gen.standard_normal(12))
-        knn = fit(RegressorSpec("knn", knn_k=3), data)
-        assert np.shares_memory(knn.train_features, data.features)
-        assert np.shares_memory(knn.train_responses, data.responses)
-        ols = fit(RegressorSpec("ols"), data)
-        assert np.shares_memory(LinearModel(ols.coef).coef, ols.coef)
+        for train in (data, data.subset([4, 0, 7, 2, 9, 11])):
+            knn = fit(RegressorSpec("knn", knn_k=3), train)
+            assert knn.train_features is train.features
+            assert knn.train_responses is train.responses
+            again = Dataset(train.features, train.responses)
+            assert again.features is train.features and again.responses is train.responses
+            ols = fit(RegressorSpec("ols"), train)
+            assert LinearModel(ols.coef).coef is ols.coef
+
+
+def one_of_each_container(feats, resp, coef, order, offsets):
+    """A Dataset, FoldAssignment, LinearModel, KnnModel, SplitState and CvScores
+    built on these five arrays: a (3, 1) matrix, a 3-vector of scores and
+    responses, a 1-vector coefficient, and a three-fold assignment of 3 points."""
+    model = LinearModel(coef)
+    folds = FoldAssignment(order, offsets)
+    return [Dataset(feats, resp), folds, model, KnnModel(feats, resp, 2),
+            SplitState(resp, 2, model), CvScores(resp, (model,) * 3, folds)]
+
+
+def five_arrays():
+    return (np.ones((3, 1)), np.arange(3.0), np.array([2.0]), np.arange(3), np.arange(4))
+
+
+class TestContainerOwnership:
+    def test_no_container_keeps_a_read_only_view_of_writable_memory(self):
+        # the base's owner could still write through such a view, under a
+        # memoized block or fold context
+        bases = five_arrays()
+        views = [base.view() for base in bases]
+        for view in views:
+            view.setflags(write=False)
+        for obj in one_of_each_container(*views):
+            arrays = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+            arrays = [(name, a) for name, a in arrays if isinstance(a, np.ndarray)]
+            assert arrays
+            for name, arr in arrays:
+                where = f"{type(obj).__name__}.{name}"
+                assert arr.flags.owndata and not arr.flags.writeable, where
+                assert not any(np.shares_memory(arr, base) for base in bases), where
+
+    def test_a_split_set_does_not_go_stale_when_the_base_of_its_model_is_written(self):
+        base = np.array([2.0])
+        view = base.view()
+        view.setflags(write=False)
+        # mu = 3 and the 9th of the scores 1..10 is 9
+        state = SplitState(np.arange(1.0, 11.0), 9, LinearModel(view))
+        assert split_set_from_state(state, [1.5]).intervals == ((-6.0, 12.0),)
+        base[:] = 100.0
+        assert state.model.predict([1.5]).tolist() == [3.0]
+        assert split_set_from_state(state, [1.5]).intervals == ((-6.0, 12.0),)
+
+    def test_equal_valued_containers_compare_by_identity_and_hash(self):
+        # a generated == would compare the arrays and raise ValueError, and a
+        # generated hash would raise TypeError
+        for a, b in zip(one_of_each_container(*five_arrays()),
+                        one_of_each_container(*five_arrays())):
+            assert a == a and a != b, type(a).__name__
+            assert len({a, b, a}) == 2
 
 
 class TestSpecParsing:
